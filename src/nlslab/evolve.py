@@ -5,6 +5,15 @@ One Strang step is A(dt/2) B(dt) A(dt/2): A is the exact free flow
 and B is the exact pointwise phase rotation by the potential plus the
 nonlinearity, which commute pointwise and are applied in one exponential.
 Both sub-flows are unitary, so discrete mass is conserved to roundoff.
+
+The radial Crank-Nicolson map (I - zL)^(-1)(I + zL), z = i tau/2, is
+applied in Cayley form: the tridiagonal M = I - zL is factored once per
+tau, and each half-step is one back-substitution plus the update
+u+ = 2 M^(-1) u - u.  In exact arithmetic this is the same map, and the
+map for -tau is its exact inverse; the phase for -dt likewise inverts
+the phase for dt.  A linear pullback with the negated step therefore
+undoes the forward linear integrator up to roundoff, which is what the
+scattering diagnostic's Cauchy increments rely on.
 """
 
 from __future__ import annotations
@@ -12,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .equation import EquationSpec, glassey_delta_negative_energy
 from .grid import (
@@ -72,7 +80,7 @@ class TrajectoryOutcome:
 
 
 class SplitStepper:
-    """Cached multipliers / banded operators for one (grid, spec) pair."""
+    """Cached multipliers / factored operators for one (grid, spec) pair."""
 
     def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0):
         self.grid = grid
@@ -80,6 +88,7 @@ class SplitStepper:
         self.potential = PotentialSpec(spec.c, spec.sigma, epsilon_reg).sample(grid)
         self._half_cache = (None, None)
         self._cn_cache = (None, None)
+        self._linear_phase_cache = (None, None)
 
     # -- A: exact (Cartesian) or Crank-Nicolson (radial) free flow -----
 
@@ -94,34 +103,27 @@ class SplitStepper:
         return self._cn_step(u, 0.5 * dt)
 
     def _cn_step(self, u, tau):
-        # (I - i tau/2 L) u+ = (I + i tau/2 L) u; unitary in the weighted
-        # discrete inner product for the symmetric radial Laplacian L
-        g = self.grid
+        # (I - zL) u+ = (I + zL) u with z = i tau/2, in Cayley form
+        # u+ = 2 (I - zL)^(-1) u - u; unitary in the weighted discrete inner
+        # product in which the radial Laplacian L is symmetric.  The factors
+        # are keyed by tau, which adaptive dt halving changes.
         if self._cn_cache[0] != tau:
-            z = 0.5j * tau
-            n = g.n_r
-            ab = np.zeros((3, n), dtype=np.complex128)
-            ab[0, 1:] = -z * g._lap_upper
-            ab[1, :] = 1.0 - z * g._lap_diag
-            ab[2, :-1] = -z * g._lap_lower
-            self._cn_cache = (tau, ab)
-        z = 0.5j * tau
-        rhs = u + z * self._apply_lap(u)
-        return solve_banded((1, 1), self._cn_cache[1], rhs)
-
-    def _apply_lap(self, u):
-        g = self.grid
-        out = g._lap_diag * u
-        out[1:] = out[1:] + g._lap_lower * u[:-1]
-        out[:-1] = out[:-1] + g._lap_upper * u[1:]
+            self._cn_cache = (tau, self.grid.factor_shifted_laplacian(0.5j * tau))
+        out = self._cn_cache[1](u)
+        out *= 2.0
+        out -= u
         return out
 
     # -- B: exact phase rotation (potential and nonlinearity commute) --
 
     def _phase(self, u, dt, nonlinear):
+        if not nonlinear:
+            if self._linear_phase_cache[0] != dt:
+                arg = dt * self.potential
+                self._linear_phase_cache = (dt, np.cos(arg) - 1j * np.sin(arg))
+            return u * self._linear_phase_cache[1]
         phase = self.potential.copy()
-        if nonlinear:
-            phase += self.spec.nonlinearity_sign * np.abs(u) ** self.spec.alpha
+        phase += self.spec.nonlinearity_sign * np.abs(u) ** self.spec.alpha
         arg = dt * phase
         return u * (np.cos(arg) - 1j * np.sin(arg))
 

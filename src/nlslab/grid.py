@@ -8,6 +8,7 @@ regularization.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "Grid",
@@ -131,6 +132,21 @@ class Grid:
                 k2 = k2 + self.k.reshape(shape) ** 2
             self._k_sq = k2
         return self._k_sq
+
+    def factor_shifted_laplacian(self, z):
+        """Solver b -> (I - z Lap)^(-1) b on a radial grid (z may be complex).
+
+        The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf);
+        each call of the returned solver is one ?gttrs back-substitution.
+        """
+        lower = -z * self._lap_lower
+        diag = 1.0 - z * self._lap_diag
+        upper = -z * self._lap_upper
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, diag, upper))
+        *factors, info = gttrf(lower, diag, upper)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"I - z Lap is singular for z={z!r}")
+        return lambda b: gttrs(*factors, b)[0]
 
     def integrate(self, values):
         """Quadrature of a scalar sample: midpoint rule on the uniform grid."""

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import (
     Field,
@@ -85,18 +84,13 @@ class _EllipticOps:
                 np.max(grid.k_squared())
             )
         else:
-            n = grid.n_r
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -grid._lap_upper
-            ab[1, :] = 1.0 - grid._lap_diag
-            ab[2, :-1] = -grid._lap_lower
-            self._ab = ab
+            self._solve = grid.factor_shifted_laplacian(1.0)
             self.residual_floor = 100.0 * np.finfo(float).eps / grid.dr**2
 
     def inv_one_minus_lap(self, rhs):
         if self.grid.mode == "cartesian":
             return np.fft.ifftn(self._mult * np.fft.fftn(rhs)).real
-        return solve_banded((1, 1), self._ab, rhs)
+        return self._solve(rhs)
 
     def laplacian(self, u):
         g = self.grid

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from nlslab.checks import random_band_limited_field
+from nlslab.checks import random_band_limited_field, random_radial_field
 from nlslab.equation import EquationSpec
 from nlslab.evolve import (
     EvolveConfig,
@@ -11,7 +12,16 @@ from nlslab.evolve import (
     glassey_upper_bound,
     step_strang,
 )
-from nlslab.grid import Field, Grid, InvalidFieldError, gradient_norm_sq, mass
+from nlslab.grid import (
+    Field,
+    Grid,
+    InvalidFieldError,
+    apply_laplacian,
+    gradient_norm_sq,
+    h1_norm,
+    mass,
+)
+from nlslab.observables import scattering_cauchy_diagnostic
 
 
 def free_spec(d=1, sign="defocusing"):
@@ -109,6 +119,60 @@ def test_linear_pullback_inverts():
     fwd = evolve_linear(u0, spec, 0.5, 1e-3)
     back = evolve_linear(fwd, spec, -0.5, 1e-3)
     assert np.max(np.abs(back.values - u0.values)) <= 1e-10
+
+
+def c9_problem():
+    # the scattering acceptance config: d=3 radial, n_r=3072, r_max=96
+    spec = EquationSpec(d=3, c=1.0, sigma=1.0, alpha=2.0, sign="defocusing")
+    g = Grid(3, "radial", n_r=3072, r_max=96.0)
+    profile = np.exp(-g.r**2 / 8.0).astype(complex)
+    u0 = Field(g, 1e-2 / h1_norm(Field(g, profile)) * profile)
+    return spec, g, u0
+
+
+def test_cayley_half_step_matches_two_sided_solve():
+    spec, g, _ = c9_problem()
+    u = random_radial_field(g, 7).values
+    dt = 4e-3
+    z = 0.25j * dt  # half-step tau = dt/2, z = i tau/2
+    ab = np.zeros((3, g.n_r), dtype=complex)
+    ab[0, 1:] = -z * g._lap_upper
+    ab[1, :] = 1.0 - z * g._lap_diag
+    ab[2, :-1] = -z * g._lap_lower
+    ref = solve_banded((1, 1), ab, u + z * apply_laplacian(Field(g, u)))
+    got = SplitStepper(g, spec)._linear_half(u, dt)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_operator_cache_keyed_by_step(nonlinear):
+    # an adaptive run halves dt and returns: one stepper must give exactly
+    # what fresh steppers give at each step size
+    spec, g, u0 = c9_problem()
+    shared = SplitStepper(g, spec)
+    u_shared = u_fresh = u0.values
+    for dt in (4e-3, 2e-3, 4e-3):
+        u_shared = shared.step(u_shared, dt, nonlinear=nonlinear)
+        u_fresh = SplitStepper(g, spec).step(u_fresh, dt, nonlinear=nonlinear)
+        assert np.array_equal(u_shared, u_fresh)
+
+
+def test_linear_pullback_cancels_forward_flow_c9():
+    # the Cauchy increments rely on the backward sweep undoing the forward
+    # linear integrator: checkpoints of the linear flow pull back to u0
+    spec, g, u0 = c9_problem()
+    checkpoints = [evolve_linear(u0, spec, t, 4e-3) for t in (0.4, 0.8, 1.2)]
+    increments = scattering_cauchy_diagnostic(checkpoints, spec, 4e-3)
+    assert max(increments) <= 1e-12
+
+
+def test_radial_nonlinear_mass_drift():
+    spec, g, u0 = c9_problem()
+    stepper = SplitStepper(g, spec)
+    u = u0.values
+    for _ in range(1000):
+        u = stepper.step(u, 4e-3)
+    assert abs(mass(Field(g, u)) / mass(u0) - 1.0) <= 1e-12
 
 
 def test_zero_initial_data():
