@@ -23,7 +23,6 @@ from .grid import (
     boundary_shell_mass_fraction,
     gradient_norm_sq,
     h1_norm,
-    make_grid,
     mass,
     mass_fourier,
     weighted_norm,

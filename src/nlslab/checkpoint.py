@@ -71,10 +71,8 @@ def read_field(header_path) -> Field:
         raise ValueError(f"{header_path}: not a field checkpoint")
     if header.get("endianness") != "little":
         raise ValueError("unsupported endianness tag")
-    if header["mode"] == "cartesian":
-        grid = Grid(header["d"], "cartesian", n=header["n"], L=header["L"])
-    else:
-        grid = Grid(header["d"], "radial", n_r=header["n_r"], r_max=header["r_max"])
+    sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
+    grid = Grid(header["d"], header["mode"], **sizes)
     payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
     with open(payload_path, "rb") as fh:
         values = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)

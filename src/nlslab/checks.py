@@ -59,14 +59,6 @@ def _check_parseval(seed):
     return err <= 1e-12, f"rel err {err:.2e}"
 
 
-def _check_fft_roundtrip(seed):
-    g = Grid(2, "cartesian", n=64, L=8.0)
-    f = random_band_limited_field(g, seed + 1)
-    back = np.fft.ifftn(np.fft.fftn(f.values))
-    err = float(np.max(np.abs(back - f.values))) / float(np.max(np.abs(f.values)))
-    return err <= 1e-12, f"rel err {err:.2e}"
-
-
 def _check_weight_inequalities(_seed):
     verify_bridge()
     radii = np.linspace(1e-4, 200.0, 40001)
@@ -173,7 +165,6 @@ def _check_checkpoint_roundtrip(seed):
 
 CHECKS = [
     ("parseval-mass", _check_parseval),
-    ("fft-roundtrip", _check_fft_roundtrip),
     ("weight-inequalities", _check_weight_inequalities),
     ("glassey-roots", _check_glassey),
     ("mass-conservation", _check_conservation),

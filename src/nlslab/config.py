@@ -15,7 +15,7 @@ import numpy as np
 
 from .equation import EquationSpec
 from .evolve import EvolveConfig
-from .grid import Field, Grid
+from .grid import Field, Grid, GridError
 
 __all__ = [
     "ConfigError",
@@ -210,8 +210,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.grid.mode not in ("cartesian", "radial"):
-        raise ConfigError(f"[grid] mode = {cfg.grid.mode!r} unknown")
+    try:
+        build_grid(cfg)
+    except GridError as exc:
+        raise ConfigError(f"[grid]: {exc}") from exc
     if cfg.grid.mode == "radial" and cfg.initial.kind == "gaussian":
         if cfg.initial.center != 0.0 or cfg.initial.phase_k != 0.0:
             raise ConfigError(
@@ -260,9 +262,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
     g = cfg.grid
-    if g.mode == "cartesian":
-        return Grid(cfg.equation.d, "cartesian", n=g.n, L=g.L)
-    return Grid(cfg.equation.d, "radial", n_r=g.n_r, r_max=g.r_max)
+    if g.mode == "radial":
+        return Grid(cfg.equation.d, "radial", n_r=g.n_r, r_max=g.r_max)
+    return Grid(cfg.equation.d, g.mode, n=g.n, L=g.L)
 
 
 def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) -> Field:

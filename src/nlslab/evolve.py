@@ -1,23 +1,22 @@
 """Time integration of the equation and of its linear flow.
 
-One Strang step is A(dt/2) B(dt) A(dt/2): A is the exact free flow
-(Fourier multiplier on Cartesian grids, Crank-Nicolson on radial ones)
-and B is the exact pointwise phase rotation by the potential plus the
-nonlinearity, which commute pointwise and are applied in one exponential.
-Both sub-flows are unitary, so discrete mass is conserved to roundoff.
+One Strang step is A(dt/2) B(dt) A(dt/2): A is the grid's free
+propagator (the exact Fourier multiplier on Cartesian grids,
+Crank-Nicolson in Cayley form on radial ones) and B is the exact
+pointwise phase rotation by the potential plus the nonlinearity, which
+commute pointwise and are applied in one exponential.  Both sub-flows
+are unitary, so discrete mass is conserved to roundoff.
 
-The radial Crank-Nicolson map (I - zL)^(-1)(I + zL), z = i tau/2, is
-applied in Cayley form: the tridiagonal M = I - zL is factored once per
-tau, and each half-step is one back-substitution plus the update
-u+ = 2 M^(-1) u - u.  In exact arithmetic this is the same map, and the
-map for -tau is its exact inverse; the phase for -dt likewise inverts
-the phase for dt.  A linear pullback with the negated step therefore
-undoes the forward linear integrator up to roundoff, which is what the
-scattering diagnostic's Cauchy increments rely on.
+The free propagator for -tau is the exact inverse of the one for tau,
+and the phase for -dt likewise inverts the phase for dt.  A linear
+pullback with the negated step therefore undoes the forward linear
+integrator up to roundoff, which is what the scattering diagnostic's
+Cauchy increments rely on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -59,8 +58,10 @@ class EvolveConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.dt0 <= 0 or self.t_end <= 0:
-            raise ValueError("dt0 and t_end must be positive")
+        if not (0.0 < self.dt0 < math.inf and 0.0 < self.t_end < math.inf):
+            raise ValueError("dt0 and t_end must be finite and positive")
+        if self.record_stride < 1 or self.max_steps < 1 or self.checkpoint_stride < 0:
+            raise ValueError("need strides and max_steps >= 1 (checkpoint_stride >= 0)")
         if self.blowup_grad_factor <= 1.0:
             raise ValueError("blowup_grad_factor must exceed 1")
         if self.adaptivity not in ("fixed", "cfl-nonlinear"):
@@ -86,33 +87,17 @@ class SplitStepper:
         self.grid = grid
         self.spec = spec
         self.potential = PotentialSpec(spec.c, spec.sigma, epsilon_reg).sample(grid)
-        self._half_cache = (None, None)
-        self._cn_cache = (None, None)
+        self._free_cache = (None, None)
         self._linear_phase_cache = (None, None)
 
-    # -- A: exact (Cartesian) or Crank-Nicolson (radial) free flow -----
+    # -- A: the grid's free flow over dt/2 ------------------------------
 
     def _linear_half(self, u, dt):
-        g = self.grid
-        if g.mode == "cartesian":
-            tau = 0.5 * dt
-            if self._half_cache[0] != tau:
-                arg = tau * g.k_squared()
-                self._half_cache = (tau, np.cos(arg) - 1j * np.sin(arg))
-            return np.fft.ifftn(self._half_cache[1] * np.fft.fftn(u))
-        return self._cn_step(u, 0.5 * dt)
-
-    def _cn_step(self, u, tau):
-        # (I - zL) u+ = (I + zL) u with z = i tau/2, in Cayley form
-        # u+ = 2 (I - zL)^(-1) u - u; unitary in the weighted discrete inner
-        # product in which the radial Laplacian L is symmetric.  The factors
-        # are keyed by tau, which adaptive dt halving changes.
-        if self._cn_cache[0] != tau:
-            self._cn_cache = (tau, self.grid.factor_shifted_laplacian(0.5j * tau))
-        out = self._cn_cache[1](u)
-        out *= 2.0
-        out -= u
-        return out
+        # keyed by tau, which adaptive dt halving changes
+        tau = 0.5 * dt
+        if self._free_cache[0] != tau:
+            self._free_cache = (tau, self.grid.free_propagator(tau))
+        return self._free_cache[1](u)
 
     # -- B: exact phase rotation (potential and nonlinearity commute) --
 
@@ -222,6 +207,12 @@ def evolve(
                 if grad0 > 0 and grad_now >= cfg.blowup_grad_factor * grad0:
                     status = "blowup-detected"
                     tstar = t
+                    if records[-1].t != t:  # the trajectory up to detection
+                        f = Field(grid, u, t)
+                        records.append(observables.record(
+                            f, spec, phi_r=phi_r, epsilon_reg=cfg.epsilon_reg
+                        ))
+                        shell_max = max(shell_max, boundary_shell_mass_fraction(f))
                     break
                 if not warned_dt:
                     warnings.append(

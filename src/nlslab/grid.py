@@ -3,28 +3,35 @@
 Every grid is cell-centered, so no node coincides with the coordinate
 origin and the inverse-power potential is finite at every node without
 regularization.
+
+Each grid kind is one class that owns every operator of its
+discretization (spectral on CartesianGrid, a conservative stencil on
+RadialGrid), so callers never branch on the kind.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .weights import eval_localized_weight
+
 __all__ = [
     "Grid",
+    "CartesianGrid",
+    "RadialGrid",
     "Field",
     "PotentialSpec",
     "GridError",
     "InvalidFieldError",
-    "make_grid",
     "mass",
     "mass_fourier",
     "gradient_norm_sq",
     "weighted_norm",
     "h1_norm",
     "radius_weight",
-    "spectral_gradient",
-    "radial_derivative",
     "apply_laplacian",
     "boundary_shell_mass_fraction",
 ]
@@ -41,124 +48,62 @@ class InvalidFieldError(ValueError):
     """A field contains NaN/Inf values and must not be used further."""
 
 
-class Grid:
-    """Cell-centered spatial grid, Cartesian ([-L, L)^d) or radial ((0, r_max)).
+def _memoized(method):
+    """Per-grid memo of method(*args), keyed by the method name and args."""
 
-    Immutable after construction; instances are shared freely between
-    operations and workers.
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            value = method(self, *args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
+
+    return cached
+
+
+class Grid:
+    """Cell-centered spatial grid; Grid(d, mode, ...) builds the mode's kind.
+
+    Grid(d, "cartesian", n=..., L=...) returns a CartesianGrid and
+    Grid(d, "radial", n_r=..., r_max=...) a RadialGrid.  Grids are
+    immutable after construction (derived arrays are memoized read-only)
+    and shared freely between operations and workers.
     """
 
-    def __init__(self, d, mode, n=0, L=0.0, n_r=0, r_max=0.0):
+    mode = None
+
+    def __new__(cls, d=None, mode=None, **sizes):
+        # the kind's __init__ then receives the same arguments, mode included
+        kind = _KINDS.get(mode or cls.mode)
+        if kind is None or not issubclass(kind, cls):
+            raise GridError(f"unknown grid mode {mode!r}")
+        return super().__new__(kind)
+
+    def __init__(self, d):
         if d not in (1, 2, 3):
             raise GridError(f"invalid-dimension: d={d} not in {{1,2,3}}")
-        if mode not in ("cartesian", "radial"):
-            raise GridError(f"unknown grid mode {mode!r}")
         self.d = int(d)
-        self.mode = mode
-        if mode == "cartesian":
-            n = int(n)
-            if n < 8:
-                raise GridError(f"resolution-too-small: n={n} < 8")
-            if n & (n - 1):
-                raise GridError(f"n={n} must be a power of two")
-            if L <= 0:
-                raise GridError(f"box half-width L={L} must be positive")
-            self.n = n
-            self.L = float(L)
-            self.dx = 2.0 * self.L / n
-            # nodes at -L + (i + 1/2) dx; none at the origin
-            self.axis = -self.L + (np.arange(n) + 0.5) * self.dx
-            # wavenumbers (pi/L) * {-n/2, ..., n/2 - 1} in FFT order
-            self.k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
-            self.shape = (n,) * d
-            self.cell_volume = self.dx**d
-            self._k_sq = None
-            self._r = None
-        else:
-            n_r = int(n_r)
-            if n_r < 8:
-                raise GridError(f"resolution-too-small: n_r={n_r} < 8")
-            if r_max <= 0:
-                raise GridError(f"r_max={r_max} must be positive")
-            self.n_r = n_r
-            self.r_max = float(r_max)
-            self.dr = self.r_max / n_r
-            self.r = (np.arange(n_r) + 0.5) * self.dr
-            self.shape = (n_r,)
-            # conservative flux form of u'' + (d-1)/r u' on cell faces j*dr;
-            # zero flux through the origin, homogeneous Dirichlet at r_max
-            faces = np.arange(n_r + 1) * self.dr
-            a = faces ** (self.d - 1)
-            a[0] = 0.0
-            w = self.r ** (self.d - 1)
-            self._face_coef = a
-            self._node_weight = w
-            self._lap_lower = a[1:-1] / (w[1:] * self.dr**2)
-            self._lap_upper = a[1:-1] / (w[:-1] * self.dr**2)
-            diag = -(a[:-1] + a[1:]) / (w * self.dr**2)
-            diag[-1] = -(a[-2] + 2.0 * a[-1]) / (w[-1] * self.dr**2)
-            self._lap_diag = diag
+        self._memo = {}
 
-    # --- coordinates -------------------------------------------------
+    @_memoized
+    def radius_power(self, power, floor):
+        """|x|^power on every node, with |x| floored at floor when floor > 0."""
+        r = self.radius()
+        if floor > 0.0:
+            r = np.maximum(r, floor)
+        return r**power
 
-    def coords(self, axis):
-        """Coordinate array along one axis, broadcastable to self.shape."""
-        if self.mode != "cartesian":
-            raise GridError("coords() is only defined for Cartesian grids")
-        shape = [1] * self.d
-        shape[axis] = self.n
-        return self.axis.reshape(shape)
+    def inv_one_minus_lap(self, rhs):
+        """(1 - Lap)^(-1) rhs (rhs real on radial grids)."""
+        return self._elliptic_solver()(rhs)
 
-    def radius(self):
-        """|x| sampled at every node (strictly positive by cell-centering)."""
-        if self.mode == "radial":
-            return self.r
-        if self._r is None:
-            r2 = np.zeros(self.shape)
-            for ax in range(self.d):
-                r2 = r2 + self.coords(ax) ** 2
-            self._r = np.sqrt(r2)
-        return self._r
-
-    def k_squared(self):
-        """|k|^2 multiplier array for the spectral Laplacian."""
-        if self.mode != "cartesian":
-            raise GridError("k_squared() is only defined for Cartesian grids")
-        if self._k_sq is None:
-            k2 = np.zeros(self.shape)
-            for ax in range(self.d):
-                shape = [1] * self.d
-                shape[ax] = self.n
-                k2 = k2 + self.k.reshape(shape) ** 2
-            self._k_sq = k2
-        return self._k_sq
-
-    def factor_shifted_laplacian(self, z):
-        """Solver b -> (I - z Lap)^(-1) b on a radial grid (z may be complex).
-
-        The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf);
-        each call of the returned solver is one ?gttrs back-substitution.
-        """
-        lower = -z * self._lap_lower
-        diag = 1.0 - z * self._lap_diag
-        upper = -z * self._lap_upper
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, diag, upper))
-        *factors, info = gttrf(lower, diag, upper)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"I - z Lap is singular for z={z!r}")
-        return lambda b: gttrs(*factors, b)[0]
-
-    def integrate(self, values):
-        """Quadrature of a scalar sample: midpoint rule on the uniform grid."""
-        if self.mode == "cartesian":
-            return float(np.sum(values).real) * self.cell_volume
-        w = SURFACE_MEASURE[self.d] * self._node_weight * self.dr
-        return float(np.sum(values * w).real)
-
-    def describe(self):
-        if self.mode == "cartesian":
-            return {"mode": "cartesian", "d": self.d, "n": self.n, "L": self.L}
-        return {"mode": "radial", "d": self.d, "n_r": self.n_r, "r_max": self.r_max}
+    @_memoized
+    def phi_weight(self, R):
+        """Localized virial weight phi_R sampled on every node."""
+        return eval_localized_weight(R, self).phi.reshape(self.shape)
 
     def __repr__(self):
         p = self.describe()
@@ -166,11 +111,224 @@ class Grid:
         return f"Grid({body})"
 
 
-def make_grid(d, n=None, L=None, mode="cartesian", n_r=None, r_max=None):
-    """Construct a cell-centered grid; see Grid for the node layout."""
-    if mode == "cartesian":
-        return Grid(d, "cartesian", n=n, L=L)
-    return Grid(d, "radial", n_r=n_r, r_max=r_max)
+class CartesianGrid(Grid):
+    """Box [-L, L)^d with n nodes per axis (a power of two); spectral operators."""
+
+    mode = "cartesian"
+
+    def __init__(self, d, mode=None, n=0, L=0.0):
+        super().__init__(d)
+        n = int(n)
+        if n < 8:
+            raise GridError(f"resolution-too-small: n={n} < 8")
+        if n & (n - 1):
+            raise GridError(f"n={n} must be a power of two")
+        if not 0.0 < L < np.inf:
+            raise GridError(f"box half-width L={L} must be finite and positive")
+        self.n = n
+        self.L = float(L)
+        self.dx = 2.0 * self.L / n
+        # nodes at -L + (i + 1/2) dx; none at the origin
+        self.axis = -self.L + (np.arange(n) + 0.5) * self.dx
+        # wavenumbers (pi/L) * {-n/2, ..., n/2 - 1} in FFT order
+        self.k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
+        self.shape = (n,) * d
+        self.cell_volume = self.dx**d
+        k2_max = d * float(np.max(self.k**2))  # the largest entry of k_squared()
+        # a max-norm residual involving the Laplacian cannot beat this
+        self.residual_floor = 100.0 * np.finfo(float).eps * k2_max
+
+    def _along(self, values, axis):
+        shape = [1] * self.d
+        shape[axis] = self.n
+        return values.reshape(shape)
+
+    def coords(self, axis):
+        """Coordinate array along one axis, broadcastable to self.shape."""
+        return self._along(self.axis, axis)
+
+    @_memoized
+    def radius(self):
+        """|x| sampled at every node (strictly positive by cell-centering)."""
+        r2 = np.zeros(self.shape)
+        for ax in range(self.d):
+            r2 = r2 + self.coords(ax) ** 2
+        return np.sqrt(r2)
+
+    @_memoized
+    def unit_vector(self, axis):
+        """Component x_axis / |x| of the radial unit vector."""
+        return self.coords(axis) / self.radius()
+
+    @_memoized
+    def k_squared(self):
+        """|k|^2 multiplier array for the spectral Laplacian."""
+        k2 = np.zeros(self.shape)
+        for ax in range(self.d):
+            k2 = k2 + self._along(self.k, ax) ** 2
+        return k2
+
+    def integrate(self, values):
+        """Quadrature of a scalar sample: midpoint rule on the uniform grid."""
+        return float(np.sum(values).real) * self.cell_volume
+
+    def laplacian(self, u):
+        """Spectral Laplacian: the Fourier multiplier -|k|^2."""
+        return np.fft.ifftn(-self.k_squared() * np.fft.fftn(u))
+
+    def free_propagator(self, tau):
+        """Exact free flow exp(i tau Lap), as a map u -> u(tau)."""
+        arg = tau * self.k_squared()
+        mult = np.cos(arg) - 1j * np.sin(arg)
+        return lambda u: np.fft.ifftn(mult * np.fft.fftn(u))
+
+    @_memoized
+    def _elliptic_solver(self):
+        mult = 1.0 / (1.0 + self.k_squared())
+        return lambda rhs: np.fft.ifftn(mult * np.fft.fftn(rhs))
+
+    def grad_sq(self, u):
+        """||grad u||_L2^2 from the spectral multiplier |k|^2."""
+        uh = np.fft.fftn(u)
+        k2_uh2 = self.k_squared() * np.abs(uh) ** 2
+        return float(np.sum(k2_uh2)) * self.cell_volume / uh.size
+
+    def radial_flux(self, u, weight):
+        """int grad(a) . Im(conj(u) grad u) for a = |x| ("abs") or |x|^2."""
+        total = 0.0
+        for ax in range(self.d):
+            ik = 1j * self._along(self.k, ax)
+            du = np.fft.ifft(ik * np.fft.fft(u, axis=ax), axis=ax)
+            flow = np.imag(np.conj(u) * du)
+            da = self.unit_vector(ax) if weight == "abs" else 2.0 * self.coords(ax)
+            total += self.integrate(da * flow)
+        return total
+
+    @_memoized
+    def shell_mask(self):
+        """Nodes with some |x_i| >= 0.9 L (the boundary reflection monitor)."""
+        edge = np.zeros(self.shape, dtype=bool)
+        for ax in range(self.d):
+            edge = edge | (np.abs(self.coords(ax)) >= 0.9 * self.L)
+        return edge
+
+    def describe(self):
+        return {"mode": self.mode, "d": self.d, "n": self.n, "L": self.L}
+
+
+class RadialGrid(Grid):
+    """Shells (0, r_max) in n_r cells; conservative flux-form stencil."""
+
+    mode = "radial"
+
+    def __init__(self, d, mode=None, n_r=0, r_max=0.0):
+        super().__init__(d)
+        n_r = int(n_r)
+        if n_r < 8:
+            raise GridError(f"resolution-too-small: n_r={n_r} < 8")
+        if not 0.0 < r_max < np.inf:
+            raise GridError(f"r_max={r_max} must be finite and positive")
+        self.n_r = n_r
+        self.r_max = float(r_max)
+        self.dr = self.r_max / n_r
+        self.r = (np.arange(n_r) + 0.5) * self.dr
+        self.shape = (n_r,)
+        # conservative flux form of u'' + (d-1)/r u' on cell faces j*dr;
+        # zero flux through the origin, homogeneous Dirichlet at r_max
+        faces = np.arange(n_r + 1) * self.dr
+        a = faces ** (self.d - 1)
+        a[0] = 0.0
+        w = self.r ** (self.d - 1)
+        self._face_coef = a
+        self._quad_weight = SURFACE_MEASURE[self.d] * w * self.dr
+        # the three bands of the tridiagonal Laplacian
+        self.lap_lower = a[1:-1] / (w[1:] * self.dr**2)
+        self.lap_upper = a[1:-1] / (w[:-1] * self.dr**2)
+        diag = -(a[:-1] + a[1:]) / (w * self.dr**2)
+        diag[-1] = -(a[-2] + 2.0 * a[-1]) / (w[-1] * self.dr**2)
+        self.lap_diag = diag
+        # a max-norm residual involving the Laplacian cannot beat this
+        self.residual_floor = 100.0 * np.finfo(float).eps / self.dr**2
+
+    def radius(self):
+        """|x| sampled at every node (strictly positive by cell-centering)."""
+        return self.r
+
+    def integrate(self, values):
+        """Quadrature of a scalar sample: midpoint rule in r on the shells."""
+        return float(np.sum(values * self._quad_weight).real)
+
+    def laplacian(self, u):
+        """Conservative three-point stencil."""
+        out = self.lap_diag * u
+        out[1:] = out[1:] + self.lap_lower * u[:-1]
+        out[:-1] = out[:-1] + self.lap_upper * u[1:]
+        return out
+
+    def factor_shifted_laplacian(self, z):
+        """Solver b -> (I - z Lap)^(-1) b (z may be complex).
+
+        The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf);
+        each call of the returned solver is one ?gttrs back-substitution.
+        """
+        lower = -z * self.lap_lower
+        diag = 1.0 - z * self.lap_diag
+        upper = -z * self.lap_upper
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, diag, upper))
+        *factors, info = gttrf(lower, diag, upper)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"I - z Lap is singular for z={z!r}")
+        return lambda b: gttrs(*factors, b)[0]
+
+    def free_propagator(self, tau):
+        """Crank-Nicolson free flow in Cayley form u+ = 2 (I - zL)^(-1) u - u.
+
+        z = i tau/2; unitary in the weighted inner product in which L is
+        symmetric, and exactly inverted by the map for -tau.
+        """
+        solve = self.factor_shifted_laplacian(0.5j * tau)
+
+        def step(u):
+            out = solve(u)
+            out *= 2.0
+            out -= u
+            return out
+
+        return step
+
+    @_memoized
+    def _elliptic_solver(self):
+        return self.factor_shifted_laplacian(1.0)
+
+    def grad_sq(self, u):
+        """||grad u||_L2^2 from face differences; equals <-Lap u, u> exactly."""
+        a = self._face_coef
+        diff = np.abs(u[1:] - u[:-1]) ** 2
+        total = np.sum(a[1:-1] * diff) / self.dr
+        total += 2.0 * a[-1] * np.abs(u[-1]) ** 2 / self.dr
+        return SURFACE_MEASURE[self.d] * float(total)
+
+    def radial_flux(self, u, weight):
+        """int a'(r) Im(conj(u) du/dr) for a = |x| ("abs") or |x|^2."""
+        du = np.empty_like(u)  # second order, even at 0, Dirichlet at r_max
+        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.dr)
+        du[0] = (u[1] - u[0]) / (2.0 * self.dr)      # even mirror ghost: u[-1] = u[0]
+        du[-1] = (-u[-1] - u[-2]) / (2.0 * self.dr)  # Dirichlet ghost: u[n] = -u[n-1]
+        flow = np.imag(np.conj(u) * du)
+        if weight != "abs":
+            flow = 2.0 * self.r * flow
+        return self.integrate(flow)
+
+    @_memoized
+    def shell_mask(self):
+        """Nodes with r >= 0.9 r_max (the boundary reflection monitor)."""
+        return self.r >= 0.9 * self.r_max
+
+    def describe(self):
+        return {"mode": self.mode, "d": self.d, "n_r": self.n_r, "r_max": self.r_max}
+
+
+_KINDS = {kind.mode: kind for kind in (CartesianGrid, RadialGrid)}
 
 
 class Field:
@@ -216,15 +374,12 @@ class PotentialSpec:
 
     def sample(self, grid):
         """V on every node, including the coefficient c."""
-        r = grid.radius()
-        if self.epsilon_reg > 0.0:
-            r = np.maximum(r, self.epsilon_reg)
-        return self.c * r ** (-self.sigma)
+        return self.c * grid.radius_power(-self.sigma, self.epsilon_reg)
 
 
 def radius_weight(grid, power):
     """|x|^power sampled on the grid (finite for any power by cell-centering)."""
-    return grid.radius() ** power
+    return grid.radius_power(power, 0.0)
 
 
 # --- integral functionals --------------------------------------------
@@ -238,33 +393,14 @@ def mass(f: Field) -> float:
 
 def mass_fourier(f: Field) -> float:
     """Mass evaluated from Fourier coefficients (Parseval); Cartesian only."""
-    g = f.grid
-    if g.mode != "cartesian":
-        raise GridError("mass_fourier requires a Cartesian grid")
     fh = np.fft.fftn(f.values)
-    return float(np.sum(np.abs(fh) ** 2)) * g.cell_volume / fh.size
+    return float(np.sum(np.abs(fh) ** 2)) * f.grid.cell_volume / fh.size
 
 
-def gradient_norm_sq(f: Field, outer="dirichlet") -> float:
-    """||grad f||_L2^2.
-
-    Cartesian grids use the spectral multiplier |k|^2; radial grids use
-    face-centered differences whose sum equals <-Lap f, f> exactly when
-    outer="dirichlet".  outer="open" drops the Dirichlet closure at r_max
-    (for profiles that do not vanish there).
-    """
+def gradient_norm_sq(f: Field) -> float:
+    """||grad f||_L2^2 under the grid's own gradient (see grad_sq)."""
     f.require_finite()
-    g = f.grid
-    if g.mode == "cartesian":
-        fh = np.fft.fftn(f.values)
-        return float(np.sum(g.k_squared() * np.abs(fh) ** 2)) * g.cell_volume / fh.size
-    u = f.values
-    a = g._face_coef
-    diff = np.abs(u[1:] - u[:-1]) ** 2
-    total = np.sum(a[1:-1] * diff) / g.dr
-    if outer == "dirichlet":
-        total += 2.0 * a[-1] * np.abs(u[-1]) ** 2 / g.dr
-    return SURFACE_MEASURE[g.d] * float(total)
+    return f.grid.grad_sq(f.values)
 
 
 def weighted_norm(f: Field, weight) -> float:
@@ -278,41 +414,9 @@ def h1_norm(f: Field) -> float:
     return float(np.sqrt(mass(f) + gradient_norm_sq(f)))
 
 
-def spectral_gradient(f: Field, axis):
-    """Partial derivative along one axis via the Fourier multiplier ik."""
-    g = f.grid
-    if g.mode != "cartesian":
-        raise GridError("spectral_gradient requires a Cartesian grid")
-    shape = [1] * g.d
-    shape[axis] = g.n
-    ik = 1j * g.k.reshape(shape)
-    return np.fft.ifft(ik * np.fft.fft(f.values, axis=axis), axis=axis)
-
-
-def radial_derivative(f: Field):
-    """Second-order du/dr on a radial grid (even at 0, Dirichlet at r_max)."""
-    g = f.grid
-    if g.mode != "radial":
-        raise GridError("radial_derivative requires a radial grid")
-    u = f.values
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * g.dr)
-    out[0] = (u[1] - u[0]) / (2.0 * g.dr)      # even mirror ghost: u[-1] = u[0]
-    out[-1] = (-u[-1] - u[-2]) / (2.0 * g.dr)  # Dirichlet ghost: u[n] = -u[n-1]
-    return out
-
-
 def apply_laplacian(f: Field):
     """Discrete Laplacian: spectral (Cartesian) or conservative stencil (radial)."""
-    g = f.grid
-    if g.mode == "cartesian":
-        fh = np.fft.fftn(f.values)
-        return np.fft.ifftn(-g.k_squared() * fh)
-    u = f.values
-    out = g._lap_diag * u
-    out[1:] = out[1:] + g._lap_lower * u[:-1]
-    out[:-1] = out[:-1] + g._lap_upper * u[1:]
-    return out
+    return f.grid.laplacian(f.values)
 
 
 def boundary_shell_mass_fraction(f: Field) -> float:
@@ -323,11 +427,4 @@ def boundary_shell_mass_fraction(f: Field) -> float:
         total = g.integrate(dens)
         if total == 0.0:
             return 0.0
-        if g.mode == "radial":
-            shell = dens * (g.r >= 0.9 * g.r_max)
-        else:
-            edge = np.zeros(g.shape, dtype=bool)
-            for ax in range(g.d):
-                edge = edge | (np.abs(g.coords(ax)) >= 0.9 * g.L)
-            shell = dens * edge
-        return g.integrate(shell) / total
+        return g.integrate(dens * g.shell_mask()) / total

@@ -16,6 +16,7 @@ import numpy as np
 from .grid import (
     Field,
     Grid,
+    RadialGrid,
     gradient_norm_sq,
     mass,
     radius_weight,
@@ -71,60 +72,25 @@ class GroundState:
         )
 
 
-class _EllipticOps:
-    """(1 - Lap)^(-1), Lap, and quadratures on either grid mode."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        if grid.mode == "cartesian":
-            self._mult = 1.0 / (1.0 + grid.k_squared())
-            # max-norm residual of the elliptic equation cannot beat the
-            # roundoff of the second difference
-            self.residual_floor = 100.0 * np.finfo(float).eps * float(
-                np.max(grid.k_squared())
-            )
-        else:
-            self._solve = grid.factor_shifted_laplacian(1.0)
-            self.residual_floor = 100.0 * np.finfo(float).eps / grid.dr**2
-
-    def inv_one_minus_lap(self, rhs):
-        if self.grid.mode == "cartesian":
-            return np.fft.ifftn(self._mult * np.fft.fftn(rhs)).real
-        return self._solve(rhs)
-
-    def laplacian(self, u):
-        g = self.grid
-        if g.mode == "cartesian":
-            return np.fft.ifftn(-g.k_squared() * np.fft.fftn(u)).real
-        out = g._lap_diag * u
-        out[1:] = out[1:] + g._lap_lower * u[:-1]
-        out[:-1] = out[:-1] + g._lap_upper * u[1:]
-        return out
-
-    def quad(self, values):
-        return self.grid.integrate(values)
-
-
-def _petviashvili(ops, alpha, damping, tol, change_tol, max_iter):
-    grid = ops.grid
+def _petviashvili(grid, alpha, damping, tol, change_tol, max_iter):
     r2 = grid.radius() ** 2
     q = np.exp(-r2 / 2.0)
     gamma = (alpha + 1.0) / alpha
-    eff_tol = max(tol, ops.residual_floor)
+    eff_tol = max(tol, grid.residual_floor)
     residuals = []
     monotone_failures = 0
     for it in range(1, max_iter + 1):
         nl = np.abs(q) ** alpha * q
-        g = ops.inv_one_minus_lap(nl)
-        lin = ops.quad(q * q) - ops.quad(ops.laplacian(q) * q)
-        nld = ops.quad(nl * q)
+        g = grid.inv_one_minus_lap(nl).real
+        lin = grid.integrate(q * q) - grid.integrate(grid.laplacian(q).real * q)
+        nld = grid.integrate(nl * q)
         q_new = (lin / nld) ** gamma * g
         if damping != 1.0:
             q_new = q + damping * (q_new - q)
-        change = math.sqrt(max(ops.quad((q_new - q) ** 2), 0.0))
+        change = math.sqrt(max(grid.integrate((q_new - q) ** 2), 0.0))
         q = q_new
         res = float(
-            np.max(np.abs(ops.laplacian(q) - q + np.abs(q) ** alpha * q))
+            np.max(np.abs(grid.laplacian(q).real - q + np.abs(q) ** alpha * q))
         )
         residuals.append(res)
         # diagnostic: past the burn-in the residual should fall until it
@@ -165,11 +131,10 @@ def solve_ground_state(
         )
     if alpha <= 0:
         raise GroundStateError("invalid-regime: alpha must be positive")
-    ops = _EllipticOps(grid)
-    q, res, iters, fails = _petviashvili(ops, alpha, 1.0, tol, change_tol, max_iter)
+    q, res, iters, fails = _petviashvili(grid, alpha, 1.0, tol, change_tol, max_iter)
     if q is None:
         q, res, iters, fails = _petviashvili(
-            ops, alpha, 0.5, tol, change_tol, 2 * max_iter
+            grid, alpha, 0.5, tol, change_tol, 2 * max_iter
         )
     if q is None:
         raise GroundStateError(
@@ -278,7 +243,7 @@ def _bubble_norms(grid: Grid, values, r_cut):
 
 def make_bubble(grid: Grid) -> Bubble:
     """Sample W(x) = (1 + |x|^2/3)^(-1/2) on a d = 3 radial grid."""
-    if grid.d != 3 or grid.mode != "radial":
+    if grid.d != 3 or not isinstance(grid, RadialGrid):
         raise ValueError("make_bubble requires a d = 3 radial grid")
     values = (1.0 + grid.r**2 / 3.0) ** (-0.5)
     kin, crit = _bubble_norms(grid, values, grid.r_max)

@@ -21,13 +21,11 @@ from .equation import (
 from .grid import (
     Field,
     InvalidFieldError,
+    RadialGrid,
     gradient_norm_sq,
     h1_norm,
     mass,
-    radial_derivative,
-    spectral_gradient,
 )
-from .weights import eval_localized_weight
 
 __all__ = [
     "ObservableRecord",
@@ -70,17 +68,6 @@ class ObservableRecord:
         return abs(self.nonlinear_term) * (alpha + 2.0)
 
 
-def _phi_weights(grid, R):
-    cache = getattr(grid, "_phi_weight_cache", None)
-    if cache is None:
-        cache = {}
-        grid._phi_weight_cache = cache
-    if R not in cache:
-        lw = eval_localized_weight(R, grid)
-        cache[R] = lw.phi.reshape(grid.shape)
-    return cache[R]
-
-
 def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> ObservableRecord:
     """Evaluate every monitored functional on one field.
 
@@ -93,10 +80,8 @@ def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> Observabl
         dens = np.abs(u.values) ** 2
         m = g.integrate(dens)
         kin = gradient_norm_sq(u)
-        r = g.radius()
-        if epsilon_reg > 0.0:
-            r = np.maximum(r, epsilon_reg)
-        pot = 0.5 * spec.c * g.integrate(r ** (-spec.sigma) * dens)
+        r_pow = g.radius_power(-spec.sigma, epsilon_reg)  # shared with the stepper
+        pot = 0.5 * spec.c * g.integrate(r_pow * dens)
         la = g.integrate(np.abs(u.values) ** (spec.alpha + 2.0))
         nl = spec.nonlinearity_sign * la / (spec.alpha + 2.0)
         rec = ObservableRecord(
@@ -106,13 +91,13 @@ def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> Observabl
             kinetic=kin,
             potential_term=pot,
             nonlinear_term=nl,
-            virial=g.integrate(g.radius() ** 2 * dens),
+            virial=g.integrate(g.radius_power(2, 0.0) * dens),
             morawetz_abs=morawetz_action(u, "abs"),
             l4_density=g.integrate(dens * dens),
             linfty=float(np.max(np.abs(u.values))),
         )
         for R in phi_r:
-            rec.virial_phi_r[float(R)] = g.integrate(_phi_weights(g, float(R)) * dens)
+            rec.virial_phi_r[float(R)] = g.integrate(g.phi_weight(float(R)) * dens)
     entries = [rec.mass, rec.energy, rec.kinetic, rec.potential_term,
                rec.nonlinear_term, rec.virial, rec.morawetz_abs,
                rec.l4_density, rec.linfty, *rec.virial_phi_r.values()]
@@ -127,20 +112,7 @@ def morawetz_action(u: Field, weight="abs") -> float:
     With a = |x|^2 this is d/dt ||x u||^2 along solutions.
     """
     u.require_finite()
-    g = u.grid
-    if g.mode == "radial":
-        du = radial_derivative(u)
-        flow = np.imag(np.conj(u.values) * du)
-        da = np.ones_like(g.r) if weight == "abs" else 2.0 * g.r
-        return 2.0 * g.integrate(da * flow)
-    total = 0.0
-    r = g.radius() if weight == "abs" else None
-    for ax in range(g.d):
-        du = spectral_gradient(u, ax)
-        flow = np.imag(np.conj(u.values) * du)
-        da = g.coords(ax) / r if weight == "abs" else 2.0 * g.coords(ax)
-        total += g.integrate(da * flow)
-    return 2.0 * total
+    return 2.0 * u.grid.radial_flux(u.values, weight)
 
 
 @dataclass
@@ -212,7 +184,7 @@ def _localized_slack(trajectory, spec, R):
     final = getattr(trajectory, "final_field", None)
     if final is not None:
         g = final.grid
-        if g.mode != "radial" or g.d < 2:
+        if not isinstance(g, RadialGrid) or g.d < 2:
             raise ValueError("not-radial: localized virial needs a radial d>=2 grid")
     if spec.sign != "focusing":
         raise ValueError("localized virial estimate applies to the focusing case")
@@ -279,7 +251,7 @@ RADIAL_SOBOLEV_CONSTANTS = {2: 0.48, 3: 0.34}
 def radial_sobolev_oracle(f: Field, frozen_c=None):
     """Evaluate the radial uniform-decay inequality against the frozen C."""
     g = f.grid
-    if g.mode != "radial" or g.d < 2:
+    if not isinstance(g, RadialGrid) or g.d < 2:
         raise ValueError("not-radial: oracle requires a radial grid with d >= 2")
     if frozen_c is None:
         frozen_c = RADIAL_SOBOLEV_CONSTANTS[g.d]

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from nlslab.cli import main
 
 BASE = """\
@@ -54,6 +56,23 @@ def test_config_invalid_exit_code(tmp_path):
     path = write_cfg(tmp_path, "[equation]\nsigma = 9\n")
     assert main(["evolve", path]) == 2
     assert main(["evolve", os.path.join(tmp_path, "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n = 256", "n = 100"),
+        ("stride = 20", "stride = 0"),
+        ("dt0 = 1e-3", "dt0 = nan"),
+        ("t_end = 0.2", "t_end = inf"),
+        ("L = 12.0", "L = nan"),
+    ],
+    ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan"],
+)
+def test_bad_config_values_exit_code(tmp_path, old, new):
+    # the first occurrence is the [grid] / [observables] / [evolve] key
+    text = BASE.format(outdir=os.path.join(tmp_path, "run")).replace(old, new, 1)
+    assert main(["evolve", write_cfg(tmp_path, text)]) == 2
 
 
 def test_evolve_writes_artifacts(tmp_path):

@@ -131,16 +131,16 @@ def c9_problem():
 
 
 def test_cayley_half_step_matches_two_sided_solve():
-    spec, g, _ = c9_problem()
+    _, g, _ = c9_problem()
     u = random_radial_field(g, 7).values
     dt = 4e-3
     z = 0.25j * dt  # half-step tau = dt/2, z = i tau/2
     ab = np.zeros((3, g.n_r), dtype=complex)
-    ab[0, 1:] = -z * g._lap_upper
-    ab[1, :] = 1.0 - z * g._lap_diag
-    ab[2, :-1] = -z * g._lap_lower
+    ab[0, 1:] = -z * g.lap_upper
+    ab[1, :] = 1.0 - z * g.lap_diag
+    ab[2, :-1] = -z * g.lap_lower
     ref = solve_banded((1, 1), ab, u + z * apply_laplacian(Field(g, u)))
-    got = SplitStepper(g, spec)._linear_half(u, dt)
+    got = g.free_propagator(0.5 * dt)(u)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -213,6 +213,10 @@ def test_blowup_detection_and_glassey_bound():
     assert out.tstar_estimate is not None and out.tstar_estimate > 0.0
     assert out.glassey_bound is not None
     assert out.tstar_estimate <= 1.2 * out.glassey_bound
+    # detection precedes the first stride-100 record: the state at
+    # detection is still recorded
+    assert len(out.records) == 2
+    assert out.records[-1].t == out.tstar_estimate
 
 
 def test_adaptive_dt_subdivides_dt0():

@@ -174,3 +174,23 @@ def test_boundary_shell_fraction():
     assert boundary_shell_mass_fraction(core) < 1e-10
     edge = Field(g, np.exp(-((np.abs(g.axis) - 10.0) ** 2)).astype(complex))
     assert boundary_shell_mass_fraction(edge) > 0.5
+
+
+@pytest.mark.parametrize(
+    "grid, random_field",
+    [
+        (Grid(2, "cartesian", n=64, L=8.0), random_band_limited_field),
+        (Grid(3, "radial", n_r=512, r_max=10.0), random_radial_field),
+    ],
+    ids=["cartesian-2d", "radial-3d"],
+)
+def test_operator_inverse_pairs(grid, random_field):
+    # the elliptic solve inverts the grid's own Laplacian, and the free
+    # propagator for -tau undoes the one for tau
+    u = random_field(grid, 5).values.real
+    back = grid.inv_one_minus_lap(u - grid.laplacian(u)).real
+    assert np.linalg.norm(back - u) <= 1e-12 * np.linalg.norm(u)
+    v = random_field(grid, 6).values
+    tau = 0.05
+    there_and_back = grid.free_propagator(-tau)(grid.free_propagator(tau)(v))
+    assert np.linalg.norm(there_and_back - v) <= 1e-13 * np.linalg.norm(v)
