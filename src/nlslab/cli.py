@@ -33,9 +33,11 @@ from .config import (
     DEFAULT_CONFIG_TEMPLATE,
     ExperimentConfig,
     build_grid,
+    build_groundstate_grid,
     build_initial_field,
     config_hash,
     load_config,
+    override,
 )
 from .equation import (
     RegimeNotCoveredError,
@@ -114,22 +116,35 @@ def _solve_artifact_groundstate(cfg: ExperimentConfig):
     if os.path.exists(base + "_norms.json"):
         return load_ground_state(base)
     gc = cfg.groundstate
-    if d == 1:
-        grid = Grid(1, "cartesian", n=gc.n, L=gc.L)
-    else:
-        grid = Grid(d, "radial", n_r=gc.n_r, r_max=gc.r_max)
-    gs = solve_ground_state(d, alpha, grid, tol=gc.tol, max_iter=gc.max_iter)
+    gs = solve_ground_state(d, alpha, build_groundstate_grid(cfg),
+                            tol=gc.tol, max_iter=gc.max_iter)
     save_ground_state(gdir, gs, config_hash=config_hash(cfg))
     return gs
 
 
-def _threshold_for_field(cfg, u0, ground_state=None):
-    """Static threshold verdict for u0, or None when the regime is uncovered."""
+def _initial_field(cfg: ExperimentConfig):
+    """u0 on the run grid; groundstate-scaled data solves Q on that grid."""
+    grid = build_grid(cfg)
+    ground_state = None
+    if cfg.initial.kind == "groundstate-scaled":
+        ground_state = solve_ground_state(
+            cfg.equation.d, cfg.equation.alpha, grid, tol=cfg.groundstate.tol
+        )
+    return build_initial_field(cfg, grid, ground_state)
+
+
+def _threshold_for_field(cfg, u0):
+    """(verdict, glassey_delta, record of u0) for the initial data.
+
+    The verdict is None when the regime is uncovered.  glassey_delta is the
+    convexity margin of blow-up-branch data with E >= 0, else None.  The
+    reference ground state (or bubble) is dropped on return.
+    """
     from .observables import record
 
     spec = cfg.equation
     info = classify_criticality(spec)
-    rec = record(u0, spec, epsilon_reg=cfg.epsilon_reg)
+    rec = record(u0, spec, epsilon_reg=cfg.evolve.epsilon_reg)
     if (
         info.regime in ("mass-subcritical", "energy-supercritical")
         or spec.c < 0
@@ -139,7 +154,7 @@ def _threshold_for_field(cfg, u0, ground_state=None):
         grid = Grid(3, "radial", n_r=cfg.groundstate.n_r, r_max=128.0)
         reference = make_bubble(grid)
     else:
-        reference = ground_state or _solve_artifact_groundstate(cfg)
+        reference = _solve_artifact_groundstate(cfg)
     try:
         verdict = threshold_test(
             spec,
@@ -149,8 +164,11 @@ def _threshold_for_field(cfg, u0, ground_state=None):
             ground_state=reference,
         )
     except RegimeNotCoveredError:
-        return None, reference, rec
-    return verdict, reference, rec
+        return None, None, rec
+    glassey_delta = None
+    if verdict.verdict == "blowup-branch" and rec.energy >= 0:
+        glassey_delta = negativity_margin(spec, rec.mass, rec.energy, reference)
+    return verdict, glassey_delta, rec
 
 
 def _verdict_dict(verdict):
@@ -212,28 +230,12 @@ def _run_experiment(cfg: ExperimentConfig, run_dir):
     started = time.perf_counter()
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
-    grid = build_grid(cfg)
-    ground_state = None
-    if cfg.initial.kind == "groundstate-scaled":
-        ground_state = solve_ground_state(
-            cfg.equation.d, cfg.equation.alpha, grid, tol=cfg.groundstate.tol
-        )
-    u0 = build_initial_field(cfg, grid, ground_state)
-    verdict, reference, rec0 = None, None, None
+    u0 = _initial_field(cfg)
+    verdict, glassey_delta = None, None
     try:
-        verdict, reference, rec0 = _threshold_for_field(cfg, u0, None)
+        verdict, glassey_delta, _ = _threshold_for_field(cfg, u0)
     except (RegimeNotCoveredError, GroundStateError):
         pass
-    glassey_delta = None
-    if (
-        verdict is not None
-        and verdict.verdict == "blowup-branch"
-        and rec0 is not None
-        and rec0.energy >= 0
-    ):
-        glassey_delta = negativity_margin(
-            cfg.equation, rec0.mass, rec0.energy, reference
-        )
 
     checkpoint_index = [0]
 
@@ -249,7 +251,7 @@ def _run_experiment(cfg: ExperimentConfig, run_dir):
     if "csv" in cfg.output.formats:
         atomic_write_text(
             os.path.join(run_dir, "series.csv"),
-            records_to_csv(outcome.records, cfg.observables.r_list, chash),
+            records_to_csv(outcome.records, cfg.evolve.phi_r_list, chash),
         )
     if outcome.final_field is not None:
         write_field(os.path.join(run_dir, "final_state"), outcome.final_field,
@@ -307,14 +309,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
-    grid = build_grid(cfg)
-    ground_state = None
-    if cfg.initial.kind == "groundstate-scaled":
-        ground_state = solve_ground_state(
-            cfg.equation.d, cfg.equation.alpha, grid, tol=cfg.groundstate.tol
-        )
-    u0 = build_initial_field(cfg, grid, ground_state)
-    verdict, _, rec0 = _threshold_for_field(cfg, u0, None)
+    verdict, _, rec0 = _threshold_for_field(cfg, _initial_field(cfg))
     os.makedirs(cfg.output.directory, exist_ok=True)
     payload = {
         "code_version": __version__,
@@ -330,47 +325,37 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_override(cfg: ExperimentConfig, parameter, value) -> ExperimentConfig:
-    section, key = parameter.split(".", 1)
-    if section == "equation":
-        eq = dataclasses.replace(cfg.equation, **{key: value})
-        return dataclasses.replace(cfg, equation=eq)
-    sub = getattr(cfg, section)
-    cast = type(getattr(sub, key))
-    sub = dataclasses.replace(sub, **{key: cast(value)})
-    return dataclasses.replace(cfg, **{section: sub})
+def _sweep_member(cfg: ExperimentConfig, value, index) -> ExperimentConfig:
+    """The validated config of one sweep member, writing to run_<index>."""
+    sw = cfg.sweep
+    try:
+        member = override(cfg, sw.parameter, value)
+    except ConfigError as exc:
+        raise ConfigError(f"[sweep] {sw.parameter} = {value!r}: {exc}") from exc
+    run_dir = os.path.join(cfg.output.directory, f"run_{index:03d}")
+    return override(member, "output.directory", run_dir)
 
 
-def _sweep_entry(args):
-    cfg, parameter, value, run_dir = args
-    sub_cfg = _sweep_override(cfg, parameter, value)
-    sub_cfg = dataclasses.replace(
-        sub_cfg, output=dataclasses.replace(sub_cfg.output, directory=run_dir)
-    )
-    outcome, summary = _run_experiment(sub_cfg, run_dir)
-    return value, summary
+def _sweep_entry(member):
+    return _run_experiment(member, member.output.directory)[1]
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     sw = cfg.sweep
     if not sw.parameter or not sw.values:
         raise ConfigError("[sweep] needs parameter and values")
-    try:
-        _sweep_override(cfg, sw.parameter, sw.values[0])
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"[sweep] parameter {sw.parameter!r}: {exc}") from exc
+    # every member is validated before the first run starts
+    members = [_sweep_member(cfg, v, i) for i, v in enumerate(sw.values)]
     os.makedirs(cfg.output.directory, exist_ok=True)
-    jobs = [
-        (cfg, sw.parameter, v, os.path.join(cfg.output.directory, f"run_{i:03d}"))
-        for i, v in enumerate(sw.values)
-    ]
     if sw.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=sw.workers) as pool:
-            results = list(pool.map(_sweep_entry, jobs))
+        workers = min(sw.workers, len(members))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(_sweep_entry, members))
     else:
-        results = [_sweep_entry(j) for j in jobs]
+        summaries = [_sweep_entry(m) for m in members]
+    results = list(zip(sw.values, summaries))
 
     chash = config_hash(cfg)
     lines = [

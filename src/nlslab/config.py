@@ -1,14 +1,20 @@
 """Experiment configuration: one flat key = value file with sections.
 
-Configs are parsed into typed dataclasses, validated across fields, and
-hashed over a canonical serialization so identical experiments are
+Each section's dataclass is the only description of its keys: a field is
+read from the file key of the same name, converted by its type annotation,
+and falls back to its default.  Three keys sit in a section other than the
+dataclass that owns their value (_MOVED_KEYS).  Sweeps override a value
+through the same lookup, conversion and validation.  Configs are hashed
+over a canonical serialization so identical experiments are
 byte-identifiable regardless of comments or key order in the source file.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +28,10 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
+    "override",
     "config_hash",
     "build_grid",
+    "build_groundstate_grid",
     "build_initial_field",
     "DEFAULT_CONFIG_TEMPLATE",
 ]
@@ -55,15 +63,13 @@ class InitialConfig:
 
 @dataclass
 class ObservablesConfig:
-    stride: int = 10
-    r_list: tuple = ()
     tolerance: float = 1e-10
 
 
 @dataclass
 class OutputConfig:
     directory: str = "runs/out"
-    formats: tuple = ("csv", "json")
+    formats: tuple[str, ...] = ("csv", "json")
     seed: int = 0
 
 
@@ -81,8 +87,8 @@ class GroundStateSolverConfig:
 
 @dataclass
 class SweepConfig:
-    parameter: str = ""      # e.g. "initial.amplitude"
-    values: tuple = ()
+    parameter: str = ""      # a file key, e.g. "initial.amplitude"
+    values: tuple[float, ...] = ()
     workers: int = 1
 
 
@@ -96,124 +102,107 @@ class ExperimentConfig:
     output: OutputConfig
     groundstate: GroundStateSolverConfig
     sweep: SweepConfig
-    epsilon_reg: float = 0.0
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_section(section) or not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
+# section name -> its dataclass
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
+_FIELD_TYPES = {s: typing.get_type_hints(cls) for s, cls in _SECTIONS.items()}
+
+# file keys (section, key) whose value another section's dataclass owns
+_MOVED_KEYS = {
+    ("observables", "stride"): ("evolve", "record_stride"),
+    ("observables", "r_list"): ("evolve", "phi_r_list"),
+    ("equation", "epsilon_reg"): ("evolve", "epsilon_reg"),
+}
+
+# (section, lowercased file key) -> (section, field); configparser
+# lowercases option names, so "L" is looked up as "l"
+_KEYS = {
+    (section, f.name.lower()): (section, f.name)
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if (section, f.name) not in _MOVED_KEYS.values()
+}
+_KEYS.update(_MOVED_KEYS)
+
+
+# field annotation -> conversion of the file text
+_CONVERTERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[float, ...]: lambda raw: tuple(float(tok) for tok in raw.split()),
+    tuple[str, ...]: lambda raw: tuple(raw.split()),
+}
+
+
+def _lookup(section, key, raw):
+    """(owning section, field, converted value) for the file key section.key."""
+    home = _KEYS.get((section, key.lower()))
+    if home is None:
+        raise ConfigError(f"[{section}] {key}: unknown key")
+    convert = _CONVERTERS[_FIELD_TYPES[home[0]][home[1]]]
     try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        if cast is tuple:
-            return tuple(float(tok) for tok in raw.split())
-        if cast is int:
-            return int(raw)
-        return cast(raw)
+        return (*home, convert(raw.strip()))
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _assemble(fields) -> ExperimentConfig:
+    """Validated config from {section: {field: value}}; absent fields default."""
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**fields.get(section, {}))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from exc
+    cfg = ExperimentConfig(**sections)
+    _validate(cfg)
+    return cfg
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     if not parser.has_section("equation"):
         raise ConfigError("missing [equation] section")
-    try:
-        eq = EquationSpec(
-            d=_get(parser, "equation", "d", int, 1),
-            c=_get(parser, "equation", "c", float, 1.0),
-            sigma=_get(parser, "equation", "sigma", float, 0.5),
-            alpha=_get(parser, "equation", "alpha", float, 2.0),
-            sign=_get(parser, "equation", "sign", str, "defocusing"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[equation]: {exc}") from exc
-    grid = GridConfig(
-        mode=_get(parser, "grid", "mode", str, "cartesian"),
-        n=_get(parser, "grid", "n", int, 1024),
-        L=_get(parser, "grid", "L", float, 20.0),
-        n_r=_get(parser, "grid", "n_r", int, 4096),
-        r_max=_get(parser, "grid", "r_max", float, 32.0),
-    )
-    initial = InitialConfig(
-        kind=_get(parser, "initial", "kind", str, "gaussian"),
-        amplitude=_get(parser, "initial", "amplitude", float, 1.0),
-        width=_get(parser, "initial", "width", float, 1.0),
-        center=_get(parser, "initial", "center", float, 0.0),
-        phase_k=_get(parser, "initial", "phase_k", float, 0.0),
-        scale=_get(parser, "initial", "scale", float, 1.0),
-        path=_get(parser, "initial", "path", str, ""),
-    )
-    observables = ObservablesConfig(
-        stride=_get(parser, "observables", "stride", int, 10),
-        r_list=_get(parser, "observables", "r_list", tuple, ()),
-        tolerance=_get(parser, "observables", "tolerance", float, 1e-10),
-    )
-    epsilon_reg = _get(parser, "equation", "epsilon_reg", float, 0.0)
-    try:
-        evolve_cfg = EvolveConfig(
-            dt0=_get(parser, "evolve", "dt0", float, 1e-3),
-            t_end=_get(parser, "evolve", "t_end", float, 1.0),
-            adaptivity=_get(parser, "evolve", "adaptivity", str, "fixed"),
-            blowup_grad_factor=_get(
-                parser, "evolve", "blowup_grad_factor", float, 100.0
-            ),
-            blowup_dt_floor=_get(parser, "evolve", "blowup_dt_floor", float, 1e-9),
-            checkpoint_stride=_get(parser, "evolve", "checkpoint_stride", int, 0),
-            record_stride=_get(parser, "observables", "stride", int, 10),
-            cfl_constant=_get(parser, "evolve", "cfl_constant", float, 0.1),
-            phi_r_list=observables.r_list,
-            epsilon_reg=epsilon_reg,
-            max_steps=_get(parser, "evolve", "max_steps", int, 10_000_000),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[evolve]: {exc}") from exc
-    output = OutputConfig(
-        directory=_get(parser, "output", "directory", str, "runs/out"),
-        formats=tuple(
-            _get(parser, "output", "formats", str, "csv json").split()
-        ),
-        seed=_get(parser, "output", "seed", int, 0),
-    )
-    gs_cfg = GroundStateSolverConfig(
-        n=_get(parser, "groundstate", "n", int, 1024),
-        L=_get(parser, "groundstate", "L", float, 20.0),
-        n_r=_get(parser, "groundstate", "n_r", int, 32768),
-        r_max=_get(parser, "groundstate", "r_max", float, 20.0),
-        tol=_get(parser, "groundstate", "tol", float, 1e-10),
-        max_iter=_get(parser, "groundstate", "max_iter", int, 500),
-        directory=_get(parser, "groundstate", "directory", str, ""),
-    )
-    sweep = SweepConfig(
-        parameter=_get(parser, "sweep", "parameter", str, ""),
-        values=_get(parser, "sweep", "values", tuple, ()),
-        workers=_get(parser, "sweep", "workers", int, 1),
-    )
-    cfg = ExperimentConfig(
-        equation=eq,
-        grid=grid,
-        initial=initial,
-        evolve=evolve_cfg,
-        observables=observables,
-        output=output,
-        groundstate=gs_cfg,
-        sweep=sweep,
-        epsilon_reg=epsilon_reg,
-    )
-    _validate(cfg)
-    return cfg
+    fields = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            home, name, value = _lookup(section, key, raw)
+            fields.setdefault(home, {})[name] = value
+    return _assemble(fields)
+
+
+def override(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
+    """cfg with the file key parameter ("section.key") set to value.
+
+    value is file text or a number (a sweep value); it goes through the
+    parser's key lookup, conversion and validation.  An integral number
+    converts to an int field, any other to a ConfigError there.
+    """
+    if not isinstance(value, str):
+        value = float(value)
+        value = str(int(value)) if value.is_integer() else repr(value)
+    section, _, key = parameter.partition(".")
+    home, name, converted = _lookup(section, key, value)
+    fields = dataclasses.asdict(cfg)
+    fields[home][name] = converted
+    return _assemble(fields)
 
 
 def _validate(cfg: ExperimentConfig):
-    try:
-        build_grid(cfg)
-    except GridError as exc:
-        raise ConfigError(f"[grid]: {exc}") from exc
+    for section, build in (("grid", build_grid),
+                           ("groundstate", build_groundstate_grid)):
+        try:
+            build(cfg)
+        except GridError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from exc
     if cfg.grid.mode == "radial" and cfg.initial.kind == "gaussian":
         if cfg.initial.center != 0.0 or cfg.initial.phase_k != 0.0:
             raise ConfigError(
@@ -265,6 +254,15 @@ def build_grid(cfg: ExperimentConfig) -> Grid:
     if g.mode == "radial":
         return Grid(cfg.equation.d, "radial", n_r=g.n_r, r_max=g.r_max)
     return Grid(cfg.equation.d, g.mode, n=g.n, L=g.L)
+
+
+def build_groundstate_grid(cfg: ExperimentConfig) -> Grid:
+    """Grid of the (d, alpha) ground-state artifact: Cartesian for d = 1,
+    radial for d >= 2."""
+    g, d = cfg.groundstate, cfg.equation.d
+    if d == 1:
+        return Grid(1, "cartesian", n=g.n, L=g.L)
+    return Grid(d, "radial", n_r=g.n_r, r_max=g.r_max)
 
 
 def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) -> Field:

@@ -50,11 +50,11 @@ class RegimeNotCoveredError(ValueError):
 class EquationSpec:
     """Full problem statement: dimension, potential, nonlinearity, sign."""
 
-    d: int
-    c: float
-    sigma: float
-    alpha: float
-    sign: str  # "focusing" | "defocusing"
+    d: int = 1
+    c: float = 1.0
+    sigma: float = 0.5
+    alpha: float = 2.0
+    sign: str = "defocusing"  # "focusing" | "defocusing"
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):

@@ -45,15 +45,15 @@ __all__ = [
 
 @dataclass
 class EvolveConfig:
-    dt0: float
-    t_end: float
+    dt0: float = 1e-3
+    t_end: float = 1.0
     adaptivity: str = "fixed"  # "fixed" | "cfl-nonlinear"
     blowup_grad_factor: float = 100.0
     blowup_dt_floor: float = 1e-9
     checkpoint_stride: int = 0
-    record_stride: int = 1
+    record_stride: int = 10
     cfl_constant: float = 0.1
-    phi_r_list: tuple = ()
+    phi_r_list: tuple[float, ...] = ()
     epsilon_reg: float = 0.0
     max_steps: int = 10_000_000
 

@@ -97,7 +97,7 @@ class Grid:
         return r**power
 
     def inv_one_minus_lap(self, rhs):
-        """(1 - Lap)^(-1) rhs (rhs real on radial grids)."""
+        """(1 - Lap)^(-1) rhs."""
         return self._elliptic_solver()(rhs)
 
     @_memoized
@@ -298,7 +298,15 @@ class RadialGrid(Grid):
 
     @_memoized
     def _elliptic_solver(self):
-        return self.factor_shifted_laplacian(1.0)
+        solve = self.factor_shifted_laplacian(1.0)
+
+        def solve_parts(rhs):
+            # the factors are real: a complex rhs is solved part by part
+            if np.iscomplexobj(rhs):
+                return solve(rhs.real) + 1j * solve(rhs.imag)
+            return solve(rhs)
+
+        return solve_parts
 
     def grad_sq(self, u):
         """||grad u||_L2^2 from face differences; equals <-Lap u, u> exactly."""

@@ -66,13 +66,23 @@ def test_config_invalid_exit_code(tmp_path):
         ("dt0 = 1e-3", "dt0 = nan"),
         ("t_end = 0.2", "t_end = inf"),
         ("L = 12.0", "L = nan"),
+        ("stride = 20", "strid = 20"),
+        ("[groundstate]\nn = 256", "[groundstate]\nn = 100"),
+        ("[output]", "[sweep]\nparameter = evolve.dt0\nvalues = 1e-3 -1\n[output]"),
+        ("[output]", "[sweep]\nparameter = grid.n\nvalues = 256 100\n[output]"),
     ],
-    ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan"],
+    ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan",
+         "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
+         "sweep-n-not-power-of-two"],
 )
 def test_bad_config_values_exit_code(tmp_path, old, new):
     # the first occurrence is the [grid] / [observables] / [evolve] key
-    text = BASE.format(outdir=os.path.join(tmp_path, "run")).replace(old, new, 1)
-    assert main(["evolve", write_cfg(tmp_path, text)]) == 2
+    outdir = os.path.join(tmp_path, "run")
+    text = BASE.format(outdir=outdir).replace(old, new, 1)
+    command = "sweep" if "[sweep]" in new else "evolve"
+    assert main([command, write_cfg(tmp_path, text)]) == 2
+    # a bad sweep value stops the sweep before its first member runs
+    assert not os.path.exists(os.path.join(outdir, "run_000"))
 
 
 def test_evolve_writes_artifacts(tmp_path):
@@ -170,6 +180,32 @@ def test_sweep_and_check(tmp_path):
     assert all("completed" in line for line in lines[2:])
     assert os.path.isdir(os.path.join(outdir, "run_000"))
     assert os.path.isdir(os.path.join(outdir, "run_001"))
+
+
+def _sweep_cfg(tmp_path, outdir, parameter, values):
+    text = BASE.format(outdir=outdir).replace("t_end = 0.2", "t_end = 0.05")
+    text += f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+    return write_cfg(tmp_path, text)
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()[2:]
+
+
+def test_sweep_observables_stride_changes_records(tmp_path):
+    outdir = os.path.join(tmp_path, "sweep_stride")
+    assert main(["sweep", _sweep_cfg(tmp_path, outdir, "observables.stride", "10 50")]) == 0
+    rows = [_csv_rows(os.path.join(outdir, f"run_00{i}", "series.csv")) for i in (0, 1)]
+    assert len(rows[1]) < len(rows[0])
+
+
+def test_sweep_equation_epsilon_reg(tmp_path):
+    outdir = os.path.join(tmp_path, "sweep_eps")
+    assert main(["sweep", _sweep_cfg(tmp_path, outdir, "equation.epsilon_reg", "0 0.5")]) == 0
+    rows = [_csv_rows(os.path.join(outdir, f"run_00{i}", "series.csv")) for i in (0, 1)]
+    # the floor changes the potential near the origin, so the energies differ
+    assert rows[0][0] != rows[1][0]
 
 
 def test_sweep_parallel_workers(tmp_path):

@@ -1,11 +1,16 @@
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlslab.config import (
     DEFAULT_CONFIG_TEMPLATE,
     ConfigError,
+    _KEYS,
     build_grid,
     build_initial_field,
     config_hash,
+    override,
     parse_config,
 )
 from nlslab.grid import Grid
@@ -35,6 +40,8 @@ def test_template_parses():
     assert cfg.equation.d == 1
     assert cfg.grid.mode == "cartesian"
     assert cfg.evolve.dt0 == 1e-3
+    # the template's values are the dataclass defaults
+    assert cfg == parse_config("[equation]\n")
 
 
 def test_minimal_parse_and_defaults():
@@ -42,7 +49,7 @@ def test_minimal_parse_and_defaults():
     assert cfg.equation.sign == "defocusing"
     assert cfg.evolve.record_stride == 10  # observables stride default
     assert cfg.output.seed == 0
-    assert cfg.observables.r_list == ()
+    assert cfg.evolve.phi_r_list == ()  # observables r_list default
 
 
 def test_hash_ignores_comments_and_order():
@@ -110,3 +117,91 @@ def test_config_is_pickable_for_sweep_workers():
 
     cfg = parse_config(MINIMAL)
     assert pickle.loads(pickle.dumps(cfg)).equation == cfg.equation
+
+
+def test_one_field_per_file_key():
+    cfg = parse_config(MINIMAL)
+    sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)]
+    assert sum(len(dataclasses.fields(sec)) for sec in sections) == 42
+    assert len(_KEYS) == len(set(_KEYS.values())) == 42
+    # configparser lowercases keys; "L" still reaches GridConfig.L
+    assert cfg.grid.L == 10.0
+
+
+def test_unknown_keys_raise():
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(MINIMAL + "[observables]\nstrid = 50\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(MINIMAL + "[observable]\nstride = 50\n")
+    # a moved key is read only from its file section
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(MINIMAL.replace("t_end = 0.1", "t_end = 0.1\nrecord_stride = 5"))
+
+
+def test_moved_keys_set_evolve_fields():
+    text = MINIMAL.replace("sign = defocusing", "sign = defocusing\nepsilon_reg = 0.25")
+    cfg = parse_config(text + "[observables]\nstride = 7\nr_list = 4 8\n")
+    assert cfg.evolve.record_stride == 7
+    assert cfg.evolve.phi_r_list == (4.0, 8.0)
+    assert cfg.evolve.epsilon_reg == 0.25
+
+
+def test_override_matches_parse():
+    base = parse_config(MINIMAL)
+    text = MINIMAL + "[observables]\nstride = 50\n"
+    assert override(base, "observables.stride", 50.0) == parse_config(text)
+    assert override(base, "grid.L", 12.5) == parse_config(
+        MINIMAL.replace("L = 10.0", "L = 12.5"))
+    assert override(base, "equation.alpha", "3") == parse_config(
+        MINIMAL.replace("alpha = 2.0", "alpha = 3"))
+    for parameter, value in [("observables.stride", 2.5), ("evolve.dt0", -1.0),
+                             ("grid.n", 100.0), ("grid.size", 1.0),
+                             ("equation.sigma", 1.5), ("groundstate.n", 100.0)]:
+        with pytest.raises(ConfigError):
+            override(base, parameter, value)
+
+
+# -- properties: parsing and overriding either succeed or raise ConfigError
+
+_SECTION_NAMES = sorted({section for section, _ in _KEYS}) + ["DEFAULT", "misc"]
+_KEY_NAMES = sorted({key for _, key in _KEYS}) + ["L", "strid"]
+_WORDS = ["cartesian", "radial", "focusing", "defocusing", "fixed",
+          "cfl-nonlinear", "groundstate-scaled", "checkpoint", "csv json", ""]
+# integers stay small: each parse builds its grids, at O(n) memory
+_VALUES = st.one_of(
+    st.integers(-(2**12), 2**12).map(str),
+    st.sampled_from([8, 16, 64, 256, 1024]).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(_WORDS),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.sampled_from(_SECTION_NAMES).map(lambda s: f"[{s}]"),
+    st.tuples(st.sampled_from(_KEY_NAMES), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(
+    st.text(),
+    st.lists(_LINES, max_size=12).map(lambda ls: "[equation]\n" + "\n".join(ls)),
+))
+def test_parse_returns_or_raises_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_KEYS)), _VALUES)
+def test_override_returns_buildable_config_or_raises(key, value):
+    base = parse_config(MINIMAL)
+    try:
+        cfg = override(base, ".".join(key), value)
+    except ConfigError:
+        return
+    assert build_grid(cfg).shape
