@@ -83,8 +83,11 @@ def ground_state_basename(d, alpha):
     return f"groundstate_d{d}_alpha{alpha:g}"
 
 
-def save_ground_state(directory, gs, config_hash=None):
-    """Persist profile (field checkpoint) plus a JSON sidecar of norms."""
+def save_ground_state(directory, gs, config_hash=None, solver_hash=None):
+    """Persist profile (field checkpoint) plus a JSON sidecar of norms.
+
+    solver_hash identifies the solver settings that produced gs.
+    """
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, ground_state_basename(gs.d, gs.alpha))
     write_field(base, gs.field, config_hash=config_hash)
@@ -103,18 +106,25 @@ def save_ground_state(directory, gs, config_hash=None):
     }
     if config_hash is not None:
         sidecar["config_hash"] = config_hash
+    if solver_hash is not None:
+        sidecar["solver_hash"] = solver_hash
     atomic_write_text(
         base + "_norms.json", json.dumps(sidecar, sort_keys=True, indent=1)
     )
     return base
 
 
-def load_ground_state(base_path):
-    """Load a ground-state artifact written by save_ground_state."""
+def load_ground_state(base_path, solver_hash=None):
+    """Load a ground-state artifact written by save_ground_state.
+
+    Given a solver_hash, returns None unless the artifact stores that hash.
+    """
     from .groundstate import GroundState
 
     with open(base_path + "_norms.json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    if solver_hash is not None and sidecar.get("solver_hash") != solver_hash:
+        return None
     field = read_field(base_path + ".json")
     return GroundState(
         field=field,

@@ -36,6 +36,7 @@ from .config import (
     build_groundstate_grid,
     build_initial_field,
     config_hash,
+    groundstate_solver_hash,
     load_config,
     override,
 )
@@ -109,16 +110,20 @@ def _groundstate_dir(cfg: ExperimentConfig):
 
 
 def _solve_artifact_groundstate(cfg: ExperimentConfig):
-    """Load the (d, alpha) ground-state artifact, solving and saving if absent."""
+    """Load the (d, alpha) ground-state artifact; solve and save it when it
+    is absent or was solved with other [groundstate] solver settings."""
     d, alpha = cfg.equation.d, cfg.equation.alpha
     gdir = _groundstate_dir(cfg)
     base = os.path.join(gdir, ground_state_basename(d, alpha))
+    solver_hash = groundstate_solver_hash(cfg)
     if os.path.exists(base + "_norms.json"):
-        return load_ground_state(base)
+        gs = load_ground_state(base, solver_hash=solver_hash)
+        if gs is not None:
+            return gs
     gc = cfg.groundstate
     gs = solve_ground_state(d, alpha, build_groundstate_grid(cfg),
                             tol=gc.tol, max_iter=gc.max_iter)
-    save_ground_state(gdir, gs, config_hash=config_hash(cfg))
+    save_ground_state(gdir, gs, config_hash=config_hash(cfg), solver_hash=solver_hash)
     return gs
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "load_config",
     "override",
     "config_hash",
+    "groundstate_solver_hash",
     "build_grid",
     "build_groundstate_grid",
     "build_initial_field",
@@ -246,6 +247,21 @@ def config_hash(cfg: ExperimentConfig) -> str:
     """sha256 over the canonical, sorted key = value serialization."""
     lines = []
     _canonical_lines("", cfg, lines)
+    return _sha256_lines(lines)
+
+
+def groundstate_solver_hash(cfg: ExperimentConfig) -> str:
+    """sha256 over what determines the (d, alpha) ground-state artifact:
+    alpha, the artifact grid and the solver's tol and max_iter."""
+    gc = cfg.groundstate
+    settings = dict(build_groundstate_grid(cfg).describe(), alpha=cfg.equation.alpha,
+                    tol=gc.tol, max_iter=gc.max_iter)
+    return _sha256_lines(
+        f"{k} = {_canonical_scalar(v)}" for k, v in sorted(settings.items())
+    )
+
+
+def _sha256_lines(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 

@@ -63,8 +63,10 @@ class EquationSpec:
             raise ValueError(
                 f"sigma={self.sigma} outside (0, min(2, d)) for d={self.d}"
             )
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha={self.alpha} must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha={self.alpha} must be finite and positive")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c={self.c} must be finite")
         if self.sign not in ("focusing", "defocusing"):
             raise ValueError(f"sign={self.sign!r} must be focusing or defocusing")
         if self.d == 3 and self.alpha == 4.0 / (self.d - 2) and self.sigma >= 1.5:

@@ -7,6 +7,17 @@ pointwise phase rotation by the potential plus the nonlinearity, which
 commute pointwise and are applied in one exponential.  Both sub-flows
 are unitary, so discrete mass is conserved to roundoff.
 
+On Cartesian grids the Fourier multiplier composes, A(dt/2) A(dt/2) =
+A(dt), so fixed-dt runs merge the trailing half-step of one step with
+the leading half-step of the next: n steps between two reads of the
+field run as A(dt/2) B A(dt) B ... A(dt) B A(dt/2), one FFT round trip
+per step instead of two.  `evolve` closes the pending half wherever it
+reads the field (a record, a checkpoint, the end, max_steps) and
+`evolve_linear` at the end; the finiteness check runs on every step's
+shifted field, which is finite exactly when the true one is.  Adaptive
+runs change dt from step to step and are not merged, and radial grids
+never merge, because Crank-Nicolson halves do not compose.
+
 The free propagator for -tau is the exact inverse of the one for tau,
 and the phase for -dt likewise inverts the phase for dt.  A linear
 pullback with the negated step therefore undoes the forward linear
@@ -81,41 +92,80 @@ class TrajectoryOutcome:
 
 
 class SplitStepper:
-    """Cached multipliers / factored operators for one (grid, spec) pair."""
+    """Cached multipliers / factored operators for one (grid, spec) pair.
 
-    def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0):
+    step(u, dt) is one Strang step and returns the field at t + dt.  With
+    merge_halves on a grid whose free flow composes, step instead leaves
+    its trailing A(dt/2) pending and returns the field shifted by it; the
+    next step of the same dt applies that half together with its own
+    leading half as one A(dt).  settle(u) applies a pending half and
+    returns the true field, so a caller that merges settles wherever it
+    reads the field.
+    """
+
+    def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
+                 merge_halves=False):
         self.grid = grid
         self.spec = spec
         self.potential = PotentialSpec(spec.c, spec.sigma, epsilon_reg).sample(grid)
-        self._free_cache = (None, None)
+        self._merge = merge_halves and grid.free_flow_composes
+        self._pending = None  # dt of the step whose trailing half is owed
+        self._free_ops = {}
         self._linear_phase_cache = (None, None)
 
-    # -- A: the grid's free flow over dt/2 ------------------------------
+    # -- A: the grid's free flow over tau -------------------------------
 
-    def _linear_half(self, u, dt):
-        # keyed by tau, which adaptive dt halving changes
-        tau = 0.5 * dt
-        if self._free_cache[0] != tau:
-            self._free_cache = (tau, self.grid.free_propagator(tau))
-        return self._free_cache[1](u)
+    def _free(self, u, tau):
+        # keyed by tau, which adaptive dt halving changes; a merging run
+        # holds dt/2 and dt, and builds dt only once a merge happens
+        op = self._free_ops.get(tau)
+        if op is None:
+            if len(self._free_ops) == 2:
+                self._free_ops.clear()
+            op = self._free_ops[tau] = self.grid.free_propagator(tau)
+        return op(u)
 
     # -- B: exact phase rotation (potential and nonlinearity commute) --
 
     def _phase(self, u, dt, nonlinear):
+        # u is the fresh output of a linear step and is rotated in place
         if not nonlinear:
             if self._linear_phase_cache[0] != dt:
                 arg = dt * self.potential
                 self._linear_phase_cache = (dt, np.cos(arg) - 1j * np.sin(arg))
-            return u * self._linear_phase_cache[1]
-        phase = self.potential.copy()
-        phase += self.spec.nonlinearity_sign * np.abs(u) ** self.spec.alpha
-        arg = dt * phase
-        return u * (np.cos(arg) - 1j * np.sin(arg))
+            u *= self._linear_phase_cache[1]
+            return u
+        arg = u.real * u.real
+        arg += u.imag * u.imag  # |u|^2 without a square root
+        if self.spec.alpha != 2.0:
+            arg **= 0.5 * self.spec.alpha
+        arg *= self.spec.nonlinearity_sign
+        arg += self.potential
+        arg *= dt
+        rotation = np.empty_like(u)  # cos(arg) - i sin(arg)
+        np.cos(arg, out=rotation.real)
+        np.sin(arg, out=rotation.imag)
+        np.negative(rotation.imag, out=rotation.imag)
+        u *= rotation
+        return u
 
     def step(self, u, dt, nonlinear=True):
-        u = self._linear_half(u, dt)
+        if self._pending == dt:
+            u = self._free(u, dt)  # the owed half and this step's leading half
+        else:
+            u = self._free(self.settle(u), 0.5 * dt)
         u = self._phase(u, dt, nonlinear)
-        return self._linear_half(u, dt)
+        if self._merge:
+            self._pending = dt
+            return u
+        return self._free(u, 0.5 * dt)
+
+    def settle(self, u):
+        """The true field of step's output u: applies a pending half-step."""
+        if self._pending is None:
+            return u
+        dt, self._pending = self._pending, None
+        return self._free(u, 0.5 * dt)
 
 
 def step_strang(u: Field, spec: EquationSpec, dt: float, stepper=None) -> Field:
@@ -157,7 +207,9 @@ def evolve(
     """
     u0.require_finite()
     grid = u0.grid
-    stepper = SplitStepper(grid, spec, cfg.epsilon_reg)
+    fixed = cfg.adaptivity == "fixed"
+    # a fixed dt merges half-steps between the points that read the field
+    stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=fixed)
     phi_r = tuple(cfg.phi_r_list)
     rec0 = observables.record(u0, spec, phi_r=phi_r, epsilon_reg=cfg.epsilon_reg)
     records = [rec0]
@@ -180,7 +232,6 @@ def evolve(
     last_good = u0.copy()
     warned_grad = warned_dt = False
 
-    fixed = cfg.adaptivity == "fixed"
     if fixed:
         n_steps = max(1, int(round(cfg.t_end / cfg.dt0)))
         dt_fixed = cfg.t_end / n_steps
@@ -236,7 +287,14 @@ def evolve(
         at_end = (fixed and step == n_steps) or (
             not fixed and t >= cfg.t_end * (1.0 - 1e-12)
         )
-        if step % cfg.record_stride == 0 or at_end:
+        record_now = step % cfg.record_stride == 0 or at_end
+        checkpoint_now = (
+            checkpoint_cb is not None and cfg.checkpoint_stride > 0
+            and (step % cfg.checkpoint_stride == 0 or at_end)
+        )
+        if record_now or checkpoint_now or step >= cfg.max_steps:
+            u = stepper.settle(u)
+        if record_now:
             f = Field(grid, u, t)
             try:
                 records.append(
@@ -257,9 +315,8 @@ def evolve(
                 )
                 warned_grad = True
             last_good = f.copy()
-        if checkpoint_cb is not None and cfg.checkpoint_stride > 0:
-            if step % cfg.checkpoint_stride == 0 or at_end:
-                checkpoint_cb(Field(grid, u.copy(), t))
+        if checkpoint_now:
+            checkpoint_cb(Field(grid, u.copy(), t))
         if step >= cfg.max_steps:
             status = "invalid"
             warnings.append(f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
@@ -297,12 +354,12 @@ def evolve_linear(u0: Field, spec: EquationSpec, duration: float, dt: float) -> 
         raise ValueError("dt must be positive")
     if duration == 0.0:
         return u0.copy()
-    stepper = SplitStepper(u0.grid, spec)
+    stepper = SplitStepper(u0.grid, spec, merge_halves=True)
     n_steps = max(1, int(round(abs(duration) / dt)))
     h = duration / n_steps
-    u = u0.values.copy()
+    u = u0.values
     for _ in range(n_steps):
         u = stepper.step(u, h, nonlinear=False)
-    out = Field(u0.grid, u, u0.time + duration)
+    out = Field(u0.grid, stepper.settle(u), u0.time + duration)
     out.require_finite()
     return out

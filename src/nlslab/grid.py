@@ -71,6 +71,10 @@ class Grid:
     Grid(d, "radial", n_r=..., r_max=...) a RadialGrid.  Grids are
     immutable after construction (derived arrays are memoized read-only)
     and shared freely between operations and workers.
+
+    Each kind states free_flow_composes: whether free_propagator(a) then
+    free_propagator(b) equals free_propagator(a + b) up to roundoff, so
+    that a stepper may merge adjacent half-steps.
     """
 
     mode = None
@@ -115,6 +119,7 @@ class CartesianGrid(Grid):
     """Box [-L, L)^d with n nodes per axis (a power of two); spectral operators."""
 
     mode = "cartesian"
+    free_flow_composes = True  # e^{-i a k^2} e^{-i b k^2} = e^{-i (a + b) k^2}
 
     def __init__(self, d, mode=None, n=0, L=0.0):
         super().__init__(d)
@@ -220,6 +225,7 @@ class RadialGrid(Grid):
     """Shells (0, r_max) in n_r cells; conservative flux-form stencil."""
 
     mode = "radial"
+    free_flow_composes = False  # Crank-Nicolson: CN(h/2) CN(h/2) != CN(h)
 
     def __init__(self, d, mode=None, n_r=0, r_max=0.0):
         super().__init__(d)

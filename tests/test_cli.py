@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+import nlslab.cli
 from nlslab.cli import main
+from nlslab.groundstate import solve_ground_state
 
 BASE = """\
 [equation]
@@ -70,10 +72,12 @@ def test_config_invalid_exit_code(tmp_path):
         ("[groundstate]\nn = 256", "[groundstate]\nn = 100"),
         ("[output]", "[sweep]\nparameter = evolve.dt0\nvalues = 1e-3 -1\n[output]"),
         ("[output]", "[sweep]\nparameter = grid.n\nvalues = 256 100\n[output]"),
+        ("alpha = 2.0", "alpha = nan"),
+        ("c = 1.0", "c = nan"),
     ],
     ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan",
          "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
-         "sweep-n-not-power-of-two"],
+         "sweep-n-not-power-of-two", "alpha-nan", "c-nan"],
 )
 def test_bad_config_values_exit_code(tmp_path, old, new):
     # the first occurrence is the [grid] / [observables] / [evolve] key
@@ -145,6 +149,29 @@ def test_groundstate_command(tmp_path, capsys):
     assert os.path.exists(base + ".bin")
     # cached artifact is reused on the second call
     assert main(["groundstate", path]) == 0
+
+
+def test_groundstate_artifact_keyed_by_solver_settings(tmp_path, monkeypatch):
+    # an artifact solved on a coarse grid must not stand in for the default one
+    solved = []
+
+    def counting_solve(d, alpha, grid, **kw):
+        solved.append(grid.describe())
+        return solve_ground_state(d, alpha, grid, **kw)
+
+    monkeypatch.setattr(nlslab.cli, "solve_ground_state", counting_solve)
+    gdir = os.path.join(tmp_path, "shared")
+    base = BASE.format(outdir=os.path.join(tmp_path, "run")).replace(
+        "[groundstate]\nn = 256\nL = 15.0", f"[groundstate]\ndirectory = {gdir}")
+    coarse = base.replace("[groundstate]\n", "[groundstate]\nn = 64\nL = 4.0\n")
+    assert main(["groundstate", write_cfg(tmp_path, coarse, "coarse.cfg")]) == 0
+    assert main(["groundstate", write_cfg(tmp_path, coarse, "coarse.cfg")]) == 0
+    assert [g["n"] for g in solved] == [64]  # same settings: reused
+    assert main(["groundstate", write_cfg(tmp_path, base, "default.cfg")]) == 0
+    assert [g["n"] for g in solved] == [64, 1024]
+    header = os.path.join(gdir, "groundstate_d1_alpha2.json")
+    with open(header, encoding="utf-8") as fh:
+        assert json.load(fh)["n"] == 1024
 
 
 def test_classify_groundstate_scaled(tmp_path, capsys):

@@ -21,6 +21,7 @@ from nlslab.grid import (
     h1_norm,
     mass,
 )
+from nlslab import observables
 from nlslab.observables import scattering_cauchy_diagnostic
 
 
@@ -281,3 +282,90 @@ def test_step_strang_rejects_nan():
     bad[0] = np.inf
     with pytest.raises(InvalidFieldError):
         step_strang(Field(g, bad), spec, 1e-3)
+
+
+def per_step_run(u0, spec, dt, n_steps, record_stride, checkpoint_stride):
+    """Reference for evolve: Strang steps one by one, each closed."""
+    stepper = SplitStepper(u0.grid, spec)
+    u, records, checkpoints = u0.values, {0: u0.values}, {}
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps + 1):
+            u = stepper.step(u, dt)
+            if not np.all(np.isfinite(u)):
+                return records, checkpoints, step
+            if step % record_stride == 0 or step == n_steps:
+                records[step] = u
+            if step % checkpoint_stride == 0 or step == n_steps:
+                checkpoints[step] = u
+    return records, checkpoints, None
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
+def test_merged_half_steps_match_per_step_loop(d, n):
+    # reads at strides 7 and 5 split the run into merged stretches of 1-5 steps
+    spec = EquationSpec(d=d, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(d, "cartesian", n=n, L=8.0)
+    u0 = random_band_limited_field(g, 11)
+    dt, n_steps = 1e-3, 53
+    checkpoints = []
+    out = evolve(u0, spec, EvolveConfig(dt0=dt, t_end=n_steps * dt, record_stride=7,
+                                        checkpoint_stride=5),
+                 checkpoint_cb=checkpoints.append)
+    ref_records, ref_checkpoints, _ = per_step_run(u0, spec, dt, n_steps, 7, 5)
+    assert out.status == "completed"
+    assert [r.t for r in out.records] == [k * dt for k in ref_records]
+    for rec, u in zip(out.records, ref_records.values()):
+        want = observables.record(Field(g, u, rec.t), spec)
+        for name in ("mass", "energy", "kinetic", "virial", "linfty"):
+            assert getattr(rec, name) == pytest.approx(getattr(want, name), rel=1e-12)
+    assert [f.time for f in checkpoints] == [k * dt for k in ref_checkpoints]
+    for f, u in zip(checkpoints, ref_checkpoints.values()):
+        assert rel_err(f.values, u) <= 1e-12
+    assert rel_err(out.final_field.values, ref_records[n_steps]) <= 1e-12
+
+
+def test_radial_evolve_is_the_per_step_loop():
+    # Crank-Nicolson halves do not compose: radial runs never merge
+    spec, g, u0 = c9_problem()
+    dt, n_steps = 4e-3, 23
+    checkpoints = []
+    out = evolve(u0, spec, EvolveConfig(dt0=dt, t_end=n_steps * dt, record_stride=7,
+                                        checkpoint_stride=5),
+                 checkpoint_cb=checkpoints.append)
+    ref_records, ref_checkpoints, _ = per_step_run(u0, spec, dt, n_steps, 7, 5)
+    assert [f.time for f in checkpoints] == [k * dt for k in ref_checkpoints]
+    for f, u in zip(checkpoints, ref_checkpoints.values()):
+        assert np.array_equal(f.values, u)
+    assert np.array_equal(out.final_field.values, ref_records[n_steps])
+
+
+def test_overflow_inside_merged_stretch_stops_at_the_same_step():
+    # below |u| = 1 the power 1e5 leaves the flow free; a chirped Gaussian
+    # focuses past |u| = e^(709.8/alpha) = 1.0071 at step 9, and |u|^alpha
+    # overflows there, after the record at step 5 and inside merged steps 6-9
+    spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=1e5, sign="defocusing")
+    g = Grid(1, "cartesian", n=256, L=20.0)
+    z = 1.0 - 2.0j
+    u0 = Field(g, 1.25 * np.exp(-g.axis**2 / (2.0 * z)) / np.sqrt(z))
+    dt = 0.05
+    out = evolve(u0, spec, EvolveConfig(dt0=dt, t_end=1.0, record_stride=5))
+    ref_records, _, bad_step = per_step_run(u0, spec, dt, 20, 5, 20)
+    assert bad_step == 9
+    assert out.status == "invalid"
+    assert out.t_reached == bad_step * dt
+    assert out.warnings == [f"non-finite field after step 9 (t={bad_step * dt:.6g})"]
+    assert [r.t for r in out.records] == [0.0, 5 * dt]
+    assert out.final_field.time == 5 * dt
+    assert rel_err(out.final_field.values, ref_records[5]) <= 1e-12
+
+
+def test_cartesian_linear_flow_forward_then_back():
+    spec = EquationSpec(d=2, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(2, "cartesian", n=64, L=8.0)
+    u0 = random_band_limited_field(g, 5)
+    back = evolve_linear(evolve_linear(u0, spec, 0.5, 1e-3), spec, -0.5, 1e-3)
+    assert np.max(np.abs(back.values - u0.values)) <= 1e-12 * np.max(np.abs(u0.values))
