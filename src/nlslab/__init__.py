@@ -19,7 +19,6 @@ from .grid import (
     Grid,
     GridError,
     InvalidFieldError,
-    PotentialSpec,
     boundary_shell_mass_fraction,
     gradient_norm_sq,
     h1_norm,

@@ -9,6 +9,7 @@ atomic rename so no partial artifact is ever visible.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -67,30 +68,38 @@ def read_field(header_path) -> Field:
         header_path = header_path + ".json"
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError(f"{header_path}: not a field checkpoint")
     if header.get("endianness") != "little":
         raise ValueError("unsupported endianness tag")
-    sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
-    grid = Grid(header["d"], header["mode"], **sizes)
-    payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
+    try:
+        sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
+        grid = Grid(header["d"], header["mode"], **sizes)
+        payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
+        time = header["time"]
+    except KeyError as exc:
+        raise ValueError(f"{header_path}: header lacks {exc}") from exc
     with open(payload_path, "rb") as fh:
-        values = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
-    return Field(grid, values.copy(), header["time"])
+        payload = fh.read()
+    if len(payload) != 16 * math.prod(grid.shape):
+        raise ValueError(f"{payload_path}: {len(payload)} bytes do not hold a "
+                         f"complex128 field of shape {grid.shape}")
+    values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
+    return Field(grid, values.copy(), time)
 
 
 def ground_state_basename(d, alpha):
     return f"groundstate_d{d}_alpha{alpha:g}"
 
 
-def save_ground_state(directory, gs, config_hash=None, solver_hash=None):
+def save_ground_state(directory, gs, solver_hash):
     """Persist profile (field checkpoint) plus a JSON sidecar of norms.
 
-    solver_hash identifies the solver settings that produced gs.
+    solver_hash, of the solver settings that produced gs, identifies it.
     """
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, ground_state_basename(gs.d, gs.alpha))
-    write_field(base, gs.field, config_hash=config_hash)
+    write_field(base, gs.field)
     sidecar = {
         "kind": "ground-state",
         "d": gs.d,
@@ -103,11 +112,8 @@ def save_ground_state(directory, gs, config_hash=None, solver_hash=None):
         "iterations": gs.iterations,
         "monotone_residual": gs.monotone_residual,
         "profile": os.path.basename(base) + ".json",
+        "solver_hash": solver_hash,
     }
-    if config_hash is not None:
-        sidecar["config_hash"] = config_hash
-    if solver_hash is not None:
-        sidecar["solver_hash"] = solver_hash
     atomic_write_text(
         base + "_norms.json", json.dumps(sidecar, sort_keys=True, indent=1)
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 import time
@@ -56,50 +57,26 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-CSV_BASE_COLUMNS = [
-    "t",
-    "mass",
-    "energy",
-    "kinetic",
-    "potential_term",
-    "nonlinear_term",
-    "virial",
-    "morawetz_abs",
-    "l4_density",
-    "linfty",
-]
+# series.csv columns: ObservableRecord fields, where virial_phi_r stands for
+# one virial_phiR_<R> column per localized-virial scale R of r_list
+CSV_COLUMNS = ("t", "mass", "energy", "kinetic", "potential_term", "nonlinear_term",
+               "virial", "virial_phi_r", "morawetz_abs", "l4_density", "linfty")
 
 
 def _fmt(v) -> str:
     return repr(float(v))
 
 
-def csv_header(r_list):
-    cols = CSV_BASE_COLUMNS[:7]
-    cols += [f"virial_phiR_{R:g}" for R in r_list]
-    cols += CSV_BASE_COLUMNS[7:]
-    return ",".join(cols)
-
-
 def records_to_csv(records, r_list, cfg_hash):
-    lines = [f"# config_hash={cfg_hash}", csv_header(r_list)]
-    for rec in records:
-        row = [
-            _fmt(rec.t),
-            _fmt(rec.mass),
-            _fmt(rec.energy),
-            _fmt(rec.kinetic),
-            _fmt(rec.potential_term),
-            _fmt(rec.nonlinear_term),
-            _fmt(rec.virial),
-        ]
-        row += [_fmt(rec.virial_phi_r[float(R)]) for R in r_list]
-        row += [
-            _fmt(rec.morawetz_abs),
-            _fmt(rec.l4_density),
-            _fmt(rec.linfty),
-        ]
-        lines.append(",".join(row))
+    columns = []  # (header, value of a record)
+    for name in CSV_COLUMNS:
+        if name == "virial_phi_r":
+            columns += [(f"virial_phiR_{R:g}",
+                         lambda rec, R=float(R): rec.virial_phi_r[R]) for R in r_list]
+        else:
+            columns.append((name, operator.attrgetter(name)))
+    lines = [f"# config_hash={cfg_hash}", ",".join(name for name, _ in columns)]
+    lines += [",".join(_fmt(value(rec)) for _, value in columns) for rec in records]
     return "\n".join(lines) + "\n"
 
 
@@ -123,7 +100,7 @@ def _solve_artifact_groundstate(cfg: ExperimentConfig):
     gc = cfg.groundstate
     gs = solve_ground_state(d, alpha, build_groundstate_grid(cfg),
                             tol=gc.tol, max_iter=gc.max_iter)
-    save_ground_state(gdir, gs, config_hash=config_hash(cfg), solver_hash=solver_hash)
+    save_ground_state(gdir, gs, solver_hash)
     return gs
 
 
@@ -401,28 +378,38 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _hash_consistency(cfg: ExperimentConfig) -> tuple[bool, str]:
-    """Every artifact under the run directory must embed this config's hash."""
-    want = config_hash(cfg)
+    """Every artifact under the run directory must embed the hash of the
+    config that wrote it: a sweep's run_XXX that of its member config
+    (_sweep_member), a ground-state artifact that config's solver hash."""
     directory = cfg.output.directory
     if not os.path.isdir(directory):
         return True, "no run directory yet"
+    owners = {directory: cfg}
+    if cfg.sweep.parameter:
+        for i, value in enumerate(cfg.sweep.values):
+            member = _sweep_member(cfg, value, i)
+            owners[member.output.directory] = member
     seen = 0
-    for root, _dirs, files in os.walk(directory):
-        for name in files:
-            path = os.path.join(root, name)
-            found = None
-            if name.endswith(".json"):
-                with open(path, "r", encoding="utf-8") as fh:
-                    found = json.load(fh).get("config_hash")
-            elif name.endswith(".csv"):
-                with open(path, "r", encoding="utf-8") as fh:
-                    first = fh.readline().strip()
-                if first.startswith("# config_hash="):
-                    found = first.split("=", 1)[1]
-            if found is not None:
-                seen += 1
-                if found != want:
-                    return False, f"{path} embeds a different config hash"
+    for top, owner in owners.items():
+        want = {"config_hash": config_hash(owner),
+                "solver_hash": groundstate_solver_hash(owner)}
+        for root, dirs, files in os.walk(top):
+            dirs[:] = [d for d in dirs if os.path.join(root, d) not in owners]
+            for name in files:
+                path = os.path.join(root, name)
+                found = {}
+                if name.endswith(".json"):
+                    with open(path, "r", encoding="utf-8") as fh:
+                        found = json.load(fh)
+                elif name.endswith(".csv"):
+                    with open(path, "r", encoding="utf-8") as fh:
+                        first = fh.readline().strip()
+                    if first.startswith("# config_hash="):
+                        found = {"config_hash": first.split("=", 1)[1]}
+                for key in want.keys() & found.keys():
+                    seen += 1
+                    if found[key] != want[key]:
+                        return False, f"{path} embeds a different {key}"
     return True, f"{seen} artifacts consistent"
 
 

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equation import EquationSpec
+from .equation import (
+    FINITE, DomainError, EquationSpec, above, at_least, check_domains, declared,
+    each, one_of,
+)
 from .evolve import EvolveConfig
 from .grid import Field, Grid, GridError
 
@@ -44,34 +47,36 @@ class ConfigError(ValueError):
 
 @dataclass
 class GridConfig:
-    mode: str = "cartesian"
-    n: int = 1024
-    L: float = 20.0
-    n_r: int = 4096
-    r_max: float = 32.0
+    mode: str = declared("cartesian", doc="cartesian | radial")
+    n: int = declared(1024, doc="points per axis (power of two), cartesian mode")
+    L: float = declared(20.0, doc="box half-width, domain [-L, L)^d")
+    n_r: int = declared(4096, doc="radial cells, radial mode")
+    r_max: float = declared(32.0, doc="outer radius, radial mode")
 
 
 @dataclass
 class InitialConfig:
-    kind: str = "gaussian"  # gaussian | groundstate-scaled | checkpoint
-    amplitude: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
-    phase_k: float = 0.0
-    scale: float = 1.0       # groundstate-scaled multiplier
-    path: str = ""           # checkpoint path
+    kind: str = declared("gaussian",
+                         one_of("gaussian", "groundstate-scaled", "checkpoint"))
+    amplitude: float = declared(1.0, FINITE)
+    width: float = declared(1.0, above(0.0))
+    center: float = declared(0.0, FINITE)
+    phase_k: float = declared(0.0, FINITE)
+    scale: float = declared(1.0, FINITE, "multiplier for groundstate-scaled")
+    path: str = declared("", doc="checkpoint header path for kind = checkpoint")
 
 
 @dataclass
 class ObservablesConfig:
-    tolerance: float = 1e-10
+    tolerance: float = declared(1e-10, above(0.0))
 
 
 @dataclass
 class OutputConfig:
     directory: str = "runs/out"
-    formats: tuple[str, ...] = ("csv", "json")
-    seed: int = 0
+    formats: tuple[str, ...] = declared(("csv", "json"),
+                                        each(one_of("csv", "json"), nonempty=True))
+    seed: int = declared(0, at_least(0))
 
 
 @dataclass
@@ -81,16 +86,16 @@ class GroundStateSolverConfig:
     L: float = 20.0
     n_r: int = 32768
     r_max: float = 20.0
-    tol: float = 1e-10
-    max_iter: int = 500
-    directory: str = ""      # empty: <output.directory>/groundstates
+    tol: float = declared(1e-10, above(0.0))
+    max_iter: int = declared(500, at_least(1))
+    directory: str = declared("", doc="empty: <output.directory>/groundstates")
 
 
 @dataclass
 class SweepConfig:
-    parameter: str = ""      # a file key, e.g. "initial.amplitude"
+    parameter: str = declared("", doc='a file key, e.g. "initial.amplitude"')
     values: tuple[float, ...] = ()
-    workers: int = 1
+    workers: int = declared(1, at_least(1))
 
 
 @dataclass
@@ -108,6 +113,8 @@ class ExperimentConfig:
 # section name -> its dataclass
 _SECTIONS = typing.get_type_hints(ExperimentConfig)
 _FIELD_TYPES = {s: typing.get_type_hints(cls) for s, cls in _SECTIONS.items()}
+_FIELDS = {s: {f.name: f for f in dataclasses.fields(cls)}
+           for s, cls in _SECTIONS.items()}
 
 # file keys (section, key) whose value another section's dataclass owns
 _MOVED_KEYS = {
@@ -125,6 +132,7 @@ _KEYS = {
     if (section, f.name) not in _MOVED_KEYS.values()
 }
 _KEYS.update(_MOVED_KEYS)
+_MOVED_FROM = {home: key for key, home in _MOVED_KEYS.items()}
 
 
 # field annotation -> conversion of the file text
@@ -155,6 +163,11 @@ def _assemble(fields) -> ExperimentConfig:
     for section, cls in _SECTIONS.items():
         try:
             sections[section] = cls(**fields.get(section, {}))
+            check_domains(sections[section])
+        except DomainError as exc:
+            file_section, key = _MOVED_FROM.get((section, exc.name), (section, exc.name))
+            raise ConfigError(f"[{file_section}] {key} = {exc.value!r} is outside "
+                              f"its domain: {exc.domain.text}") from exc
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
     cfg = ExperimentConfig(**sections)
@@ -209,8 +222,6 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(
                 "radial mode requires centered, phase-free gaussian data"
             )
-    if cfg.initial.kind not in ("gaussian", "groundstate-scaled", "checkpoint"):
-        raise ConfigError(f"[initial] kind = {cfg.initial.kind!r} unknown")
     if cfg.initial.kind == "checkpoint" and not cfg.initial.path:
         raise ConfigError("[initial] kind = checkpoint requires path")
     if cfg.equation.d > 1 and cfg.grid.mode == "cartesian" and cfg.grid.n > 4096:
@@ -289,13 +300,14 @@ def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) ->
     """
     ini = cfg.initial
     if ini.kind == "gaussian":
+        two_var = 2.0 * np.float64(ini.width) ** 2  # inf, not OverflowError
         if grid.mode == "radial":
-            values = ini.amplitude * np.exp(-grid.r**2 / (2.0 * ini.width**2))
+            values = ini.amplitude * np.exp(-grid.r**2 / two_var)
             return Field(grid, values.astype(np.complex128))
         r2 = np.zeros(grid.shape)
         for ax in range(grid.d):
             r2 = r2 + (grid.coords(ax) - ini.center) ** 2
-        values = ini.amplitude * np.exp(-r2 / (2.0 * ini.width**2))
+        values = ini.amplitude * np.exp(-r2 / two_var)
         if ini.phase_k != 0.0:
             values = values * np.exp(1j * ini.phase_k * grid.coords(0))
         return Field(grid, values.astype(np.complex128))
@@ -305,7 +317,10 @@ def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) ->
         return Field(grid, ini.scale * ground_state.field.values)
     from .checkpoint import read_field
 
-    f = read_field(ini.path)
+    try:
+        f = read_field(ini.path)
+    except ValueError as exc:
+        raise ConfigError(f"[initial] path: {exc}") from exc
     if f.grid.shape != grid.shape:
         raise ConfigError(
             f"checkpoint grid {f.grid.shape} does not match run grid {grid.shape}"
@@ -313,55 +328,21 @@ def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) ->
     return f
 
 
-DEFAULT_CONFIG_TEMPLATE = """\
-# experiment configuration (key = value, sections in brackets)
+def _template() -> str:
+    """Every file key at its default, with its description and domain."""
+    lines = ["# experiment configuration (key = value, sections in brackets);",
+             "# every key at its default, then its description and domain"]
+    for section in _SECTIONS:
+        lines.append(f"\n[{section}]")
+        for (file_section, key), (home, name) in _KEYS.items():
+            if file_section == section:
+                f = _FIELDS[home][name]
+                _canonical_lines(name if home == section else key, f.default, lines)
+                domain = f.metadata.get("domain")
+                notes = [f.metadata.get("doc"), domain.text if domain else ""]
+                if any(notes):
+                    lines[-1] = f"{lines[-1]:<26} ; " + "; ".join(filter(None, notes))
+    return "\n".join(line.rstrip() for line in lines) + "\n"
 
-[equation]
-d = 1                  ; spatial dimension: 1, 2 or 3
-c = 1.0                ; potential coefficient (c > 0 repulsive)
-sigma = 0.5            ; potential exponent, 0 < sigma < min(2, d)
-alpha = 2.0            ; nonlinearity power
-sign = defocusing      ; focusing | defocusing
 
-[grid]
-mode = cartesian       ; cartesian | radial
-n = 1024               ; points per axis (power of two), cartesian mode
-L = 20.0               ; box half-width, domain [-L, L)^d
-n_r = 4096             ; radial cells, radial mode
-r_max = 32.0           ; outer radius, radial mode
-
-[initial]
-kind = gaussian        ; gaussian | groundstate-scaled | checkpoint
-amplitude = 1.0
-width = 1.0
-center = 0.0
-phase_k = 0.0
-scale = 1.0            ; multiplier for groundstate-scaled
-path =                 ; checkpoint header path for kind = checkpoint
-
-[evolve]
-dt0 = 1e-3
-t_end = 1.0
-adaptivity = fixed     ; fixed | cfl-nonlinear
-blowup_grad_factor = 100.0
-blowup_dt_floor = 1e-9
-checkpoint_stride = 0  ; steps between field checkpoints (0: final only)
-
-[observables]
-stride = 10            ; steps between records
-r_list =               ; localized-virial scales, e.g. "8 16 32"
-tolerance = 1e-10
-
-[groundstate]
-n = 1024
-L = 20.0
-n_r = 32768
-r_max = 20.0
-tol = 1e-10
-max_iter = 500
-
-[output]
-directory = runs/out
-formats = csv json
-seed = 0
-"""
+DEFAULT_CONFIG_TEMPLATE = _template()

@@ -9,10 +9,16 @@ data falls on.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import math
 from dataclasses import dataclass
 
 __all__ = [
+    "DomainError",
+    "check_domains",
+    "declared",
+    "Domain", "FINITE", "one_of", "above", "at_least", "each",
     "EquationSpec",
     "CriticalityInfo",
     "ThresholdVerdict",
@@ -46,29 +52,72 @@ class RegimeNotCoveredError(ValueError):
     """The requested test has no defined branch in this regime."""
 
 
+# -- the domain of a dataclass field, declared next to its default ----
+
+Domain = collections.namedtuple("Domain", "text accepts")  # accepts(value) -> bool
+FINITE = Domain("finite", lambda v: -math.inf < v < math.inf)
+
+
+def one_of(*values) -> Domain:
+    return Domain("one of " + ", ".join(map(str, values)), lambda v: v in values)
+
+
+def above(lo) -> Domain:
+    return Domain(f"finite and > {lo:g}", lambda v: lo < v < math.inf)
+
+
+def at_least(lo) -> Domain:
+    # an int bound marks an integer field, which is finite by type
+    text = f">= {lo}" if isinstance(lo, int) else f"finite and >= {lo:g}"
+    return Domain(text, lambda v: lo <= v < math.inf)
+
+
+def each(domain: Domain, nonempty=False) -> Domain:
+    """A tuple whose every element lies in domain."""
+    text = ("non-empty, " if nonempty else "") + "each element " + domain.text
+    return Domain(text, lambda vs: (len(vs) > 0 or not nonempty)
+                  and all(domain.accepts(v) for v in vs))
+
+
+def declared(default, domain: Domain | None = None, doc=""):
+    """A dataclass field with this default and description whose values must
+    lie in domain (None: checked elsewhere)."""
+    return dataclasses.field(default=default, metadata={"domain": domain, "doc": doc})
+
+
+class DomainError(ValueError):
+    """A field value outside its declared domain."""
+
+    def __init__(self, name, value, domain: Domain):
+        super().__init__(f"{name} = {value!r} is outside its domain: {domain.text}")
+        self.name, self.value, self.domain = name, value, domain
+
+
+def check_domains(obj):
+    """Raise DomainError for the first field of the dataclass obj whose value
+    lies outside the domain declared in its metadata."""
+    for f in dataclasses.fields(obj):
+        domain, value = f.metadata.get("domain"), getattr(obj, f.name)
+        if domain is not None and not domain.accepts(value):
+            raise DomainError(f.name, value, domain)
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """Full problem statement: dimension, potential, nonlinearity, sign."""
 
-    d: int = 1
-    c: float = 1.0
-    sigma: float = 0.5
-    alpha: float = 2.0
-    sign: str = "defocusing"  # "focusing" | "defocusing"
+    d: int = declared(1, one_of(1, 2, 3), "spatial dimension")
+    c: float = declared(1.0, FINITE, "potential coefficient (c > 0 repulsive)")
+    sigma: float = declared(0.5, doc="potential exponent, 0 < sigma < min(2, d)")
+    alpha: float = declared(2.0, above(0.0), "nonlinearity power")
+    sign: str = declared("defocusing", one_of("focusing", "defocusing"))
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension d={self.d} not supported (need 1, 2 or 3)")
+        check_domains(self)
         if not 0.0 < self.sigma < min(2.0, float(self.d)):
             raise ValueError(
                 f"sigma={self.sigma} outside (0, min(2, d)) for d={self.d}"
             )
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha={self.alpha} must be finite and positive")
-        if not math.isfinite(self.c):
-            raise ValueError(f"c={self.c} must be finite")
-        if self.sign not in ("focusing", "defocusing"):
-            raise ValueError(f"sign={self.sign!r} must be focusing or defocusing")
         if self.d == 3 and self.alpha == 4.0 / (self.d - 2) and self.sigma >= 1.5:
             # energy-critical d=3 statements require sigma < 3/2
             raise ValueError(
@@ -134,11 +183,6 @@ def classify_criticality(spec: EquationSpec) -> CriticalityInfo:
         regime=regime,
         radial_blowup_alpha_ok=(alpha <= 4.0),
     )
-
-
-def beta_c_rational(d: int, alpha: float) -> float:
-    """Equivalent form (4 - (d-2) alpha) / (d alpha - 4) of beta_c."""
-    return (4.0 - (d - 2) * alpha) / (d * alpha - 4.0)
 
 
 @dataclass(frozen=True)

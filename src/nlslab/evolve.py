@@ -27,17 +27,18 @@ Cauchy increments rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equation import EquationSpec, glassey_delta_negative_energy
+from .equation import (
+    EquationSpec, above, at_least, check_domains, declared, each, one_of,
+    glassey_delta_negative_energy,
+)
 from .grid import (
     Field,
     Grid,
     InvalidFieldError,
-    PotentialSpec,
     boundary_shell_mass_fraction,
     gradient_norm_sq,
 )
@@ -56,27 +57,22 @@ __all__ = [
 
 @dataclass
 class EvolveConfig:
-    dt0: float = 1e-3
-    t_end: float = 1.0
-    adaptivity: str = "fixed"  # "fixed" | "cfl-nonlinear"
-    blowup_grad_factor: float = 100.0
-    blowup_dt_floor: float = 1e-9
-    checkpoint_stride: int = 0
-    record_stride: int = 10
-    cfl_constant: float = 0.1
-    phi_r_list: tuple[float, ...] = ()
-    epsilon_reg: float = 0.0
-    max_steps: int = 10_000_000
+    dt0: float = declared(1e-3, above(0.0))
+    t_end: float = declared(1.0, above(0.0))
+    adaptivity: str = declared("fixed", one_of("fixed", "cfl-nonlinear"))
+    blowup_grad_factor: float = declared(100.0, above(1.0))
+    blowup_dt_floor: float = declared(1e-9, above(0.0))
+    checkpoint_stride: int = declared(
+        0, at_least(0), "steps between field checkpoints (0: final only)")
+    record_stride: int = declared(10, at_least(1), "steps between records")
+    cfl_constant: float = declared(0.1, above(0.0))
+    phi_r_list: tuple[float, ...] = declared(
+        (), each(above(0.0)), 'localized-virial scales, e.g. "8 16 32"')
+    epsilon_reg: float = declared(0.0, at_least(0.0), "floor of |x| in the potential")
+    max_steps: int = declared(10_000_000, at_least(1))
 
     def __post_init__(self):
-        if not (0.0 < self.dt0 < math.inf and 0.0 < self.t_end < math.inf):
-            raise ValueError("dt0 and t_end must be finite and positive")
-        if self.record_stride < 1 or self.max_steps < 1 or self.checkpoint_stride < 0:
-            raise ValueError("need strides and max_steps >= 1 (checkpoint_stride >= 0)")
-        if self.blowup_grad_factor <= 1.0:
-            raise ValueError("blowup_grad_factor must exceed 1")
-        if self.adaptivity not in ("fixed", "cfl-nonlinear"):
-            raise ValueError(f"unknown adaptivity {self.adaptivity!r}")
+        check_domains(self)
 
 
 @dataclass
@@ -107,7 +103,8 @@ class SplitStepper:
                  merge_halves=False):
         self.grid = grid
         self.spec = spec
-        self.potential = PotentialSpec(spec.c, spec.sigma, epsilon_reg).sample(grid)
+        # V = c max(|x|, epsilon_reg)^(-sigma), shared with observables.record
+        self.potential = spec.c * grid.radius_power(-spec.sigma, epsilon_reg)
         self._merge = merge_halves and grid.free_flow_composes
         self._pending = None  # dt of the step whose trailing half is owed
         self._free_ops = {}
@@ -233,7 +230,8 @@ def evolve(
     warned_grad = warned_dt = False
 
     if fixed:
-        n_steps = max(1, int(round(cfg.t_end / cfg.dt0)))
+        # a quotient that overflows still makes a run that stops at max_steps
+        n_steps = max(1, round(min(cfg.t_end / cfg.dt0, np.finfo(float).max)))
         dt_fixed = cfg.t_end / n_steps
 
     step = 0

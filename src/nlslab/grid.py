@@ -23,7 +23,6 @@ __all__ = [
     "CartesianGrid",
     "RadialGrid",
     "Field",
-    "PotentialSpec",
     "GridError",
     "InvalidFieldError",
     "mass",
@@ -128,7 +127,7 @@ class CartesianGrid(Grid):
             raise GridError(f"resolution-too-small: n={n} < 8")
         if n & (n - 1):
             raise GridError(f"n={n} must be a power of two")
-        if not 0.0 < L < np.inf:
+        if not (0.0 < 2.0 * L / n and L < np.inf):  # dx must not underflow to 0
             raise GridError(f"box half-width L={L} must be finite and positive")
         self.n = n
         self.L = float(L)
@@ -232,7 +231,7 @@ class RadialGrid(Grid):
         n_r = int(n_r)
         if n_r < 8:
             raise GridError(f"resolution-too-small: n_r={n_r} < 8")
-        if not 0.0 < r_max < np.inf:
+        if not (0.0 < r_max / n_r and r_max < np.inf):  # dr must not underflow
             raise GridError(f"r_max={r_max} must be finite and positive")
         self.n_r = n_r
         self.r_max = float(r_max)
@@ -370,25 +369,6 @@ class Field:
         if not self.is_finite():
             raise InvalidFieldError(f"non-finite field values at t={self.time}")
         return self
-
-
-class PotentialSpec:
-    """Inverse-power potential V(x) = c * max(|x|, eps)^(-sigma).
-
-    eps = 0 is the default and is safe on cell-centered grids; it exists
-    only as an escape hatch for stress tests.
-    """
-
-    def __init__(self, c, sigma, epsilon_reg=0.0):
-        if epsilon_reg < 0:
-            raise ValueError("epsilon_reg must be >= 0")
-        self.c = float(c)
-        self.sigma = float(sigma)
-        self.epsilon_reg = float(epsilon_reg)
-
-    def sample(self, grid):
-        """V on every node, including the coefficient c."""
-        return self.c * grid.radius_power(-self.sigma, self.epsilon_reg)
 
 
 def radius_weight(grid, power):

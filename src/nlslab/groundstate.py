@@ -84,6 +84,8 @@ def _petviashvili(grid, alpha, damping, tol, change_tol, max_iter):
         g = grid.inv_one_minus_lap(nl).real
         lin = grid.integrate(q * q) - grid.integrate(grid.laplacian(q).real * q)
         nld = grid.integrate(nl * q)
+        if not nld > 0.0:  # |q|^alpha underflowed: no rescaling exists
+            break
         q_new = (lin / nld) ** gamma * g
         if damping != 1.0:
             q_new = q + damping * (q_new - q)
@@ -143,6 +145,8 @@ def solve_ground_state(
     field = Field(grid, q, time=0.0)
     m = mass(field)
     k = gradient_norm_sq(field)
+    if not k > 0.0:  # the constant solution of a box too small for Q
+        raise GroundStateError(f"no-convergence: flat profile on {grid.describe()}")
     lp = grid.integrate(np.abs(q) ** (alpha + 2.0))
     gs = GroundState(
         field=field,

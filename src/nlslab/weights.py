@@ -218,7 +218,8 @@ def eval_localized_weight(R, radii_or_grid, d=None) -> LocalizedWeights:
         z2[nc] / rho[nc] - 2.0 * (zp[nc] * rho[nc] - z[nc]) / rho[nc] ** 3
     )
     bilap = np.zeros_like(rho)
-    bilap[nc] = (hpp[nc] + (d - 1) * hp[nc] / rho[nc]) / R**2
+    # a numpy scalar overflows to inf for a huge R, where a float raises
+    bilap[nc] = (hpp[nc] + (d - 1) * hp[nc] / rho[nc]) / np.float64(R) ** 2
     return LocalizedWeights(
         R=float(R),
         d=int(d),

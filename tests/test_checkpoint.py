@@ -71,7 +71,7 @@ def test_rejects_non_checkpoint(tmp_path):
 def test_ground_state_artifact_roundtrip(tmp_path):
     grid = Grid(1, "cartesian", n=256, L=15.0)
     gs = solve_ground_state(1, 2.0, grid)
-    base = save_ground_state(tmp_path, gs, config_hash="ff00")
+    base = save_ground_state(tmp_path, gs, "ff00")
     loaded = load_ground_state(base)
     assert loaded.mass == gs.mass
     assert loaded.kinetic == gs.kinetic

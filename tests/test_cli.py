@@ -1,10 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import nlslab.cli
+from nlslab.checkpoint import write_field
 from nlslab.cli import main
+from nlslab.grid import Field, Grid
 from nlslab.groundstate import solve_ground_state
 
 BASE = """\
@@ -74,17 +77,58 @@ def test_config_invalid_exit_code(tmp_path):
         ("[output]", "[sweep]\nparameter = grid.n\nvalues = 256 100\n[output]"),
         ("alpha = 2.0", "alpha = nan"),
         ("c = 1.0", "c = nan"),
+        ("stride = 20", "stride = 20\nr_list = -1"),
+        ("stride = 20", "stride = 20\nr_list = 0"),
+        ("c = 1.0", "c = 1.0\nepsilon_reg = -1"),
+        ("c = 1.0", "c = 1.0\nepsilon_reg = nan"),
+        ("width = 1.0", "width = 0"),
+        ("width = 1.0", "width = -1"),
+        ("amplitude = 1.0", "amplitude = nan"),
+        ("amplitude = 1.0", "amplitude = 1.0\ncenter = nan"),
+        ("amplitude = 1.0", "amplitude = 1.0\nphase_k = inf"),
+        ("kind = gaussian", "kind = groundstate-scaled\nscale = nan"),
+        ("t_end = 0.2", "t_end = 0.2\nadaptivity = cfl-nonlinear\ncfl_constant = -1"),
+        ("t_end = 0.2", "t_end = 0.2\ncfl_constant = nan"),
+        ("t_end = 0.2", "t_end = 0.2\nblowup_grad_factor = nan"),
+        ("t_end = 0.2", "t_end = 0.2\nblowup_dt_floor = nan"),
+        ("t_end = 0.2", "t_end = 0.2\nblowup_dt_floor = -1"),
+        ("stride = 20", "stride = 20\ntolerance = nan"),
+        ("[groundstate]\n", "[groundstate]\nmax_iter = 0\n"),
+        ("[groundstate]\n", "[groundstate]\ntol = nan\n"),
+        ("[groundstate]\n", "[groundstate]\ntol = -1\n"),
+        ("[output]\n", "[output]\nformats = xml\n"),
+        ("[output]", "[sweep]\nparameter = evolve.dt0\nvalues = 1\nworkers = 0\n[output]"),
+        ("[output]", "[sweep]\nparameter = evolve.dt0\nvalues = 1\nworkers = -3\n[output]"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/not_a_checkpoint.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/short.json"),
     ],
     ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan",
          "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
-         "sweep-n-not-power-of-two", "alpha-nan", "c-nan"],
+         "sweep-n-not-power-of-two", "alpha-nan", "c-nan", "r_list-negative",
+         "r_list-zero", "epsilon_reg-negative", "epsilon_reg-nan", "width-zero",
+         "width-negative", "amplitude-nan", "center-nan", "phase_k-inf", "scale-nan",
+         "cfl_constant-negative", "cfl_constant-nan", "blowup_grad_factor-nan",
+         "blowup_dt_floor-nan", "blowup_dt_floor-negative", "tolerance-nan",
+         "groundstate-max_iter-zero", "groundstate-tol-nan", "groundstate-tol-negative",
+         "formats-xml", "sweep-workers-zero", "sweep-workers-negative",
+         "checkpoint-path-not-a-checkpoint", "checkpoint-path-short-payload"],
 )
-def test_bad_config_values_exit_code(tmp_path, old, new):
+def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     # the first occurrence is the [grid] / [observables] / [evolve] key
     outdir = os.path.join(tmp_path, "run")
+    not_a_checkpoint = os.path.join(tmp_path, "not_a_checkpoint.json")
+    with open(not_a_checkpoint, "w", encoding="utf-8") as fh:
+        json.dump({"config_hash": "0000"}, fh)
+    # a checkpoint header of the run grid whose payload lacks its last byte
+    grid = Grid(1, "cartesian", n=256, L=12.0)
+    write_field(os.path.join(tmp_path, "short"), Field(grid, np.ones(256, complex)))
+    with open(os.path.join(tmp_path, "short.bin"), "r+b") as fh:
+        fh.truncate(16 * 256 - 1)
+    new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
     assert main([command, write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("config-invalid: ")
     # a bad sweep value stops the sweep before its first member runs
     assert not os.path.exists(os.path.join(outdir, "run_000"))
 
@@ -207,6 +251,8 @@ def test_sweep_and_check(tmp_path):
     assert all("completed" in line for line in lines[2:])
     assert os.path.isdir(os.path.join(outdir, "run_000"))
     assert os.path.isdir(os.path.join(outdir, "run_001"))
+    # each run_XXX embeds its member's hash, which check recomputes
+    assert main(["check", path]) == 0
 
 
 def _sweep_cfg(tmp_path, outdir, parameter, values):
@@ -266,6 +312,24 @@ def test_determinism_bit_identical_csv(tmp_path):
         bytes_b = fh.read()
     # identical physics sections; differing output dir does not enter rows
     assert bytes_a.splitlines()[1:] == bytes_b.splitlines()[1:]
+
+
+def test_check_after_two_evolves_in_one_directory(tmp_path):
+    # the second run reuses the first run's ground-state artifact, which
+    # carries the solver hash both configs share and no config hash
+    outdir = os.path.join(tmp_path, "shared")
+    text = BASE.format(outdir=outdir).replace("alpha = 2.0", "alpha = 4.0").replace(
+        "sign = defocusing", "sign = focusing")
+    first, second = (
+        write_cfg(tmp_path, text.replace("amplitude = 1.0", f"amplitude = {a}"), name)
+        for a, name in ((0.5, "a.cfg"), (0.6, "b.cfg")))
+    assert main(["evolve", first]) == 0
+    assert main(["evolve", second]) == 0
+    norms = os.path.join(outdir, "groundstates", "groundstate_d1_alpha4_norms.json")
+    with open(norms, encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    assert "solver_hash" in sidecar and "config_hash" not in sidecar
+    assert main(["check", second]) == 0
 
 
 def test_check_command_hash_consistency(tmp_path):

@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nlslab.cli import main
 from nlslab.config import (
     DEFAULT_CONFIG_TEMPLATE,
     ConfigError,
@@ -128,6 +132,37 @@ def test_one_field_per_file_key():
     assert cfg.grid.L == 10.0
 
 
+# file keys without a declared domain, and what checks their values instead
+_NO_DOMAIN = {
+    ("equation", "sigma"): "EquationSpec, against d",
+    **{("grid", key): "the grid classes" for key in ("mode", "n", "l", "n_r", "r_max")},
+    **{("groundstate", key): "the grid classes" for key in ("n", "l", "n_r", "r_max")},
+    ("initial", "path"): "a path",
+    ("output", "directory"): "a path",
+    ("groundstate", "directory"): "a path",
+    ("sweep", "parameter"): "override, when the sweep runs",
+    ("sweep", "values"): "override, against the target key's domain",
+}
+
+
+def test_every_file_key_declares_a_domain():
+    cfg = parse_config(MINIMAL)
+    for key, (section, name) in _KEYS.items():
+        fields = {f.name: f for f in dataclasses.fields(getattr(cfg, section))}
+        declared = fields[name].metadata.get("domain") is not None
+        assert declared != (key in _NO_DOMAIN), key
+
+
+def test_domain_errors_name_the_file_key():
+    with pytest.raises(ConfigError, match=r"^\[observables\] stride = 0 is outside "
+                                          r"its domain: >= 1$"):
+        parse_config(MINIMAL + "[observables]\nstride = 0\n")
+    with pytest.raises(ConfigError, match=r"^\[output\] formats = \('xml',\) is "
+                                          r"outside its domain: non-empty, each "
+                                          r"element one of csv, json$"):
+        parse_config(MINIMAL + "[output]\nformats = xml\n")
+
+
 def test_unknown_keys_raise():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(MINIMAL + "[observables]\nstrid = 50\n")
@@ -205,3 +240,42 @@ def test_override_returns_buildable_config_or_raises(key, value):
     except ConfigError:
         return
     assert build_grid(cfg).shape
+
+
+# a focusing, mass-critical run of 5 steps on n = 64: the threshold test
+# solves Q, so the [groundstate] keys reach the solver
+_RUN = {
+    "equation": {"d": "1", "alpha": "4.0", "sign": "focusing"},
+    "grid": {"n": "64", "l": "8.0"},
+    "evolve": {"dt0": "1e-3", "t_end": "5e-3", "max_steps": "10"},
+    "observables": {"stride": "2"},
+    "groundstate": {"n": "64", "l": "8.0", "n_r": "256", "r_max": "8.0"},
+}
+# paths are written to, so the property leaves them at their defaults under
+# a scratch directory; a value must also read back from a file unchanged
+_PATHS = {("initial", "path"), ("output", "directory"), ("groundstate", "directory")}
+_FILE_VALUES = _VALUES.filter(lambda v: not any(c in v for c in "\n\r;#"))
+
+
+def _render(sections):
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(set(_KEYS) - _PATHS)), _FILE_VALUES)
+def test_evolve_exits_2_exactly_outside_the_domains(key, value):
+    section, name = key
+    sections = {s: dict(keys) for s, keys in _RUN.items()}
+    sections.setdefault(section, {})[name] = value
+    try:
+        override(parse_config(_render(_RUN)), ".".join(key), value)
+        in_domain = True
+    except ConfigError:
+        in_domain = False
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("exp.cfg", "w", encoding="utf-8") as fh:
+            fh.write(_render(sections))
+        code = main(["evolve", os.path.join(tmp, "exp.cfg")])
+    assert code in ((0, 3, 4) if in_domain else (2,))

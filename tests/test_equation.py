@@ -13,7 +13,6 @@ from nlslab.equation import (
     NEITHER,
     EquationSpec,
     RegimeNotCoveredError,
-    beta_c_rational,
     classify_criticality,
     glassey_delta_negative_energy,
     negativity_margin,
@@ -59,6 +58,11 @@ def test_regime_boundaries_exact():
         above = classify_criticality(spec(d=d, alpha=4.0 / d + 1e-12, sigma=0.4))
         assert above.regime == INTERCRITICAL
     assert classify_criticality(spec(d=3, alpha=4.1)).regime == ENERGY_SUPERCRITICAL
+
+
+def beta_c_rational(d, alpha):
+    """Equivalent form (4 - (d-2) alpha) / (d alpha - 4) of beta_c."""
+    return (4.0 - (d - 2) * alpha) / (d * alpha - 4.0)
 
 
 def test_beta_c_two_forms_agree():

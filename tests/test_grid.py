@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from nlslab.checks import random_band_limited_field, random_radial_field
+from nlslab.equation import EquationSpec
+from nlslab.evolve import SplitStepper
 from nlslab.grid import (
     Field,
     Grid,
     GridError,
     InvalidFieldError,
-    PotentialSpec,
     apply_laplacian,
     boundary_shell_mass_fraction,
     gradient_norm_sq,
@@ -153,18 +154,18 @@ def test_radial_gradient_matches_laplacian_quadratic_form():
 
 def test_potential_finite_and_monotone():
     g = Grid(2, "cartesian", n=128, L=8.0)
-    v = PotentialSpec(1.0, 0.7).sample(g)
+    v = SplitStepper(g, EquationSpec(d=2, c=1.0, sigma=0.7)).potential
     assert np.all(np.isfinite(v))
     assert np.all(v > 0.0)
     g1 = Grid(1, "cartesian", n=128, L=8.0)
-    v1 = PotentialSpec(2.0, 0.5).sample(g1)
+    v1 = SplitStepper(g1, EquationSpec(d=1, c=2.0, sigma=0.5)).potential
     order = np.argsort(g1.radius())
     assert np.all(np.diff(v1[order]) <= 1e-12)
 
 
 def test_potential_epsilon_floor():
     g = Grid(1, "cartesian", n=64, L=4.0)
-    v = PotentialSpec(1.0, 0.5, epsilon_reg=1.0).sample(g)
+    v = SplitStepper(g, EquationSpec(d=1, c=1.0, sigma=0.5), epsilon_reg=1.0).potential
     assert np.max(v) <= 1.0 + 1e-12
 
 
