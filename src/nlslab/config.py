@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equation import (
-    FINITE, DomainError, EquationSpec, above, at_least, check_domains, declared,
-    each, one_of,
+    FINITE, PATH, DomainError, EquationSpec, above, at_least, check_domains,
+    declared, each, one_of,
 )
 from .evolve import EvolveConfig
 from .grid import Field, Grid, GridError
@@ -63,7 +63,7 @@ class InitialConfig:
     center: float = declared(0.0, FINITE)
     phase_k: float = declared(0.0, FINITE)
     scale: float = declared(1.0, FINITE, "multiplier for groundstate-scaled")
-    path: str = declared("", doc="checkpoint header path for kind = checkpoint")
+    path: str = declared("", PATH, "checkpoint header path for kind = checkpoint")
 
 
 @dataclass
@@ -73,7 +73,7 @@ class ObservablesConfig:
 
 @dataclass
 class OutputConfig:
-    directory: str = "runs/out"
+    directory: str = declared("runs/out", PATH)
     formats: tuple[str, ...] = declared(("csv", "json"),
                                         each(one_of("csv", "json"), nonempty=True))
     seed: int = declared(0, at_least(0))
@@ -88,7 +88,7 @@ class GroundStateSolverConfig:
     r_max: float = 20.0
     tol: float = declared(1e-10, above(0.0))
     max_iter: int = declared(500, at_least(1))
-    directory: str = declared("", doc="empty: <output.directory>/groundstates")
+    directory: str = declared("", PATH, "empty: <output.directory>/groundstates")
 
 
 @dataclass

@@ -18,7 +18,7 @@ __all__ = [
     "DomainError",
     "check_domains",
     "declared",
-    "Domain", "FINITE", "one_of", "above", "at_least", "each",
+    "Domain", "FINITE", "PATH", "one_of", "above", "at_least", "each",
     "EquationSpec",
     "CriticalityInfo",
     "ThresholdVerdict",
@@ -56,6 +56,7 @@ class RegimeNotCoveredError(ValueError):
 
 Domain = collections.namedtuple("Domain", "text accepts")  # accepts(value) -> bool
 FINITE = Domain("finite", lambda v: -math.inf < v < math.inf)
+PATH = Domain("a path without NUL characters", lambda v: "\0" not in v)
 
 
 def one_of(*values) -> Domain:
@@ -209,6 +210,42 @@ def _strictly_less(x, y, scale, rel_tol):
     return x < y - rel_tol * scale
 
 
+def _power(x, p):
+    """x ** p for x >= 0; inf where the float overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log(x):
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_mass_ratio(beta, mass, ground_state):
+    """log (M / M_Q)^beta.  beta grows without bound as alpha approaches 4/d
+    from above, where M^beta and M_Q^beta overflow a float but the log of
+    their ratio does not."""
+    return beta * (_log(mass) - _log(ground_state.mass))
+
+
+def _energy_ratio(spec, beta, mass, energy, ground_state):
+    """E M^beta / (E0(Q) M_Q^beta), formed in log space: overflow gives inf
+    and underflow 0, which still order correctly against 1."""
+    d, alpha = spec.d, spec.alpha
+    e0_q = (d * alpha - 4.0) / (2.0 * d * alpha) * ground_state.kinetic
+    log_ratio = _log(abs(energy)) - _log(e0_q)
+    log_ratio += _log_mass_ratio(beta, mass, ground_state)
+    return math.copysign(_exp(log_ratio), energy)
+
+
 def threshold_test(
     spec: EquationSpec,
     mass: float,
@@ -256,20 +293,27 @@ def threshold_test(
 
     if info.regime == INTERCRITICAL:
         beta = info.beta_c
-        q_gm = gradnorm * mass ** (beta / 2.0)
-        b_gm = math.sqrt(ground_state.kinetic) * ground_state.mass ** (beta / 2.0)
-        q_em = energy * mass**beta
+        q_gm = gradnorm * _power(mass, beta / 2.0)
+        b_gm = math.sqrt(ground_state.kinetic) * _power(ground_state.mass, beta / 2.0)
+        q_em = energy * _power(mass, beta)
         # E0(Q) M^beta(Q) = (d alpha - 4)/(2 d alpha) (||grad Q|| ||Q||^beta)^2
-        b_em = (d * alpha - 4.0) / (2.0 * d * alpha) * b_gm**2
+        b_em = (d * alpha - 4.0) / (2.0 * d * alpha) * _power(b_gm, 2)
+        # the verdict reads the ratios, which stay defined where the
+        # products above overflow
+        log_m = _log_mass_ratio(beta, mass, ground_state)
+        ratio_gm = _exp(_log(gradnorm) - 0.5 * _log(ground_state.kinetic) + 0.5 * log_m)
+        ratio_em = _energy_ratio(spec, beta, mass, energy, ground_state)
     else:  # energy-critical, ground_state is a Bubble
         q_em = energy
         b_em = ground_state.energy
         q_gm = gradnorm
         b_gm = math.sqrt(ground_state.kinetic)
+        ratio_gm, ratio_em = q_gm / b_gm, q_em / b_em
 
-    em_below = _strictly_less(q_em, b_em, abs(b_em) + 1e-300, rel_tol)
-    gm_below = _strictly_less(q_gm, b_gm, b_gm, rel_tol)
-    gm_above = _strictly_less(b_gm, q_gm, b_gm, rel_tol)
+    # both bounds are positive: q < b (1 - rel_tol) reads ratio < 1 - rel_tol
+    em_below = ratio_em < 1.0 - rel_tol
+    gm_below = ratio_gm < 1.0 - rel_tol
+    gm_above = ratio_gm > 1.0 + rel_tol
     if em_below and gm_below:
         verdict = GLOBAL_BRANCH
     elif em_below and gm_above:
@@ -312,15 +356,15 @@ def negativity_margin(spec: EquationSpec, mass: float, energy: float, ground_sta
         return None
     beta = info.beta_c
     d, alpha = spec.d, spec.alpha
-    b_gm = math.sqrt(ground_state.kinetic) * ground_state.mass ** (beta / 2.0)
-    bound_em = (d * alpha - 4.0) / (2.0 * d * alpha) * b_gm**2
-    rho = 1.0 - (energy * mass**beta) / bound_em
+    rho = 1.0 - _energy_ratio(spec, beta, mass, energy, ground_state)
     if rho <= 0:
         return None
-    return (
+    delta = (
         2.0
         * (d * alpha - 4.0)
         * rho
         * ground_state.kinetic
-        * (ground_state.mass / mass) ** beta
+        * _power(ground_state.mass / mass, beta)
     )
+    # near the mass-critical power (M_Q/M)^beta may over- or underflow
+    return delta if 0.0 < delta < math.inf else None

@@ -12,6 +12,7 @@ RadialGrid), so callers never branch on the kind.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -47,18 +48,35 @@ class InvalidFieldError(ValueError):
     """A field contains NaN/Inf values and must not be used further."""
 
 
+def _check_float_range(sizes, *powers):
+    """GridError unless every (base, p) in powers has base ** p in the
+    normal float range: the operators of a grid of these sizes form them."""
+    for base, p in powers:
+        try:
+            value = base**p
+        except OverflowError:
+            value = math.inf
+        if not np.finfo(float).tiny <= value < math.inf:
+            raise GridError(f"{sizes}: {base:g}^{p} is outside the float range")
+
+
 def _memoized(method):
-    """Per-grid memo of method(*args), keyed by the method name and args."""
+    """Per-grid memo of method(*args), keyed by the method name and args.
+
+    Threads may race to build one entry; setdefault keeps the first value
+    stored, so every caller receives the same object.
+    """
 
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
-        if key not in self._memo:
+        value = self._memo.get(key)
+        if value is None:
             value = method(self, *args)
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            self._memo[key] = value
-        return self._memo[key]
+            value = self._memo.setdefault(key, value)
+        return value
 
     return cached
 
@@ -132,6 +150,9 @@ class CartesianGrid(Grid):
         self.n = n
         self.L = float(L)
         self.dx = 2.0 * self.L / n
+        # dx^d weighs every quadrature; |k|^2 runs from (pi/L)^2 to d (pi/dx)^2
+        _check_float_range(f"L={L}, n={n}", (self.dx, d), (np.pi / self.L, 2),
+                           (d**0.5 * np.pi / self.dx, 2))
         # nodes at -L + (i + 1/2) dx; none at the origin
         self.axis = -self.L + (np.arange(n) + 0.5) * self.dx
         # wavenumbers (pi/L) * {-n/2, ..., n/2 - 1} in FFT order
@@ -236,6 +257,9 @@ class RadialGrid(Grid):
         self.n_r = n_r
         self.r_max = float(r_max)
         self.dr = self.r_max / n_r
+        # the stencil divides by r^(d-1) dr^2, between (dr/2)^(d+1) and r_max^(d+1)
+        _check_float_range(f"r_max={r_max}, n_r={n_r}", (0.5 * self.dr, d + 1),
+                           (self.r_max, d + 1))
         self.r = (np.arange(n_r) + 0.5) * self.dr
         self.shape = (n_r,)
         # conservative flux form of u'' + (d-1)/r u' on cell faces j*dr;

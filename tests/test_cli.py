@@ -101,6 +101,13 @@ def test_config_invalid_exit_code(tmp_path):
         ("[output]", "[sweep]\nparameter = evolve.dt0\nvalues = 1\nworkers = -3\n[output]"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/not_a_checkpoint.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/short.json"),
+        ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
+        ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
+         "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
+         "d = 2\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
+         "[grid]\nmode = cartesian\nn = 64\nL = 1e200"),
+        # the run directory that follows becomes a comment line
+        ("directory = ", "directory = {tmp}/a\0b\n; "),
     ],
     ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan",
          "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
@@ -111,7 +118,8 @@ def test_config_invalid_exit_code(tmp_path):
          "blowup_dt_floor-nan", "blowup_dt_floor-negative", "tolerance-nan",
          "groundstate-max_iter-zero", "groundstate-tol-nan", "groundstate-tol-negative",
          "formats-xml", "sweep-workers-zero", "sweep-workers-negative",
-         "checkpoint-path-not-a-checkpoint", "checkpoint-path-short-payload"],
+         "checkpoint-path-not-a-checkpoint", "checkpoint-path-short-payload",
+         "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul"],
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     # the first occurrence is the [grid] / [observables] / [evolve] key
@@ -131,6 +139,19 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("config-invalid: ")
     # a bad sweep value stops the sweep before its first member runs
     assert not os.path.exists(os.path.join(outdir, "run_000"))
+
+
+def test_evolve_just_above_the_mass_critical_power(tmp_path):
+    # beta_c is about 4e7 here, so M^beta and M_Q^beta overflow a float
+    outdir = os.path.join(tmp_path, "run")
+    text = BASE.format(outdir=outdir).replace(
+        "alpha = 2.0\nsign = defocusing", "alpha = 4.0000001\nsign = focusing").replace(
+        "n = 256\nL = 12.0", "n = 64\nL = 8.0", 1).replace("t_end = 0.2", "t_end = 5e-3")
+    assert main(["evolve", write_cfg(tmp_path, text)]) == 0
+    with open(os.path.join(outdir, "summary.json"), encoding="utf-8") as fh:
+        threshold = json.load(fh)["threshold"]
+    assert threshold["regime"] == "intercritical"
+    assert threshold["verdict"] == "global-branch"  # M < M_Q, as at alpha = 4
 
 
 def test_evolve_writes_artifacts(tmp_path):

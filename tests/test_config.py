@@ -137,9 +137,6 @@ _NO_DOMAIN = {
     ("equation", "sigma"): "EquationSpec, against d",
     **{("grid", key): "the grid classes" for key in ("mode", "n", "l", "n_r", "r_max")},
     **{("groundstate", key): "the grid classes" for key in ("n", "l", "n_r", "r_max")},
-    ("initial", "path"): "a path",
-    ("output", "directory"): "a path",
-    ("groundstate", "directory"): "a path",
     ("sweep", "parameter"): "override, when the sweep runs",
     ("sweep", "values"): "override, against the target key's domain",
 }

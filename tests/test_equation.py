@@ -171,3 +171,18 @@ def test_negativity_margin_positive_on_blowup_branch():
     delta = negativity_margin(s, mass=2.0, energy=0.05, ground_state=gs)
     assert delta is not None and delta > 0.0
     assert negativity_margin(s, mass=2.0, energy=100.0, ground_state=gs) is None
+
+
+def test_threshold_just_above_the_mass_critical_power():
+    # beta_c is about 4e7: every product M^beta overflows or underflows, but
+    # the verdicts are those of the mass-critical test
+    gs = FakeGroundState(mass=4.0, kinetic=1.0)
+    s = spec(d=1, alpha=4.0000001)
+    assert classify_criticality(s).beta_c > 1e7
+    small = threshold_test(s, mass=1.0, energy=0.5, gradnorm=1.0, ground_state=gs)
+    assert small.verdict == GLOBAL_BRANCH
+    big = threshold_test(s, mass=9.0, energy=-1.0, gradnorm=3.0, ground_state=gs)
+    assert big.verdict == BLOWUP_BRANCH
+    assert math.isinf(big.quantity_gm) and math.isinf(big.bound_gm)
+    assert negativity_margin(s, mass=9.0, energy=-1.0, ground_state=gs) is None
+    assert negativity_margin(s, mass=9.0, energy=1e-300, ground_state=gs) is None

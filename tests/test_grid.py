@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,43 @@ def test_grid_errors():
         Grid(1, "cartesian", n=100, L=4.0)  # not a power of two
     with pytest.raises(GridError):
         Grid(2, "radial", n_r=4, r_max=8.0)
+
+
+@pytest.mark.parametrize("sizes", [
+    dict(d=2, mode="cartesian", n=64, L=1e200),  # dx^d overflows
+    dict(d=1, mode="cartesian", n=64, L=1e-300),  # |k|^2 overflows
+    dict(d=3, mode="radial", n_r=64, r_max=1e200),  # dr^2 overflows
+    dict(d=3, mode="radial", n_r=64, r_max=1e-200),  # dr^2 underflows
+], ids=["cartesian-huge", "cartesian-tiny", "radial-huge", "radial-tiny"])
+def test_grid_sizes_outside_the_float_range(sizes):
+    with pytest.raises(GridError, match="outside the float range"):
+        Grid(**sizes)
+
+
+def test_memo_hands_one_object_to_racing_threads():
+    # threads that build one entry at once all receive the stored array
+    g = Grid(3, "radial", n_r=4096, r_max=32.0)
+    barrier = threading.Barrier(8)
+    got = []
+
+    def build():
+        barrier.wait(timeout=10)
+        got.append(g.radius_power(-1.0, 0.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8
+    assert all(a is got[0] for a in got)
+    assert g.radius_power(-1.0, 0.0) is got[0]
 
 
 def test_gradient_norm_constant_is_zero():

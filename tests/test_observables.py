@@ -1,3 +1,6 @@
+import os
+import random
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,21 @@ def test_scattering_diagnostic_decreasing_increments():
     incs = scattering_cauchy_diagnostic(cps, spec, dt=2e-3)
     assert len(incs) >= 2
     assert incs[0] > incs[-1] > 0.0
+
+
+def test_scattering_pullbacks_on_threads_equal_the_serial_run(monkeypatch):
+    _, spec, cps = _small_defocusing_3d(1.0, checkpoint_stride=100)
+    assert len(cps) >= 4
+    # more threads than checkpoints or cores, then one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    threaded = scattering_cauchy_diagnostic(cps, spec, dt=2e-3)
+    shuffled = list(cps)
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != cps
+    assert scattering_cauchy_diagnostic(shuffled, spec, dt=2e-3) == threaded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert scattering_cauchy_diagnostic(cps, spec, dt=2e-3) == threaded
 
 
 def test_scattering_diagnostic_regime_guard():
