@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -31,7 +32,9 @@ FORMAT_VERSION = 1
 
 
 def atomic_write_bytes(path, data: bytes):
-    tmp = f"{path}.tmp"
+    # a temp name per process and thread: concurrent writers of one path
+    # never share a temp file, and the last rename wins whole
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)

@@ -17,6 +17,7 @@ import operator
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -43,12 +44,13 @@ from .config import (
 )
 from .equation import (
     RegimeNotCoveredError,
+    ThresholdVerdict,
     classify_criticality,
     negativity_margin,
     threshold_test,
 )
 from .evolve import evolve
-from .grid import Grid, GridError, InvalidFieldError
+from .grid import Field, Grid, GridError, InvalidFieldError
 from .groundstate import GroundStateError, make_bubble, solve_ground_state
 from .observables import virial_identity_check, virial_rhs_forms
 
@@ -207,9 +209,18 @@ def _write_summary(path, payload):
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _run_experiment(cfg: ExperimentConfig, run_dir):
-    """Shared evolve pipeline: returns (outcome, summary dict)."""
-    started = time.perf_counter()
+class _PreparedRun(typing.NamedTuple):
+    config_hash: str
+    u0: Field
+    verdict: ThresholdVerdict | None  # None outside the covered regimes
+    glassey_delta: float | None
+    checkpoint_cb: typing.Callable[[Field], None] | None
+
+
+def _prepare_run(cfg: ExperimentConfig) -> _PreparedRun:
+    """The pre-step part of a run: u0, its verdict and Glassey delta, and
+    the checkpoint writer."""
+    run_dir = cfg.output.directory
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
     u0 = _initial_field(cfg)
@@ -227,9 +238,13 @@ def _run_experiment(cfg: ExperimentConfig, run_dir):
         checkpoint_index[0] += 1
 
     cb = checkpoint_cb if cfg.evolve.checkpoint_stride > 0 else None
-    outcome = evolve(u0, cfg.equation, cfg.evolve, checkpoint_cb=cb,
-                     glassey_delta=glassey_delta)
+    return _PreparedRun(chash, u0, verdict, glassey_delta, cb)
 
+
+def _finish_run(cfg: ExperimentConfig, run: _PreparedRun, outcome, started):
+    """The post-step part of a run: series.csv, the final state and
+    summary.json; returns the summary."""
+    run_dir, chash = cfg.output.directory, run.config_hash
     if "csv" in cfg.output.formats:
         atomic_write_text(
             os.path.join(run_dir, "series.csv"),
@@ -249,13 +264,29 @@ def _run_experiment(cfg: ExperimentConfig, run_dir):
         "max_boundary_mass_fraction": outcome.max_boundary_mass_fraction,
         "warnings": outcome.warnings,
         "n_records": len(outcome.records),
-        "threshold": _verdict_dict(verdict),
+        "threshold": _verdict_dict(run.verdict),
         "identity_checks": _identity_checks(outcome, cfg),
         "wall_time_s": time.perf_counter() - started,
     }
     if "json" in cfg.output.formats:
         _write_summary(os.path.join(run_dir, "summary.json"), summary)
-    return outcome, summary
+    return summary
+
+
+def _run_stack(cfgs):
+    """Run configs that differ only in [initial] and output.directory as
+    one stepped stack (one config: a solo run); [(outcome, summary)].
+
+    A member's wall_time_s runs from the start of the stack to its own
+    summary, so it counts the whole shared stepping loop.
+    """
+    started = time.perf_counter()
+    runs = [_prepare_run(cfg) for cfg in cfgs]
+    outcomes = evolve([r.u0 for r in runs], cfgs[0].equation, cfgs[0].evolve,
+                      checkpoint_cb=[r.checkpoint_cb for r in runs],
+                      glassey_delta=[r.glassey_delta for r in runs])
+    return [(outcome, _finish_run(cfg, run, outcome, started))
+            for cfg, run, outcome in zip(cfgs, runs, outcomes)]
 
 
 def cmd_groundstate(cfg: ExperimentConfig) -> int:
@@ -272,7 +303,7 @@ def cmd_groundstate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:
-    outcome, summary = _run_experiment(cfg, cfg.output.directory)
+    [(outcome, _)] = _run_stack([cfg])
     print(
         f"status={outcome.status} t_reached={outcome.t_reached:.6g} "
         f"records={len(outcome.records)}"
@@ -318,8 +349,29 @@ def _sweep_member(cfg: ExperimentConfig, value, index) -> ExperimentConfig:
     return override(member, "output.directory", run_dir)
 
 
-def _sweep_entry(member):
-    return _run_experiment(member, member.output.directory)[1]
+def _stackable(members) -> bool:
+    """Whether the members can step as one stack: fixed dt on a Cartesian
+    grid, with configs that differ only in [initial] and output.directory."""
+    def shared(m):
+        return dataclasses.replace(
+            m, initial=None, output=dataclasses.replace(m.output, directory=""))
+
+    first = members[0]
+    return (first.evolve.adaptivity == "fixed" and first.grid.mode == "cartesian"
+            and all(shared(m) == shared(first) for m in members))
+
+
+def _sweep_stacks(members, workers):
+    """Stackable members in min(workers, K) contiguous stacks, others one
+    member per stack."""
+    if not _stackable(members):
+        return [[m] for m in members]
+    k, n = len(members), min(workers, len(members))
+    return [members[i * k // n:(i + 1) * k // n] for i in range(n)]
+
+
+def _stack_summaries(stack):
+    return [summary for _, summary in _run_stack(stack)]
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -329,15 +381,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     # every member is validated before the first run starts
     members = [_sweep_member(cfg, v, i) for i, v in enumerate(sw.values)]
     os.makedirs(cfg.output.directory, exist_ok=True)
+    stacks = _sweep_stacks(members, sw.workers)
     if sw.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(sw.workers, len(members))
+        workers = min(sw.workers, len(stacks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_sweep_entry, members))
+            per_stack = list(pool.map(_stack_summaries, stacks))
     else:
-        summaries = [_sweep_entry(m) for m in members]
-    results = list(zip(sw.values, summaries))
+        per_stack = [_stack_summaries(stack) for stack in stacks]
+    results = list(zip(sw.values, (s for stack in per_stack for s in stack)))
 
     chash = config_hash(cfg)
     lines = [

@@ -18,6 +18,14 @@ shifted field, which is finite exactly when the true one is.  Adaptive
 runs change dt from step to step and are not merged, and radial grids
 never merge, because Crank-Nicolson halves do not compose.
 
+`evolve` steps a (K, *shape) stack of fields that share a grid, spec
+and fixed dt in one loop, so a sweep over initial data pays numpy's
+per-call overhead once per step instead of K times.  Each member keeps
+its own records, checkpoints, warnings and stop; a member that goes
+non-finite leaves the stack at the step where its solo run would stop.
+A solo run is the stack of one.  The grid operators act on the trailing
+axes, so every row of the stack is bit-identical to its solo run.
+
 The free propagator for -tau is the exact inverse of the one for tau,
 and the phase for -dt likewise inverts the phase for dt.  A linear
 pullback with the negated step therefore undoes the forward linear
@@ -90,7 +98,8 @@ class TrajectoryOutcome:
 class SplitStepper:
     """Cached multipliers / factored operators for one (grid, spec) pair.
 
-    step(u, dt) is one Strang step and returns the field at t + dt.  With
+    step(u, dt) is one Strang step and returns the field at t + dt; u may
+    be one field's values or a (K, *shape) stack of them.  With
     merge_halves on a grid whose free flow composes, step instead leaves
     its trailing A(dt/2) pending and returns the field shifted by it; the
     next step of the same dt applies that half together with its own
@@ -189,45 +198,124 @@ def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:
     return (vdot0 + np.sqrt(vdot0**2 + 2.0 * delta * v0)) / delta
 
 
+class _Member:
+    """The bookkeeping of one trajectory in a stepped stack."""
+
+    def __init__(self, u0, spec, cfg, checkpoint_cb, glassey_delta):
+        u0.require_finite()
+        self.spec, self.cfg, self.checkpoint_cb = spec, cfg, checkpoint_cb
+        self.records, self.shell_max = [], 0.0
+        self.add_record(u0)
+        rec0 = self.records[0]
+        self.grad0 = np.sqrt(rec0.kinetic)
+        self.warnings = []
+        self.warned_grad = self.warned_dt = False
+        if glassey_delta is None:
+            glassey_delta = glassey_delta_negative_energy(spec, rec0.energy)
+        self.bound = None
+        if glassey_delta is not None and glassey_delta > 0 and rec0.virial > 0:
+            vdot0 = observables.morawetz_action(u0, "quadratic")
+            self.bound = float(glassey_upper_bound(rec0.virial, vdot0, glassey_delta))
+        self.last_good = u0.copy()
+        self.outcome = None
+
+    def add_record(self, f):
+        self.records.append(observables.record(
+            f, self.spec, phi_r=tuple(self.cfg.phi_r_list),
+            epsilon_reg=self.cfg.epsilon_reg))
+        self.shell_max = max(self.shell_max, boundary_shell_mass_fraction(f))
+
+    def read(self, f, record, checkpoint):
+        """Record and checkpoint f as due; False when the member stopped."""
+        if record:
+            try:
+                self.add_record(f)
+            except InvalidFieldError as exc:
+                self.stop("invalid", f.time, str(exc))
+                return False
+            grad_now = np.sqrt(self.records[-1].kinetic)
+            grad0 = self.grad0
+            if (grad0 > 0 and grad_now >= self.cfg.blowup_grad_factor * grad0
+                    and not self.warned_grad):
+                self.warnings.append(
+                    f"gradient grew {grad_now / grad0:.1f}x at t={f.time:.6g} "
+                    "without dt collapse"
+                )
+                self.warned_grad = True
+            self.last_good = f.copy()
+        if checkpoint and self.checkpoint_cb is not None:
+            self.checkpoint_cb(f.copy())
+        return True
+
+    def stop(self, status, t, warning=None, field=None):
+        """End the trajectory at t; an invalid one keeps its last good record."""
+        if warning is not None:
+            self.warnings.append(warning)
+        tstar = t if status == "blowup-detected" else None
+        if tstar is not None and self.bound is not None and tstar > 1.2 * self.bound:
+            self.warnings.append(f"Tstar estimate {tstar:.6g} exceeds the "
+                                 f"Glassey bound {self.bound:.6g} by >20%")
+        self.outcome = TrajectoryOutcome(
+            status=status,
+            t_reached=t,
+            tstar_estimate=tstar,
+            glassey_bound=self.bound,
+            records=self.records,
+            final_field=self.last_good if status == "invalid" else field,
+            warnings=self.warnings,
+            max_boundary_mass_fraction=self.shell_max,
+        )
+
+
 def evolve(
-    u0: Field,
+    u0: Field | list[Field],
     spec: EquationSpec,
     cfg: EvolveConfig,
     checkpoint_cb=None,
     glassey_delta=None,
-) -> TrajectoryOutcome:
+) -> TrajectoryOutcome | list[TrajectoryOutcome]:
     """Integrate to t_end or to detected blow-up, recording observables.
 
     Blow-up detection requires both the gradient-growth and the dt-collapse
     criteria; either alone only produces a warning.  On a NaN the run stops
     with status "invalid" and the last good recorded field.
+
+    u0 may also be a list of fields on one grid, with checkpoint_cb and
+    glassey_delta lists of the same length (or None): the fields then
+    advance as one (K, *shape) stack on fixed dt, each with its own
+    records, checkpoints, warnings and stop, and a list of outcomes is
+    returned.  Every member's outcome equals that of its solo run bit for
+    bit, provided every member or none has a checkpoint callback (a
+    checkpoint step settles the whole stack).
     """
-    u0.require_finite()
-    grid = u0.grid
+    if isinstance(u0, Field):
+        return _evolve_stack([u0], spec, cfg, [checkpoint_cb], [glassey_delta])[0]
+    k = len(u0)
+    return _evolve_stack(list(u0), spec, cfg, checkpoint_cb or [None] * k,
+                         glassey_delta or [None] * k)
+
+
+def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
+    grid = fields[0].grid
+    if any(f.grid.describe() != grid.describe() for f in fields):
+        raise ValueError("the fields of a stack must share one grid")
     fixed = cfg.adaptivity == "fixed"
+    if not fixed and len(fields) > 1:
+        raise ValueError("adaptive dt advances one field at a time")
     # a fixed dt merges half-steps between the points that read the field
     stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=fixed)
-    phi_r = tuple(cfg.phi_r_list)
-    rec0 = observables.record(u0, spec, phi_r=phi_r, epsilon_reg=cfg.epsilon_reg)
-    records = [rec0]
-    grad0 = np.sqrt(rec0.kinetic)
-    warnings = []
-
-    delta = glassey_delta
-    if delta is None:
-        delta = glassey_delta_negative_energy(spec, rec0.energy)
-    bound = None
-    if delta is not None and delta > 0 and rec0.virial > 0:
-        vdot0 = observables.morawetz_action(u0, "quadratic")
-        bound = float(glassey_upper_bound(rec0.virial, vdot0, delta))
-
-    u = u0.values.copy()
+    members = [_Member(f, spec, cfg, cb, delta)
+               for f, cb, delta in zip(fields, checkpoint_cbs, glassey_deltas)]
+    live = list(members)  # the members of the rows of u, in order
+    u = np.stack([f.values for f in fields])
     t = 0.0
-    status = "completed"
-    tstar = None
-    shell_max = boundary_shell_mass_fraction(u0)
-    last_good = u0.copy()
-    warned_grad = warned_dt = False
+    checkpoints = cfg.checkpoint_stride > 0 and any(checkpoint_cbs)
+
+    def keep(rows):
+        nonlocal u, live
+        if not all(rows):
+            u = u[np.asarray(rows)]
+            live = [m for m, ok in zip(live, rows) if ok]
 
     if fixed:
         # a quotient that overflows still makes a run that stops at max_steps
@@ -235,7 +323,7 @@ def evolve(
         dt_fixed = cfg.t_end / n_steps
 
     step = 0
-    while True:
+    while live:
         if fixed:
             if step >= n_steps:
                 break
@@ -243,6 +331,7 @@ def evolve(
         else:
             if t >= cfg.t_end * (1.0 - 1e-12):
                 break
+            m = live[0]  # adaptive dt follows its one field
             sup = float(np.max(np.abs(u)))
             dt = cfg.dt0
             if sup > 0.0:
@@ -252,23 +341,19 @@ def evolve(
                     # linear multiplier valid across consecutive steps
                     dt = cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw)))
             if dt < cfg.blowup_dt_floor:
-                grad_now = np.sqrt(gradient_norm_sq(Field(grid, u, t)))
-                if grad0 > 0 and grad_now >= cfg.blowup_grad_factor * grad0:
-                    status = "blowup-detected"
-                    tstar = t
-                    if records[-1].t != t:  # the trajectory up to detection
-                        f = Field(grid, u, t)
-                        records.append(observables.record(
-                            f, spec, phi_r=phi_r, epsilon_reg=cfg.epsilon_reg
-                        ))
-                        shell_max = max(shell_max, boundary_shell_mass_fraction(f))
+                f = Field(grid, u[0], t)
+                grad_now = np.sqrt(gradient_norm_sq(f))
+                if m.grad0 > 0 and grad_now >= cfg.blowup_grad_factor * m.grad0:
+                    if m.records[-1].t != t:  # the trajectory up to detection
+                        m.add_record(f)
+                    m.stop("blowup-detected", t, field=f.copy())
                     break
-                if not warned_dt:
-                    warnings.append(
+                if not m.warned_dt:
+                    m.warnings.append(
                         f"adaptive dt {dt:.3e} fell below the floor at t={t:.6g} "
                         "without gradient growth; clamped"
                     )
-                    warned_dt = True
+                    m.warned_dt = True
                 dt = cfg.blowup_dt_floor
             dt = min(dt, cfg.t_end - t)
 
@@ -277,67 +362,35 @@ def evolve(
         step += 1
         t = step * dt_fixed if fixed else t + dt
 
-        if not np.all(np.isfinite(u.view(np.float64))):
-            status = "invalid"
-            warnings.append(f"non-finite field after step {step} (t={t:.6g})")
-            break
+        finite = np.isfinite(u.view(np.float64)).reshape(len(live), -1).all(axis=1)
+        if not finite.all():
+            for m, ok in zip(live, finite):
+                if not ok:
+                    m.stop("invalid", t, f"non-finite field after step {step} (t={t:.6g})")
+            keep(finite)
+            if not live:
+                break
 
         at_end = (fixed and step == n_steps) or (
             not fixed and t >= cfg.t_end * (1.0 - 1e-12)
         )
         record_now = step % cfg.record_stride == 0 or at_end
-        checkpoint_now = (
-            checkpoint_cb is not None and cfg.checkpoint_stride > 0
-            and (step % cfg.checkpoint_stride == 0 or at_end)
-        )
+        checkpoint_now = checkpoints and (step % cfg.checkpoint_stride == 0 or at_end)
         if record_now or checkpoint_now or step >= cfg.max_steps:
             u = stepper.settle(u)
-        if record_now:
-            f = Field(grid, u, t)
-            try:
-                records.append(
-                    observables.record(
-                        f, spec, phi_r=phi_r, epsilon_reg=cfg.epsilon_reg
-                    )
-                )
-            except InvalidFieldError as exc:
-                status = "invalid"
-                warnings.append(str(exc))
-                break
-            shell_max = max(shell_max, boundary_shell_mass_fraction(f))
-            grad_now = np.sqrt(records[-1].kinetic)
-            if grad0 > 0 and grad_now >= cfg.blowup_grad_factor * grad0 and not warned_grad:
-                warnings.append(
-                    f"gradient grew {grad_now / grad0:.1f}x at t={t:.6g} "
-                    "without dt collapse"
-                )
-                warned_grad = True
-            last_good = f.copy()
-        if checkpoint_now:
-            checkpoint_cb(Field(grid, u.copy(), t))
+        if record_now or checkpoint_now:
+            # a comprehension: no loop variable keeps a row of u alive
+            keep([m.read(Field(grid, row, t), record_now, checkpoint_now)
+                  for m, row in zip(live, u)])
         if step >= cfg.max_steps:
-            status = "invalid"
-            warnings.append(f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
+            for m in live:
+                m.stop("invalid", t, f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
             break
 
-    if status == "invalid":
-        final_field = last_good
-    else:
-        final_field = Field(grid, u.copy(), t)
-    if status == "blowup-detected" and bound is not None and tstar > 1.2 * bound:
-        warnings.append(
-            f"Tstar estimate {tstar:.6g} exceeds the Glassey bound {bound:.6g} by >20%"
-        )
-    return TrajectoryOutcome(
-        status=status,
-        t_reached=t,
-        tstar_estimate=tstar,
-        glassey_bound=bound,
-        records=records,
-        final_field=final_field,
-        warnings=warnings,
-        max_boundary_mass_fraction=shell_max,
-    )
+    for m, row in zip(live, u):
+        if m.outcome is None:
+            m.stop("completed", t, field=Field(grid, row.copy(), t))
+    return [m.outcome for m in members]
 
 
 def evolve_linear(u0: Field, spec: EquationSpec, duration: float, dt: float) -> Field:

@@ -7,6 +7,11 @@ regularization.
 Each grid kind is one class that owns every operator of its
 discretization (spectral on CartesianGrid, a conservative stencil on
 RadialGrid), so callers never branch on the kind.
+
+The free propagators act on the trailing axes that hold the grid's
+shape, so a (K, *shape) stack of fields advances in one call, each row
+bit-identical to the same call on that row alone.  CartesianGrid's
+Laplacian and (1 - Lap)^(-1) do the same.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "weighted_norm",
     "h1_norm",
     "radius_weight",
-    "apply_laplacian",
     "boundary_shell_mass_fraction",
 ]
 
@@ -197,20 +201,43 @@ class CartesianGrid(Grid):
         """Quadrature of a scalar sample: midpoint rule on the uniform grid."""
         return float(np.sum(values).real) * self.cell_volume
 
+    def _fourier_multiplier(self, mult):
+        """u -> the multiplier mult applied over u's trailing d axes.
+
+        A complex product's rounding depends on the order of its
+        operands.  numpy evaluates one field's `mult * fftn(u)` as
+        `fftn(u) * mult` once the spectrum reaches 256 KiB (it computes
+        into the temporary), so the order is fixed per grid to match:
+        stack rows and solo fields keep the bits solo runs always had.
+        """
+        axes = range(-1, -self.d - 1, -1)  # fftn's order, without its overhead
+        spectrum_first = 16 * math.prod(self.shape) >= 256 * 1024
+
+        def apply(u):
+            for ax in axes:
+                u = np.fft.fft(u, axis=ax)
+            if spectrum_first:
+                u *= mult
+            else:
+                np.multiply(mult, u, out=u)
+            for ax in axes:
+                u = np.fft.ifft(u, axis=ax)
+            return u
+
+        return apply
+
     def laplacian(self, u):
         """Spectral Laplacian: the Fourier multiplier -|k|^2."""
-        return np.fft.ifftn(-self.k_squared() * np.fft.fftn(u))
+        return self._fourier_multiplier(-self.k_squared())(u)
 
     def free_propagator(self, tau):
         """Exact free flow exp(i tau Lap), as a map u -> u(tau)."""
         arg = tau * self.k_squared()
-        mult = np.cos(arg) - 1j * np.sin(arg)
-        return lambda u: np.fft.ifftn(mult * np.fft.fftn(u))
+        return self._fourier_multiplier(np.cos(arg) - 1j * np.sin(arg))
 
     @_memoized
     def _elliptic_solver(self):
-        mult = 1.0 / (1.0 + self.k_squared())
-        return lambda rhs: np.fft.ifftn(mult * np.fft.fftn(rhs))
+        return self._fourier_multiplier(1.0 / (1.0 + self.k_squared()))
 
     def grad_sq(self, u):
         """||grad u||_L2^2 from the spectral multiplier |k|^2."""
@@ -313,12 +340,13 @@ class RadialGrid(Grid):
         """Crank-Nicolson free flow in Cayley form u+ = 2 (I - zL)^(-1) u - u.
 
         z = i tau/2; unitary in the weighted inner product in which L is
-        symmetric, and exactly inverted by the map for -tau.
+        symmetric, and exactly inverted by the map for -tau.  A (K, n_r)
+        stack is solved as K right-hand sides of one back-substitution.
         """
         solve = self.factor_shifted_laplacian(0.5j * tau)
 
         def step(u):
-            out = solve(u)
+            out = solve(u.T).T
             out *= 2.0
             out -= u
             return out
@@ -430,11 +458,6 @@ def weighted_norm(f: Field, weight) -> float:
 def h1_norm(f: Field) -> float:
     """(mass + kinetic)^(1/2) in the flat metric."""
     return float(np.sqrt(mass(f) + gradient_norm_sq(f)))
-
-
-def apply_laplacian(f: Field):
-    """Discrete Laplacian: spectral (Cartesian) or conservative stencil (radial)."""
-    return f.grid.laplacian(f.values)
 
 
 def boundary_shell_mass_fraction(f: Field) -> float:

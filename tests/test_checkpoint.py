@@ -1,10 +1,13 @@
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from nlslab.checkpoint import (
+    atomic_write_bytes,
     load_ground_state,
     read_field,
     save_ground_state,
@@ -77,3 +80,39 @@ def test_ground_state_artifact_roundtrip(tmp_path):
     assert loaded.kinetic == gs.kinetic
     assert loaded.gn_constant == gs.gn_constant
     assert np.array_equal(loaded.field.values, gs.field.values)
+
+
+def test_concurrent_writers_of_one_path(tmp_path):
+    path = os.path.join(tmp_path, "shared.bin")
+    payloads = [bytes([i]) * (1 << 18) for i in (1, 2)]
+    errors = []
+    together = threading.Barrier(2, timeout=60)  # each round's writes overlap
+
+    def writer(data):
+        try:
+            for _ in range(200):
+                together.wait()
+                atomic_write_bytes(path, data)
+        except (OSError, threading.BrokenBarrierError) as exc:
+            errors.append(exc)
+            together.abort()
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    with open(path, "rb") as fh:
+        assert fh.read() in payloads
+    assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+    # the mode of a plain open(), not mkstemp's 0600
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask

@@ -7,6 +7,7 @@ import pytest
 import nlslab.cli
 from nlslab.checkpoint import write_field
 from nlslab.cli import main
+from nlslab.config import build_grid, load_config, parse_config
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import solve_ground_state
 
@@ -363,3 +364,151 @@ def test_check_command_hash_consistency(tmp_path):
     with open(bogus, "w", encoding="utf-8") as fh:
         json.dump({"config_hash": "0000"}, fh)
     assert main(["check", path]) == 4
+
+
+# -- sweeps over [initial] on fixed dt advance as one stack ---------------
+
+STACK_2D = ("d = 1\nc = 1.0", "d = 2\nc = 1.0"), ("n = 256\nL = 12.0", "n = 64\nL = 8.0")
+
+
+def _stack_sweep_text(outdir, d, workers):
+    # 50 steps: records every 7 (not a divisor), checkpoints every 4
+    text = BASE.format(outdir=outdir).replace(
+        "t_end = 0.2", "t_end = 0.05\ncheckpoint_stride = 4").replace(
+        "stride = 20", "stride = 7")
+    if d == 2:
+        for old, new in STACK_2D:
+            text = text.replace(old, new, 1)
+    return text + ("\n[sweep]\nparameter = initial.amplitude\n"
+                   f"values = 0.5 1.0 1.5\nworkers = {workers}\n")
+
+
+def _tree(directory):
+    """{relative path: bytes} of every file under directory; summary.json
+    without its wall time."""
+    found = {}
+    for root, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "summary.json":
+                summary = json.loads(data)
+                del summary["wall_time_s"]
+                data = summary
+            found[os.path.relpath(path, directory)] = data
+    return found
+
+
+def _assert_members_equal_solo_runs(cfg_path, outdir):
+    """Every run_XXX of the sweep in outdir is what `nlslab evolve` writes
+    for that member's config."""
+    cfg = load_config(cfg_path)
+    swept = _tree(outdir)
+    os.rename(outdir, outdir + "_sweep")
+    for i, value in enumerate(cfg.sweep.values):
+        member = nlslab.cli._sweep_member(cfg, value, i)
+        nlslab.cli.cmd_evolve(member)
+        solo = _tree(member.output.directory)
+        run = os.path.basename(member.output.directory)
+        assert solo == {os.path.relpath(k, run): v for k, v in swept.items()
+                        if k.startswith(run + os.sep)}
+    return swept
+
+
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """Sizes of the stacks that cli.evolve was given."""
+    sizes = []
+    evolve = nlslab.cli.evolve
+
+    def counting_evolve(u0, *args, **kwargs):
+        sizes.append(len(u0))
+        return evolve(u0, *args, **kwargs)
+
+    monkeypatch.setattr(nlslab.cli, "evolve", counting_evolve)
+    return sizes
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacked_sweep_members_equal_their_solo_runs(tmp_path, d, workers):
+    outdir = os.path.join(tmp_path, "sweep")
+    path = write_cfg(tmp_path, _stack_sweep_text(outdir, d, workers))
+    assert main(["sweep", path]) == 0
+    swept = _assert_members_equal_solo_runs(path, outdir)
+    # 50 steps: 0, 7, ..., 49 and the end; 12, 24, ..., 48 and the end
+    assert swept["run_002/series.csv"].count(b"\n") == 2 + 9
+    assert sum(k.startswith("run_000/checkpoint_") for k in swept) == 2 * 13
+
+
+def test_sweep_over_initial_data_runs_as_one_stack(tmp_path, evolve_calls):
+    outdir = os.path.join(tmp_path, "sweep")
+    assert main(["sweep", write_cfg(tmp_path, _stack_sweep_text(outdir, 1, 1))]) == 0
+    assert evolve_calls == [3]
+
+
+def test_stacks_split_contiguously_over_workers(tmp_path):
+    path = write_cfg(tmp_path, _stack_sweep_text(os.path.join(tmp_path, "s"), 1, 1)
+                     .replace("values = 0.5 1.0 1.5", "values = 1 2 3 4 5 6 7"))
+    cfg = load_config(path)
+    members = [nlslab.cli._sweep_member(cfg, v, i) for i, v in enumerate(cfg.sweep.values)]
+    for workers, sizes in ((1, [7]), (2, [3, 4]), (3, [2, 2, 3]), (9, [1] * 7)):
+        stacks = nlslab.cli._sweep_stacks(members, workers)
+        assert [len(s) for s in stacks] == sizes
+        assert [m for s in stacks for m in s] == members
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the alpha = 1e5 Q solve fails
+def test_member_leaving_the_stack_stops_at_its_solo_step(tmp_path, monkeypatch):
+    # the chirped Gaussian of test_overflow_inside_merged_stretch_stops_at_the_same_step:
+    # at amplitude 1 |u|^alpha overflows at step 9, at amplitude 0.5 it never does
+    def chirped(cfg):
+        grid = build_grid(cfg)
+        z = 1.0 - 2.0j
+        return Field(grid, cfg.initial.amplitude * 1.25
+                     * np.exp(-grid.axis**2 / (2.0 * z)) / np.sqrt(z))
+
+    monkeypatch.setattr(nlslab.cli, "_initial_field", chirped)
+    outdir = os.path.join(tmp_path, "sweep")
+    text = BASE.format(outdir=outdir).replace(
+        "c = 1.0", "c = 0.0").replace("alpha = 2.0", "alpha = 1e5").replace(
+        "n = 256\nL = 12.0", "n = 256\nL = 20.0", 1).replace(
+        "dt0 = 1e-3\nt_end = 0.2", "dt0 = 0.05\nt_end = 1.0\ncheckpoint_stride = 3").replace(
+        "stride = 20", "stride = 5").replace("[groundstate]\n", "[groundstate]\nmax_iter = 1\n")
+    text += "\n[sweep]\nparameter = initial.amplitude\nvalues = 1.0 0.5\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["sweep", path]) == 0
+    swept = _assert_members_equal_solo_runs(path, outdir)
+    overflowed, completed = swept["run_000/summary.json"], swept["run_001/summary.json"]
+    assert overflowed["status"] == "invalid"
+    assert overflowed["t_reached"] == 9 * 0.05
+    assert overflowed["warnings"] == ["non-finite field after step 9 (t=0.45)"]
+    assert overflowed["n_records"] == 2  # t = 0 and step 5
+    assert completed["status"] == "completed" and completed["n_records"] == 5
+
+
+@pytest.mark.parametrize("old, new, parameter, values", [
+    ("t_end = 0.2", "t_end = 0.05\nadaptivity = cfl-nonlinear",
+     "initial.amplitude", "0.5 1.0"),
+    ("d = 1\nc = 1.0", "d = 2\nc = 1.0", "initial.amplitude", "0.5 1.0"),
+    ("t_end = 0.2", "t_end = 0.05", "observables.stride", "10 50"),
+], ids=["adaptive", "radial", "observables-stride"])
+def test_ineligible_sweeps_run_member_by_member(tmp_path, evolve_calls, old, new,
+                                                parameter, values):
+    text = BASE.format(outdir=os.path.join(tmp_path, "sweep")).replace(old, new, 1)
+    if "d = 2" in new:
+        text = text.replace("t_end = 0.2", "t_end = 0.05").replace(
+            "mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 12.0")
+    text += f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+    assert main(["sweep", write_cfg(tmp_path, text)]) == 0
+    assert evolve_calls == [1, 1]
+
+
+def test_c7c_ladder_runs_member_by_member():
+    from test_acceptance import CFG_C7C
+
+    cfg = parse_config(CFG_C7C.format(outdir="unused"))
+    members = [nlslab.cli._sweep_member(cfg, v, i) for i, v in enumerate(cfg.sweep.values)]
+    for workers in (1, 2):
+        assert nlslab.cli._sweep_stacks(members, workers) == [[m] for m in members]

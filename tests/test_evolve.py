@@ -16,7 +16,6 @@ from nlslab.grid import (
     Field,
     Grid,
     InvalidFieldError,
-    apply_laplacian,
     gradient_norm_sq,
     h1_norm,
     mass,
@@ -140,7 +139,7 @@ def test_cayley_half_step_matches_two_sided_solve():
     ab[0, 1:] = -z * g.lap_upper
     ab[1, :] = 1.0 - z * g.lap_diag
     ab[2, :-1] = -z * g.lap_lower
-    ref = solve_banded((1, 1), ab, u + z * apply_laplacian(Field(g, u)))
+    ref = solve_banded((1, 1), ab, u + z * g.laplacian(u))
     got = g.free_propagator(0.5 * dt)(u)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -369,3 +368,19 @@ def test_cartesian_linear_flow_forward_then_back():
     u0 = random_band_limited_field(g, 5)
     back = evolve_linear(evolve_linear(u0, spec, 0.5, 1e-3), spec, -0.5, 1e-3)
     assert np.max(np.abs(back.values - u0.values)) <= 1e-12 * np.max(np.abs(u0.values))
+
+
+def test_stack_needs_one_grid_and_a_fixed_dt():
+    spec = free_spec()
+    g = Grid(1, "cartesian", n=64, L=5.0)
+    u0 = Field(g, np.exp(-g.axis**2).astype(complex))
+    other = Field(Grid(1, "cartesian", n=64, L=6.0), u0.values)
+    with pytest.raises(ValueError, match="one grid"):
+        evolve([u0, other], spec, EvolveConfig(dt0=1e-3, t_end=0.01))
+    with pytest.raises(ValueError, match="adaptive"):
+        evolve([u0, u0], spec, EvolveConfig(dt0=1e-3, t_end=0.01,
+                                            adaptivity="cfl-nonlinear"))
+    solo = evolve(u0, spec, EvolveConfig(dt0=1e-3, t_end=0.01, record_stride=3))
+    [stacked] = evolve([u0], spec, EvolveConfig(dt0=1e-3, t_end=0.01, record_stride=3))
+    assert stacked.records == solo.records
+    assert stacked.final_field.values.tobytes() == solo.final_field.values.tobytes()

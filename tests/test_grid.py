@@ -12,7 +12,6 @@ from nlslab.grid import (
     Grid,
     GridError,
     InvalidFieldError,
-    apply_laplacian,
     boundary_shell_mass_fraction,
     gradient_norm_sq,
     mass,
@@ -187,7 +186,7 @@ def test_radial_gradient_matches_laplacian_quadratic_form():
     # <-Lap u, u> must equal the face-difference gradient norm exactly
     g = Grid(3, "radial", n_r=512, r_max=10.0)
     f = random_radial_field(g, 11)
-    lap = apply_laplacian(f)
+    lap = f.grid.laplacian(f.values)
     quad_form = -g.integrate(np.conj(f.values) * lap)
     assert abs(quad_form - gradient_norm_sq(f)) <= 1e-12 * abs(quad_form)
 
@@ -235,3 +234,51 @@ def test_operator_inverse_pairs(grid, random_field):
     tau = 0.05
     there_and_back = grid.free_propagator(-tau)(grid.free_propagator(tau)(v))
     assert np.linalg.norm(there_and_back - v) <= 1e-13 * np.linalg.norm(v)
+
+
+STACK_GRIDS = [
+    Grid(1, "cartesian", n=1024, L=20.0),
+    Grid(1, "cartesian", n=16384, L=200.0),
+    Grid(2, "cartesian", n=64, L=8.0),
+    Grid(2, "cartesian", n=128, L=8.0),
+    Grid(3, "cartesian", n=16, L=4.0),
+    Grid(3, "cartesian", n=32, L=4.0),
+]
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
+def test_operators_on_a_stack_equal_the_per_member_calls(grid):
+    # fields above and below 256 KiB, where the multiplier's operand order flips
+    stack = np.stack([random_band_limited_field(grid, seed).values for seed in range(4)])
+    ops = {
+        "free": grid.free_propagator(0.05),
+        "laplacian": grid.laplacian,
+        "inv_one_minus_lap": grid.inv_one_minus_lap,
+    }
+    for rows in (slice(None), [0, 2, 3]):  # the full stack, then one member gone
+        sub = stack[rows]
+        for name, op in ops.items():
+            got = op(sub)
+            assert got.shape == sub.shape
+            for row, u in zip(got, sub):
+                assert row.tobytes() == op(u).tobytes(), name
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
+def test_free_propagator_keeps_the_bits_of_the_plain_product(grid):
+    # a solo field gets exactly what numpy gives `ifftn(mult * fftn(u))`
+    u = random_band_limited_field(grid, 1).values
+    arg = 0.05 * grid.k_squared()
+    mult = np.cos(arg) - 1j * np.sin(arg)
+    want = np.fft.ifftn(mult * np.fft.fftn(u))
+    assert grid.free_propagator(0.05)(u).tobytes() == want.tobytes()
+
+
+def test_radial_free_propagator_on_a_stack():
+    g = Grid(3, "radial", n_r=512, r_max=10.0)
+    stack = np.stack([random_radial_field(g, seed).values for seed in range(3)])
+    op = g.free_propagator(0.05)
+    for sub in (stack, stack[[0, 2]]):
+        got = op(sub)
+        for row, u in zip(got, sub):
+            assert row.tobytes() == op(u).tobytes()
