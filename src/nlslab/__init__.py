@@ -47,7 +47,6 @@ from .evolve import (
     evolve,
     evolve_linear,
     glassey_upper_bound,
-    step_strang,
 )
 from .observables import (
     IdentityCheck,

@@ -112,7 +112,8 @@ def _initial_field(cfg: ExperimentConfig):
     ground_state = None
     if cfg.initial.kind == "groundstate-scaled":
         ground_state = solve_ground_state(
-            cfg.equation.d, cfg.equation.alpha, grid, tol=cfg.groundstate.tol
+            cfg.equation.d, cfg.equation.alpha, grid, tol=cfg.groundstate.tol,
+            max_iter=cfg.groundstate.max_iter,
         )
     return build_initial_field(cfg, grid, ground_state)
 

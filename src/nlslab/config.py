@@ -321,10 +321,9 @@ def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) ->
         f = read_field(ini.path)
     except ValueError as exc:
         raise ConfigError(f"[initial] path: {exc}") from exc
-    if f.grid.shape != grid.shape:
-        raise ConfigError(
-            f"checkpoint grid {f.grid.shape} does not match run grid {grid.shape}"
-        )
+    if f.grid.describe() != grid.describe():
+        raise ConfigError(f"checkpoint grid {f.grid.describe()} does not match "
+                          f"run grid {grid.describe()}")
     return f
 
 

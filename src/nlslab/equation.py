@@ -126,10 +126,6 @@ class EquationSpec:
             )
 
     @property
-    def repulsive(self) -> bool:
-        return self.c > 0.0
-
-    @property
     def outside_dichotomy_theory(self) -> bool:
         """c <= 0 runs are accepted for exploration, but the global/blow-up
         dichotomy classification (threshold_test) does not apply to them."""

@@ -56,7 +56,6 @@ __all__ = [
     "EvolveConfig",
     "TrajectoryOutcome",
     "SplitStepper",
-    "step_strang",
     "evolve",
     "evolve_linear",
     "glassey_upper_bound",
@@ -172,19 +171,6 @@ class SplitStepper:
             return u
         dt, self._pending = self._pending, None
         return self._free(u, 0.5 * dt)
-
-
-def step_strang(u: Field, spec: EquationSpec, dt: float, stepper=None) -> Field:
-    """Advance one Strang step; raises InvalidFieldError on NaN output."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    u.require_finite()
-    if stepper is None:
-        stepper = SplitStepper(u.grid, spec)
-    values = stepper.step(u.values, dt)
-    out = Field(u.grid, values, u.time + dt)
-    out.require_finite()
-    return out
 
 
 def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:

@@ -210,21 +210,29 @@ class CartesianGrid(Grid):
         into the temporary), so the order is fixed per grid to match:
         stack rows and solo fields keep the bits solo runs always had.
         """
-        axes = range(-1, -self.d - 1, -1)  # fftn's order, without its overhead
         spectrum_first = 16 * math.prod(self.shape) >= 256 * 1024
 
         def apply(u):
-            for ax in axes:
-                u = np.fft.fft(u, axis=ax)
+            u = self._fft(u)
             if spectrum_first:
                 u *= mult
             else:
                 np.multiply(mult, u, out=u)
-            for ax in axes:
-                u = np.fft.ifft(u, axis=ax)
-            return u
+            return self._ifft(u)
 
         return apply
+
+    # fftn's and ifftn's transforms over u's trailing d axes, one axis at a
+    # time in their order: the same bits, without fftn's argument handling
+    def _fft(self, u):
+        for ax in range(-1, -self.d - 1, -1):
+            u = np.fft.fft(u, axis=ax)
+        return u
+
+    def _ifft(self, u):
+        for ax in range(-1, -self.d - 1, -1):
+            u = np.fft.ifft(u, axis=ax)
+        return u
 
     def laplacian(self, u):
         """Spectral Laplacian: the Fourier multiplier -|k|^2."""
@@ -241,7 +249,7 @@ class CartesianGrid(Grid):
 
     def grad_sq(self, u):
         """||grad u||_L2^2 from the spectral multiplier |k|^2."""
-        uh = np.fft.fftn(u)
+        uh = self._fft(u)
         k2_uh2 = self.k_squared() * np.abs(uh) ** 2
         return float(np.sum(k2_uh2)) * self.cell_volume / uh.size
 
@@ -439,7 +447,7 @@ def mass(f: Field) -> float:
 
 def mass_fourier(f: Field) -> float:
     """Mass evaluated from Fourier coefficients (Parseval); Cartesian only."""
-    fh = np.fft.fftn(f.values)
+    fh = f.grid._fft(f.values)
     return float(np.sum(np.abs(fh) ** 2)) * f.grid.cell_volume / fh.size
 
 

@@ -16,6 +16,11 @@ phi_R(x) = R^2 chi(|x|/R); it satisfies pointwise
     2 - phi_R'' >= 0,  2 - phi_R'/r >= 0,  2d - Lap phi_R >= 0,
 
 and chi'' <= 2 everywhere.
+
+zeta is written once, as a table of these four polynomial pieces, each in
+its own local variable.  zeta's derivatives and chi (integrated piece by
+piece from chi's value at the piece's start) all come from that table,
+and the bridge reads its left-end data off the cubic piece.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 __all__ = [
     "BRIDGE_LEFT",
@@ -45,104 +51,61 @@ class BridgeConstructionError(RuntimeError):
     """The bridge polynomial failed its monotonicity certificate."""
 
 
-def _bridge_coefficients():
-    # quintic p(s) on s in [0,1], s = (r - BRIDGE_LEFT) / h, matching
-    # (value, d1, d2) of the cubic region at s=0 and (0, 0, 0) at s=1
+def _bridge(cubic):
+    # the quintic in s = (r - BRIDGE_LEFT) / h that takes zeta, zeta' and
+    # zeta'' from the cubic piece at s = 0 and brings all three to 0 at s = 1
     h = BRIDGE_RIGHT - BRIDGE_LEFT
-    a = BRIDGE_LEFT
-    za = 2.0 * (a - (a - 1.0) ** 3)
-    d2za = -12.0 * (a - 1.0)
-    m = np.zeros((6, 6))
-    rhs = np.array([za, 0.0, d2za * h * h, 0.0, 0.0, 0.0])
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
-    m[2, 2] = 2.0
-    for j in range(6):
-        m[3, j] = 1.0
-        m[4, j] = j
-        m[5, j] = j * (j - 1)
-    return np.linalg.solve(m, rhs), h
+    powers = [Polynomial.basis(j) for j in range(6)]
+    m = [[p.deriv(k)(s) for p in powers] for s in (0.0, 1.0) for k in range(3)]
+    rhs = [cubic.deriv(k)(BRIDGE_LEFT) * h**k for k in range(3)] + [0.0] * 3
+    return Polynomial(np.linalg.solve(m, rhs), [BRIDGE_LEFT, BRIDGE_RIGHT], [0.0, 1.0])
 
 
-_BRIDGE_COEF, _BRIDGE_H = _bridge_coefficients()
-# antiderivative coefficients of the bridge polynomial (for chi)
-_BRIDGE_INT = _BRIDGE_COEF / (np.arange(6) + 1.0)
-
-# chi at the left bridge endpoint and its constant plateau value
-_CHI_AT_LEFT = BRIDGE_LEFT**2 - (BRIDGE_LEFT - 1.0) ** 4 / 2.0
-_CHI_PLATEAU = _CHI_AT_LEFT + _BRIDGE_H * float(np.sum(_BRIDGE_INT))
-
-
-def _poly(coef, s):
-    out = np.zeros_like(s)
-    for c in coef[::-1]:
-        out = out * s + c
-    return out
-
-
-def _bridge_value(r, derivative=0):
-    s = (r - BRIDGE_LEFT) / _BRIDGE_H
-    c = _BRIDGE_COEF
-    for _ in range(derivative):
-        c = c[1:] * np.arange(1, len(c))
-    return _poly(c, s) / _BRIDGE_H**derivative
+def _table():
+    # row i: piece i's own variable s = off + scl r, and the coefficients in
+    # s of chi, zeta, zeta', zeta'' and zeta''' there (column k is chi's k-th
+    # derivative); chi starts each piece at the value the one before reached
+    core = Polynomial([0.0, 2.0])
+    cubic = Polynomial([2.0, 2.0, 0.0, -2.0], [1.0, 2.0], [0.0, 1.0])  # s = r - 1
+    pieces = (core, cubic, _bridge(cubic), Polynomial([0.0]))
+    rows, chi = [], Polynomial([0.0])
+    for start, z in zip((0.0, 1.0, BRIDGE_LEFT, BRIDGE_RIGHT), pieces):
+        chi = z.integ(k=chi(start), lbnd=start)
+        columns = [chi] + [z.deriv(k) for k in range(4)]
+        rows.append((z.mapparms(), [p.coef for p in columns]))
+    return rows
 
 
-def _regions(r):
+_TABLE = _table()
+
+
+def _chi_derivatives(r, orders=range(5)):
+    """chi's derivatives of the given orders at r (order 1 is zeta)."""
     r = np.asarray(r, dtype=float)
-    return (
-        r,
-        r <= 1.0,
-        (r > 1.0) & (r <= BRIDGE_LEFT),
-        (r > BRIDGE_LEFT) & (r < BRIDGE_RIGHT),
-        r >= BRIDGE_RIGHT,
-    )
+    # pieces [0, 1], (1, BRIDGE_LEFT], (BRIDGE_LEFT, 2) and [2, inf)
+    piece = (r > 1.0).astype(int) + (r > BRIDGE_LEFT) + (r >= BRIDGE_RIGHT)
+    outs = [np.empty_like(r) for _ in orders]
+    for i, ((off, scl), coefs) in enumerate(_TABLE):
+        at = piece == i
+        s = off + scl * r[at]
+        for out, k in zip(outs, orders):
+            value = coefs[k][-1]  # Horner's rule, a scalar for a constant
+            for c in coefs[k][-2::-1]:
+                value = value * s + c
+            out[at] = value
+    return outs
 
 
 def zeta(r):
-    r, m1, m2, m3, _ = _regions(r)
-    out = np.zeros_like(r)
-    out[m1] = 2.0 * r[m1]
-    out[m2] = 2.0 * (r[m2] - (r[m2] - 1.0) ** 3)
-    out[m3] = _bridge_value(r[m3])
-    return out
+    return _chi_derivatives(r, [1])[0]
 
 
 def zeta_prime(r):
-    r, m1, m2, m3, _ = _regions(r)
-    out = np.zeros_like(r)
-    out[m1] = 2.0
-    out[m2] = 2.0 * (1.0 - 3.0 * (r[m2] - 1.0) ** 2)
-    out[m3] = _bridge_value(r[m3], 1)
-    return out
-
-
-def _zeta_second(r):
-    r, m1, m2, m3, _ = _regions(r)
-    out = np.zeros_like(r)
-    out[m1] = 0.0
-    out[m2] = -12.0 * (r[m2] - 1.0)
-    out[m3] = _bridge_value(r[m3], 2)
-    return out
-
-
-def _zeta_third(r):
-    r, m1, m2, m3, _ = _regions(r)
-    out = np.zeros_like(r)
-    out[m2] = -12.0
-    out[m3] = _bridge_value(r[m3], 3)
-    return out
+    return _chi_derivatives(r, [2])[0]
 
 
 def chi(r):
-    r, m1, m2, m3, m4 = _regions(r)
-    out = np.empty_like(r)
-    out[m1] = r[m1] ** 2
-    out[m2] = r[m2] ** 2 - (r[m2] - 1.0) ** 4 / 2.0
-    s = (r[m3] - BRIDGE_LEFT) / _BRIDGE_H
-    out[m3] = _CHI_AT_LEFT + _BRIDGE_H * s * _poly(_BRIDGE_INT, s)
-    out[m4] = _CHI_PLATEAU
-    return out
+    return _chi_derivatives(r, [0])[0]
 
 
 _BRIDGE_VERIFIED = False
@@ -196,11 +159,8 @@ def eval_localized_weight(R, radii_or_grid, d=None) -> LocalizedWeights:
         if d is None:
             raise ValueError("dimension d required with an explicit radius array")
     rho = radii / R
-    z = zeta(rho)
-    zp = zeta_prime(rho)
-    z2 = _zeta_second(rho)
-    z3 = _zeta_third(rho)
-    phi = R * R * chi(rho)
+    chi_rho, z, zp, z2, z3 = _chi_derivatives(rho)
+    phi = R * R * chi_rho
     dphi = R * z
     d2phi = zp
     # radial Laplacian of phi_R as a function of rho alone

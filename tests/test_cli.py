@@ -102,6 +102,7 @@ def test_config_invalid_exit_code(tmp_path):
         ("[output]", "[sweep]\nparameter = evolve.dt0\nvalues = 1\nworkers = -3\n[output]"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/not_a_checkpoint.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/short.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/other_box.json"),
         ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
         ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
          "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
@@ -120,6 +121,7 @@ def test_config_invalid_exit_code(tmp_path):
          "groundstate-max_iter-zero", "groundstate-tol-nan", "groundstate-tol-negative",
          "formats-xml", "sweep-workers-zero", "sweep-workers-negative",
          "checkpoint-path-not-a-checkpoint", "checkpoint-path-short-payload",
+         "checkpoint-path-other-box",
          "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul"],
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
@@ -133,6 +135,9 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     write_field(os.path.join(tmp_path, "short"), Field(grid, np.ones(256, complex)))
     with open(os.path.join(tmp_path, "short.bin"), "r+b") as fh:
         fh.truncate(16 * 256 - 1)
+    # a checkpoint of the run grid's shape on another box (L = 5, not 12)
+    other_box = Grid(1, "cartesian", n=256, L=5.0)
+    write_field(os.path.join(tmp_path, "other_box"), Field(other_box, np.ones(256, complex)))
     new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
@@ -238,6 +243,22 @@ def test_groundstate_artifact_keyed_by_solver_settings(tmp_path, monkeypatch):
     header = os.path.join(gdir, "groundstate_d1_alpha2.json")
     with open(header, encoding="utf-8") as fh:
         assert json.load(fh)["n"] == 1024
+
+
+def test_groundstate_scaled_data_solved_with_the_configured_max_iter(tmp_path, monkeypatch):
+    solved = []
+
+    def recording_solve(d, alpha, grid, **kw):
+        solved.append((grid.L, kw.get("max_iter")))
+        return solve_ground_state(d, alpha, grid, **kw)
+
+    monkeypatch.setattr(nlslab.cli, "solve_ground_state", recording_solve)
+    text = BASE.format(outdir=os.path.join(tmp_path, "cls")).replace(
+        "kind = gaussian\namplitude = 1.0\nwidth = 1.0",
+        "kind = groundstate-scaled\nscale = 0.5",
+    ).replace("[groundstate]\n", "[groundstate]\nmax_iter = 321\n")
+    assert main(["classify", write_cfg(tmp_path, text)]) == 0
+    assert solved == [(12.0, 321)]  # one solve, on the run grid
 
 
 def test_classify_groundstate_scaled(tmp_path, capsys):

@@ -272,6 +272,9 @@ def test_free_propagator_keeps_the_bits_of_the_plain_product(grid):
     mult = np.cos(arg) - 1j * np.sin(arg)
     want = np.fft.ifftn(mult * np.fft.fftn(u))
     assert grid.free_propagator(0.05)(u).tobytes() == want.tobytes()
+    # and grad_sq, through the same forward transform, what `fftn` gives
+    k2_uh2 = grid.k_squared() * np.abs(np.fft.fftn(u)) ** 2
+    assert grid.grad_sq(u) == float(np.sum(k2_uh2)) * grid.cell_volume / u.size
 
 
 def test_radial_free_propagator_on_a_stack():

@@ -65,6 +65,36 @@ def test_zeta_c1_continuity():
         )
 
 
+def test_profile_closed_forms_and_c2_joins():
+    # the module docstring's closed forms on [0, 1] and (1, BRIDGE_LEFT]
+    r = np.concatenate(
+        [np.linspace(0.0, 1.0, 1001), np.linspace(1.0, BRIDGE_LEFT, 1001)[1:]]
+    )
+    core = r <= 1.0
+    s = r - 1.0
+    closed_forms = {
+        zeta: np.where(core, 2.0 * r, 2.0 * (r - s**3)),
+        zeta_prime: np.where(core, 2.0, 2.0 * (1.0 - 3.0 * s**2)),
+        chi: np.where(core, r**2, r**2 - s**4 / 2.0),
+    }
+    for f, want in closed_forms.items():
+        assert np.max(np.abs(f(r) - want)) <= 1e-13
+    # chi' = zeta in all four pieces, by centred differences
+    x = np.array([0.3, 0.9, 1.2, 1.5, 1.7, 1.95, 2.5])
+    h = 1e-5
+    assert np.max(np.abs((chi(x + h) - chi(x - h)) / (2.0 * h) - zeta(x))) <= 1e-8
+    # zeta'' from either side of both bridge ends, by second-order one-sided
+    # differences: they agree to O(h^2) where zeta is C^2, and a join that
+    # were only C^1 would part them by O(1) (zeta''(BRIDGE_LEFT) = -4 sqrt(3))
+    h = 1e-4
+    weights = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
+    steps = np.arange(4) * h
+    for p in (BRIDGE_LEFT, BRIDGE_RIGHT):
+        left = weights @ zeta(p - steps)
+        right = weights @ zeta(p + steps)
+        assert left == pytest.approx(right, abs=1e-3)
+
+
 def test_bridge_strictly_decreasing():
     verify_bridge()
     inner = np.linspace(BRIDGE_LEFT, BRIDGE_RIGHT, 200001)[1:-1]
