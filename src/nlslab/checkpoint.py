@@ -123,16 +123,14 @@ def save_ground_state(directory, gs, solver_hash):
     return base
 
 
-def load_ground_state(base_path, solver_hash=None):
-    """Load a ground-state artifact written by save_ground_state.
-
-    Given a solver_hash, returns None unless the artifact stores that hash.
-    """
+def load_ground_state(base_path, solver_hash):
+    """Load a ground-state artifact written by save_ground_state; None
+    unless the artifact stores solver_hash."""
     from .groundstate import GroundState
 
     with open(base_path + "_norms.json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    if solver_hash is not None and sidecar.get("solver_hash") != solver_hash:
+    if sidecar.get("solver_hash") != solver_hash:
         return None
     field = read_field(base_path + ".json")
     return GroundState(

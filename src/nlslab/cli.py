@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import operator
 import os
 import sys
 import time
@@ -59,27 +58,24 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-# series.csv columns: ObservableRecord fields, where virial_phi_r stands for
-# one virial_phiR_<R> column per localized-virial scale R of r_list
-CSV_COLUMNS = ("t", "mass", "energy", "kinetic", "potential_term", "nonlinear_term",
-               "virial", "virial_phi_r", "morawetz_abs", "l4_density", "linfty")
-
-
 def _fmt(v) -> str:
-    return repr(float(v))
+    if v is None:
+        return ""
+    return v if isinstance(v, str) else repr(float(v))
 
 
-def records_to_csv(records, r_list, cfg_hash):
-    columns = []  # (header, value of a record)
-    for name in CSV_COLUMNS:
-        if name == "virial_phi_r":
-            columns += [(f"virial_phiR_{R:g}",
-                         lambda rec, R=float(R): rec.virial_phi_r[R]) for R in r_list]
-        else:
-            columns.append((name, operator.attrgetter(name)))
-    lines = [f"# config_hash={cfg_hash}", ",".join(name for name, _ in columns)]
-    lines += [",".join(_fmt(value(rec)) for _, value in columns) for rec in records]
+def _csv_text(config_hash, header, rows):
+    lines = [f"# config_hash={config_hash}", ",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records, cfg_hash):
+    """series.csv text; the columns are those of the first record, and an
+    outcome always holds the record of u0."""
+    header = [name for name, _ in records[0].columns()]
+    rows = ([v for _, v in rec.columns()] for rec in records)
+    return _csv_text(cfg_hash, header, rows)
 
 
 def _groundstate_dir(cfg: ExperimentConfig):
@@ -162,6 +158,11 @@ def _verdict_dict(verdict):
     return dataclasses.asdict(verdict)
 
 
+def _check_entry(name, rel_error, tol):
+    return {"name": name, "rel_error": rel_error, "tol": tol,
+            "passed": rel_error <= tol}
+
+
 def _identity_checks(outcome, cfg):
     """Cheap per-run identity checks serialized into the summary."""
     checks = []
@@ -169,38 +170,17 @@ def _identity_checks(outcome, cfg):
     m0 = recs[0].mass
     if m0 > 0:
         drift = max(abs(r.mass / m0 - 1.0) for r in recs)
-        checks.append(
-            {
-                "name": "mass-conservation",
-                "rel_error": drift,
-                "tol": cfg.observables.tolerance,
-                "passed": drift <= cfg.observables.tolerance,
-            }
-        )
+        checks.append(_check_entry("mass-conservation", drift, cfg.observables.tolerance))
     forms_err = 0.0
     for r in recs:
         f1, f2, f3 = virial_rhs_forms(r, cfg.equation)
         scale = max(abs(f1), abs(f2), abs(f3), 1e-30)
         forms_err = max(forms_err, abs(f1 - f2) / scale, abs(f1 - f3) / scale)
-    checks.append(
-        {
-            "name": "virial-rhs-forms-agree",
-            "rel_error": forms_err,
-            "tol": 1e-10,
-            "passed": forms_err <= 1e-10,
-        }
-    )
+    checks.append(_check_entry("virial-rhs-forms-agree", forms_err, 1e-10))
     if len(recs) >= 3 and outcome.status == "completed":
         try:
             c = virial_identity_check(recs, cfg.equation)
-            checks.append(
-                {
-                    "name": c.name,
-                    "rel_error": c.rel_error,
-                    "tol": c.tol,
-                    "passed": c.passed,
-                }
-            )
+            checks.append(_check_entry(c.name, c.rel_error, c.tol))
         except ValueError:
             pass
     return checks
@@ -249,7 +229,7 @@ def _finish_run(cfg: ExperimentConfig, run: _PreparedRun, outcome, started):
     if "csv" in cfg.output.formats:
         atomic_write_text(
             os.path.join(run_dir, "series.csv"),
-            records_to_csv(outcome.records, cfg.evolve.phi_r_list, chash),
+            records_to_csv(outcome.records, chash),
         )
     if outcome.final_field is not None:
         write_field(os.path.join(run_dir, "final_state"), outcome.final_field,
@@ -394,28 +374,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     results = list(zip(sw.values, (s for stack in per_stack for s in stack)))
 
     chash = config_hash(cfg)
-    lines = [
-        f"# config_hash={chash}",
-        f"{sw.parameter},status,t_reached,tstar_estimate,glassey_bound,verdict",
-    ]
-    for value, summary in results:
-        tstar = summary["tstar_estimate"]
-        bound = summary["glassey_bound"]
-        lines.append(
-            ",".join(
-                [
-                    _fmt(value),
-                    summary["status"],
-                    _fmt(summary["t_reached"]),
-                    "" if tstar is None else _fmt(tstar),
-                    "" if bound is None else _fmt(bound),
-                    summary["threshold"]["verdict"],
-                ]
-            )
-        )
-    atomic_write_text(
-        os.path.join(cfg.output.directory, "sweep_table.csv"), "\n".join(lines) + "\n"
-    )
+    header = [sw.parameter, "status", "t_reached", "tstar_estimate", "glassey_bound",
+              "verdict"]
+    rows = [[value, s["status"], s["t_reached"], s["tstar_estimate"],
+             s["glassey_bound"], s["threshold"]["verdict"]] for value, s in results]
+    atomic_write_text(os.path.join(cfg.output.directory, "sweep_table.csv"),
+                      _csv_text(chash, header, rows))
     _write_summary(
         os.path.join(cfg.output.directory, "sweep_summary.json"),
         {

@@ -126,12 +126,6 @@ class EquationSpec:
             )
 
     @property
-    def outside_dichotomy_theory(self) -> bool:
-        """c <= 0 runs are accepted for exploration, but the global/blow-up
-        dichotomy classification (threshold_test) does not apply to them."""
-        return self.c <= 0.0
-
-    @property
     def nonlinearity_sign(self) -> float:
         return 1.0 if self.sign == "defocusing" else -1.0
 
@@ -202,10 +196,6 @@ class ThresholdVerdict:
     radial_blowup_alpha_ok: bool = True
 
 
-def _strictly_less(x, y, scale, rel_tol):
-    return x < y - rel_tol * scale
-
-
 def _power(x, p):
     """x ** p for x >= 0; inf where the float overflows."""
     try:
@@ -271,9 +261,9 @@ def threshold_test(
         q_gm = math.sqrt(mass)
         b_gm = math.sqrt(ground_state.mass)
         e_scale = abs(energy) + gradnorm**2 + 1e-300
-        if _strictly_less(q_gm, b_gm, b_gm, rel_tol):
+        if q_gm < b_gm - rel_tol * b_gm:
             verdict = GLOBAL_BRANCH
-        elif _strictly_less(energy, 0.0, e_scale, rel_tol):
+        elif energy < -rel_tol * e_scale:
             verdict = BLOWUP_BRANCH
         else:
             verdict = NEITHER

@@ -36,7 +36,6 @@ __all__ = [
     "gradient_norm_sq",
     "weighted_norm",
     "h1_norm",
-    "radius_weight",
     "boundary_shell_mass_fraction",
 ]
 
@@ -429,11 +428,6 @@ class Field:
         if not self.is_finite():
             raise InvalidFieldError(f"non-finite field values at t={self.time}")
         return self
-
-
-def radius_weight(grid, power):
-    """|x|^power sampled on the grid (finite for any power by cell-centering)."""
-    return grid.radius_power(power, 0.0)
 
 
 # --- integral functionals --------------------------------------------

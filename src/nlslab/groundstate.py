@@ -19,7 +19,6 @@ from .grid import (
     RadialGrid,
     gradient_norm_sq,
     mass,
-    radius_weight,
     weighted_norm,
 )
 
@@ -206,7 +205,7 @@ def hardy_oracle(f: Field, rel_tol=1e-9):
     """Hardy inequality check ((d-2)/2)^2 ||f/|x|||_2^2 <= ||grad f||_2^2, d = 3."""
     if f.grid.d != 3:
         raise ValueError("wrong-dimension: the Hardy oracle requires d = 3")
-    lhs = 0.25 * weighted_norm(f, radius_weight(f.grid, -2.0))
+    lhs = 0.25 * weighted_norm(f, f.grid.radius_power(-2.0, 0.0))
     rhs = gradient_norm_sq(f)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + rel_tol)}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass
 class ObservableRecord:
-    """One time slice of monitored quantities.
+    """One time slice of monitored quantities; one row of series.csv.
 
     nonlinear_term is signed (negative in the focusing case) so that
     energy = kinetic/2 + potential_term + nonlinear_term holds exactly.
@@ -64,9 +64,15 @@ class ObservableRecord:
     l4_density: float = 0.0
     linfty: float = 0.0
 
-    def lalpha(self, alpha: float) -> float:
-        """||u||_{alpha+2}^{alpha+2} recovered from the signed term."""
-        return abs(self.nonlinear_term) * (alpha + 2.0)
+    def columns(self):
+        """(series.csv column, value) pairs in field order; virial_phi_r
+        gives one virial_phiR_<R> column per scale R."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "virial_phi_r":
+                yield from ((f"virial_phiR_{R:g}", v) for R, v in value.items())
+            else:
+                yield f.name, value
 
 
 def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> ObservableRecord:
@@ -99,10 +105,7 @@ def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> Observabl
         )
         for R in phi_r:
             rec.virial_phi_r[float(R)] = g.integrate(g.phi_weight(float(R)) * dens)
-    entries = [rec.mass, rec.energy, rec.kinetic, rec.potential_term,
-               rec.nonlinear_term, rec.virial, rec.morawetz_abs,
-               rec.l4_density, rec.linfty, *rec.virial_phi_r.values()]
-    if not all(math.isfinite(v) for v in entries):
+    if not all(math.isfinite(v) for _, v in rec.columns()):
         raise InvalidFieldError(f"non-finite observable at t={u.time}")
     return rec
 

@@ -159,37 +159,34 @@ def eval_localized_weight(R, radii_or_grid, d=None) -> LocalizedWeights:
         if d is None:
             raise ValueError("dimension d required with an explicit radius array")
     rho = radii / R
-    chi_rho, z, zp, z2, z3 = _chi_derivatives(rho)
-    phi = R * R * chi_rho
-    dphi = R * z
-    d2phi = zp
-    # radial Laplacian of phi_R as a function of rho alone
-    core = rho <= 1.0
-    zr = np.empty_like(rho)
-    zr[core] = 2.0
-    zr[~core] = z[~core] / rho[~core]
-    lap = zp + (d - 1) * zr
-    # Lap^2 phi_R = R^-2 [h'' + (d-1) h'/rho], h = zeta' + (d-1) zeta/rho
-    hp = np.zeros_like(rho)
-    hpp = np.zeros_like(rho)
-    nc = ~core
-    hp[nc] = z2[nc] + (d - 1) * (zp[nc] * rho[nc] - z[nc]) / rho[nc] ** 2
-    hpp[nc] = z3[nc] + (d - 1) * (
-        z2[nc] / rho[nc] - 2.0 * (zp[nc] * rho[nc] - z[nc]) / rho[nc] ** 3
-    )
+    chi_rho, z, zp = _chi_derivatives(rho, range(3))
+    # radial Laplacian of phi_R as a function of rho alone: zeta/rho = 2 on
+    # the core rho <= 1, and the bilaplacian vanishes there
+    outer = rho > 1.0
+    ro = rho[outer]
+    lap = np.full_like(rho, 2.0)
+    lap[outer] = z[outer] / ro
+    lap = zp + (d - 1) * lap
+    # Lap^2 phi_R = R^-2 [h'' + (d-1) h'/rho], h = zeta' + (d-1) zeta/rho,
+    # so zeta'' and zeta''' are needed outside the core only.  z[outer] is
+    # gathered twice: holding it over these lines raises the peak memory.
+    w = zp[outer] * ro - z[outer]
+    z2o, z3o = _chi_derivatives(ro, (3, 4))
+    hp = z2o + (d - 1) * w / ro ** 2
+    hpp = z3o + (d - 1) * (z2o / ro - 2.0 * w / ro ** 3)
     bilap = np.zeros_like(rho)
     # a numpy scalar overflows to inf for a huge R, where a float raises
-    bilap[nc] = (hpp[nc] + (d - 1) * hp[nc] / rho[nc]) / np.float64(R) ** 2
+    bilap[outer] = (hpp + (d - 1) * hp / ro) / np.float64(R) ** 2
     return LocalizedWeights(
         R=float(R),
         d=int(d),
         radii=radii,
-        phi=phi,
-        dphi=dphi,
-        d2phi=d2phi,
+        phi=R * R * chi_rho,
+        dphi=R * z,
+        d2phi=zp,
         lap=lap,
         bilap=bilap,
-        psi1=2.0 - d2phi,
+        psi1=2.0 - zp,
         psi2=2.0 * d - lap,
     )
 

@@ -167,24 +167,12 @@ def read_csv(path):
     return header, rows
 
 
-def rows_to_records(rows, spec):
-    records = []
-    for row in rows:
-        records.append(
-            ObservableRecord(
-                t=row["t"],
-                mass=row["mass"],
-                energy=row["energy"],
-                kinetic=row["kinetic"],
-                potential_term=row["potential_term"],
-                nonlinear_term=row["nonlinear_term"],
-                virial=row["virial"],
-                morawetz_abs=row["morawetz_abs"],
-                l4_density=row["l4_density"],
-                linfty=row["linfty"],
-            )
-        )
-    return records
+def rows_to_records(rows):
+    """ObservableRecords from series.csv rows, keyed by the header; the
+    virial_phiR_* columns are dropped."""
+    return [ObservableRecord(**{k: v for k, v in row.items()
+                                if not k.startswith("virial_phiR_")})
+            for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +369,7 @@ def test_criterion_06_virial_identity(run_c6):
     outdir, runtime = run_c6
     spec = EquationSpec(d=1, c=0.3, sigma=0.5, alpha=4.0, sign="focusing")
     _, rows = read_csv(os.path.join(outdir, "series.csv"))
-    records = rows_to_records(rows, spec)
+    records = rows_to_records(rows)
     chk = virial_identity_check(records, spec, tol=1e-3)
     assert chk.passed, f"virial identity rel error {chk.rel_error:.2e}"
     forms_err = 0.0

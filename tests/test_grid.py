@@ -16,7 +16,6 @@ from nlslab.grid import (
     gradient_norm_sq,
     mass,
     mass_fourier,
-    radius_weight,
     weighted_norm,
 )
 
@@ -133,7 +132,7 @@ def test_weighted_norm_inverse_square_gaussian_3d():
     # 4 pi int e^{-r^2} dr = 2 pi^{3/2}
     g = Grid(3, "radial", n_r=4096, r_max=12.0)
     f = Field(g, np.exp(-g.r**2 / 2.0).astype(complex))
-    got = weighted_norm(f, radius_weight(g, -2.0))
+    got = weighted_norm(f, g.radius_power(-2.0, 0.0))
     assert abs(got - 2.0 * np.pi**1.5) < 1e-6
 
 
@@ -150,7 +149,7 @@ def test_weighted_norm_against_adaptive_quadrature():
 
     g = Grid(1, "cartesian", n=1024, L=20.0)
     f = Field(g, np.exp(-((g.axis - 4.0) ** 2) / 2.0).astype(complex))
-    got = weighted_norm(f, radius_weight(g, -0.5))
+    got = weighted_norm(f, g.radius_power(-0.5, 0.0))
     want, err = quad(lambda x: abs(x) ** -0.5 * np.exp(-((x - 4.0) ** 2)),
                      -20.0, 20.0, points=[0.0], limit=200)
     assert abs(got - want) <= max(1e-9, 10 * err)

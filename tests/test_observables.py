@@ -86,7 +86,7 @@ def test_virial_rhs_forms_agree_and_reduce_at_c0():
         assert abs(f1 - f3) <= 1e-10 * scale
         if c == 0.0:
             assert rec.potential_term == 0.0
-            la = rec.lalpha(spec.alpha)
+            la = abs(rec.nonlinear_term) * (spec.alpha + 2.0)
             assert f1 == pytest.approx(8.0 * rec.kinetic - (16.0 / 6.0) * la)
 
 
