@@ -12,6 +12,7 @@ import json
 import math
 import os
 import threading
+from dataclasses import fields
 
 import numpy as np
 
@@ -73,6 +74,9 @@ def read_field(header_path) -> Field:
         header = json.load(fh)
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError(f"{header_path}: not a field checkpoint")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{header_path}: unsupported checkpoint version "
+                         f"{header.get('version')!r}")
     if header.get("endianness") != "little":
         raise ValueError("unsupported endianness tag")
     try:
@@ -96,27 +100,17 @@ def ground_state_basename(d, alpha):
 
 
 def save_ground_state(directory, gs, solver_hash):
-    """Persist profile (field checkpoint) plus a JSON sidecar of norms.
+    """Persist profile (field checkpoint) plus a JSON sidecar: every
+    GroundState field but the profile, with kind, profile and solver_hash.
 
     solver_hash, of the solver settings that produced gs, identifies it.
     """
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, ground_state_basename(gs.d, gs.alpha))
     write_field(base, gs.field)
-    sidecar = {
-        "kind": "ground-state",
-        "d": gs.d,
-        "alpha": gs.alpha,
-        "mass": gs.mass,
-        "kinetic": gs.kinetic,
-        "lp": gs.lp,
-        "residual": gs.residual,
-        "gn_constant": gs.gn_constant,
-        "iterations": gs.iterations,
-        "monotone_residual": gs.monotone_residual,
-        "profile": os.path.basename(base) + ".json",
-        "solver_hash": solver_hash,
-    }
+    sidecar = {f.name: getattr(gs, f.name) for f in fields(gs) if f.name != "field"}
+    sidecar.update(kind="ground-state", profile=os.path.basename(base) + ".json",
+                   solver_hash=solver_hash)
     atomic_write_text(
         base + "_norms.json", json.dumps(sidecar, sort_keys=True, indent=1)
     )
@@ -132,16 +126,8 @@ def load_ground_state(base_path, solver_hash):
         sidecar = json.load(fh)
     if sidecar.get("solver_hash") != solver_hash:
         return None
-    field = read_field(base_path + ".json")
-    return GroundState(
-        field=field,
-        d=sidecar["d"],
-        alpha=sidecar["alpha"],
-        mass=sidecar["mass"],
-        kinetic=sidecar["kinetic"],
-        lp=sidecar["lp"],
-        residual=sidecar["residual"],
-        gn_constant=sidecar["gn_constant"],
-        iterations=sidecar["iterations"],
-        monotone_residual=sidecar.get("monotone_residual", True),
-    )
+    # a field the sidecar lacks (monotone_residual, in older ones) keeps
+    # its dataclass default
+    stored = {f.name: sidecar[f.name] for f in fields(GroundState)
+              if f.name != "field" and f.name in sidecar}
+    return GroundState(field=read_field(base_path + ".json"), **stored)

@@ -42,7 +42,6 @@ from .config import (
     override,
 )
 from .equation import (
-    RegimeNotCoveredError,
     ThresholdVerdict,
     classify_criticality,
     negativity_margin,
@@ -51,7 +50,7 @@ from .equation import (
 from .evolve import evolve
 from .grid import Field, Grid, GridError, InvalidFieldError
 from .groundstate import GroundStateError, make_bubble, solve_ground_state
-from .observables import virial_identity_check, virial_rhs_forms
+from .observables import IdentityCheck, virial_identity_check, virial_rhs_forms
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,16 +135,13 @@ def _threshold_for_field(cfg, u0):
         reference = make_bubble(grid)
     else:
         reference = _solve_artifact_groundstate(cfg)
-    try:
-        verdict = threshold_test(
-            spec,
-            mass=rec.mass,
-            energy=rec.energy,
-            gradnorm=float(np.sqrt(rec.kinetic)),
-            ground_state=reference,
-        )
-    except RegimeNotCoveredError:
-        return None, None, rec
+    verdict = threshold_test(
+        spec,
+        mass=rec.mass,
+        energy=rec.energy,
+        gradnorm=float(np.sqrt(rec.kinetic)),
+        ground_state=reference,
+    )
     glassey_delta = None
     if verdict.verdict == "blowup-branch" and rec.energy >= 0:
         glassey_delta = negativity_margin(spec, rec.mass, rec.energy, reference)
@@ -158,11 +154,6 @@ def _verdict_dict(verdict):
     return dataclasses.asdict(verdict)
 
 
-def _check_entry(name, rel_error, tol):
-    return {"name": name, "rel_error": rel_error, "tol": tol,
-            "passed": rel_error <= tol}
-
-
 def _identity_checks(outcome, cfg):
     """Cheap per-run identity checks serialized into the summary."""
     checks = []
@@ -170,18 +161,17 @@ def _identity_checks(outcome, cfg):
     m0 = recs[0].mass
     if m0 > 0:
         drift = max(abs(r.mass / m0 - 1.0) for r in recs)
-        checks.append(_check_entry("mass-conservation", drift, cfg.observables.tolerance))
+        checks.append(IdentityCheck("mass-conservation", drift, cfg.observables.tolerance))
     forms_err = 0.0
     for r in recs:
         f1, f2, f3 = virial_rhs_forms(r, cfg.equation)
         scale = max(abs(f1), abs(f2), abs(f3), 1e-30)
         forms_err = max(forms_err, abs(f1 - f2) / scale, abs(f1 - f3) / scale)
-    checks.append(_check_entry("virial-rhs-forms-agree", forms_err, 1e-10))
-    if len(recs) >= 3 and outcome.status == "completed":
+    checks.append(IdentityCheck("virial-rhs-forms-agree", forms_err, 1e-10))
+    if outcome.status == "completed":
         try:
-            c = virial_identity_check(recs, cfg.equation)
-            checks.append(_check_entry(c.name, c.rel_error, c.tol))
-        except ValueError:
+            checks.append(virial_identity_check(recs, cfg.equation))
+        except ValueError:  # too few or unevenly strided records
             pass
     return checks
 
@@ -208,7 +198,7 @@ def _prepare_run(cfg: ExperimentConfig) -> _PreparedRun:
     verdict, glassey_delta = None, None
     try:
         verdict, glassey_delta, _ = _threshold_for_field(cfg, u0)
-    except (RegimeNotCoveredError, GroundStateError):
+    except GroundStateError:
         pass
 
     checkpoint_index = [0]
@@ -246,7 +236,7 @@ def _finish_run(cfg: ExperimentConfig, run: _PreparedRun, outcome, started):
         "warnings": outcome.warnings,
         "n_records": len(outcome.records),
         "threshold": _verdict_dict(run.verdict),
-        "identity_checks": _identity_checks(outcome, cfg),
+        "identity_checks": [dataclasses.asdict(c) for c in _identity_checks(outcome, cfg)],
         "wall_time_s": time.perf_counter() - started,
     }
     if "json" in cfg.output.formats:
@@ -462,12 +452,7 @@ def main(argv=None) -> int:
         print("error: config path required", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config-invalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](load_config(args.config))
     except ConfigError as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -121,12 +121,16 @@ def morawetz_action(u: Field, weight="abs") -> float:
 
 @dataclass
 class IdentityCheck:
+    """One checked identity, as summary.json lists it; passed is
+    rel_error <= tol."""
+
     name: str
-    lhs: float
-    rhs: float
     rel_error: float
     tol: float
-    passed: bool
+    passed: bool = dataclass_field(init=False)
+
+    def __post_init__(self):
+        self.passed = self.rel_error <= self.tol
 
 
 def virial_rhs_forms(rec: ObservableRecord, spec: EquationSpec):
@@ -144,7 +148,10 @@ def virial_rhs_forms(rec: ObservableRecord, spec: EquationSpec):
     return f1, f2, f3
 
 
-def _uniform_stride(records):
+def _second_difference(trajectory, value):
+    """Second central difference of value(record) over an outcome's (or a
+    list's) uniformly strided records, and the interior records."""
+    records = list(getattr(trajectory, "records", trajectory))
     ts = np.array([r.t for r in records])
     dts = np.diff(ts)
     if len(dts) < 2:
@@ -152,7 +159,16 @@ def _uniform_stride(records):
     h = float(np.mean(dts))
     if np.max(np.abs(dts - h)) > 1e-9 * max(abs(h), 1e-30):
         raise ValueError("records are not uniformly strided in time")
-    return h
+    v = np.array([value(r) for r in records])
+    return (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2, records[1:-1]
+
+
+def _relative(deviation, scale):
+    """deviation / scale; at scale 0 (a zero field), 0.0 for a zero
+    deviation and +-inf otherwise."""
+    if scale == 0.0:
+        return math.copysign(math.inf, deviation) if deviation else 0.0
+    return deviation / scale
 
 
 def virial_identity_check(records, spec: EquationSpec, tol=1e-3) -> IdentityCheck:
@@ -161,30 +177,16 @@ def virial_identity_check(records, spec: EquationSpec, tol=1e-3) -> IdentityChec
     rel_error is the worst deviation over interior records and forms,
     normalized by the largest RHS magnitude.
     """
-    records = list(getattr(records, "records", records))
-    if len(records) < 3:
-        raise ValueError("insufficient-records: need at least 3 records")
-    h = _uniform_stride(records)
-    v = np.array([r.virial for r in records])
-    d2v = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-    forms = np.array([virial_rhs_forms(r, spec) for r in records[1:-1]])
-    scale = float(np.max(np.abs(forms)))
-    worst = float(np.max(np.abs(forms - d2v[:, None]))) / scale
+    d2v, interior = _second_difference(records, lambda r: r.virial)
+    forms = np.array([virial_rhs_forms(r, spec) for r in interior])
+    worst = float(np.max(np.abs(forms - d2v[:, None])))
     name = "virial-identity"
     if spec.sign == "defocusing":
         name += "-defocusing-analogue"
-    return IdentityCheck(
-        name=name,
-        lhs=float(np.max(np.abs(d2v))),
-        rhs=scale,
-        rel_error=worst,
-        tol=tol,
-        passed=worst <= tol,
-    )
+    return IdentityCheck(name, _relative(worst, float(np.max(np.abs(forms)))), tol)
 
 
 def _localized_slack(trajectory, spec, R):
-    records = list(getattr(trajectory, "records", trajectory))
     final = getattr(trajectory, "final_field", None)
     if final is not None:
         g = final.grid
@@ -192,19 +194,13 @@ def _localized_slack(trajectory, spec, R):
             raise ValueError("not-radial: localized virial needs a radial d>=2 grid")
     if spec.sign != "focusing":
         raise ValueError("localized virial estimate applies to the focusing case")
-    if len(records) < 3:
-        raise ValueError("insufficient-records: need at least 3 records")
-    h = _uniform_stride(records)
     key = float(R)
     try:
-        vloc = np.array([r.virial_phi_r[key] for r in records])
+        d2v, interior = _second_difference(trajectory, lambda r: r.virial_phi_r[key])
     except KeyError:
         raise ValueError(f"records carry no localized virial for R={R}")
-    d2v = (vloc[:-2] - 2.0 * vloc[1:-1] + vloc[2:]) / h**2
-    f1 = np.array([virial_rhs_forms(r, spec)[0] for r in records[1:-1]])
-    scale = float(np.max(np.abs(f1)))
-    slack = float(np.max(d2v - f1))
-    return slack, scale
+    f1 = np.array([virial_rhs_forms(r, spec)[0] for r in interior])
+    return float(np.max(d2v - f1)), float(np.max(np.abs(f1)))
 
 
 def localized_virial_bound_check(
@@ -212,22 +208,15 @@ def localized_virial_bound_check(
 ) -> IdentityCheck:
     """One-sided check d^2/dt^2 V_phiR <= unlocalized RHS + slack(R).
 
-    lhs is the measured slack (worst signed exceedance); a negative value
-    means the localized second difference stayed below the unlocalized
-    expression everywhere.  The remainder scale in R (and its epsilon
-    structure for alpha < 4) is assessed by the ladder helper; no implicit
-    constant is asserted.
+    rel_error is the measured slack (worst signed exceedance) over the
+    largest unlocalized RHS; a negative value means the localized second
+    difference stayed below the unlocalized expression everywhere.  The
+    remainder scale in R (and its epsilon structure for alpha < 4) is
+    assessed by the ladder helper; no implicit constant is asserted.
     """
     slack, scale = _localized_slack(trajectory, spec, R)
-    rel = slack / scale
-    return IdentityCheck(
-        name=f"localized-virial-R{R:g}-eps{epsilon:g}",
-        lhs=slack,
-        rhs=tol * scale,
-        rel_error=rel,
-        tol=tol,
-        passed=rel <= tol,
-    )
+    return IdentityCheck(f"localized-virial-R{R:g}-eps{epsilon:g}",
+                         _relative(slack, scale), tol)
 
 
 def localized_virial_slack_ladder(trajectory, spec: EquationSpec, r_list):

@@ -71,6 +71,17 @@ def test_rejects_non_checkpoint(tmp_path):
         read_field(path)
 
 
+def test_rejects_unknown_version(tmp_path):
+    g = Grid(1, "cartesian", n=16, L=4.0)
+    header = write_field(os.path.join(tmp_path, "x"), Field(g, np.ones(g.shape, complex)))
+    with open(header, encoding="utf-8") as fh:
+        fields = json.load(fh)
+    with open(header, "w", encoding="utf-8") as fh:
+        json.dump({**fields, "version": 2}, fh)
+    with pytest.raises(ValueError, match="version 2"):
+        read_field(header)
+
+
 def test_ground_state_artifact_roundtrip(tmp_path):
     grid = Grid(1, "cartesian", n=256, L=15.0)
     gs = solve_ground_state(1, 2.0, grid)
@@ -81,6 +92,26 @@ def test_ground_state_artifact_roundtrip(tmp_path):
     assert loaded.kinetic == gs.kinetic
     assert loaded.gn_constant == gs.gn_constant
     assert np.array_equal(loaded.field.values, gs.field.values)
+    # save -> load -> save writes the same bytes
+    again = save_ground_state(os.path.join(tmp_path, "again"), loaded, "ff00")
+    for suffix in ("_norms.json", ".bin"):
+        with open(base + suffix, "rb") as a, open(again + suffix, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_ground_state_sidecar_without_monotone_residual(tmp_path):
+    grid = Grid(1, "cartesian", n=256, L=15.0)
+    gs = solve_ground_state(1, 2.0, grid)
+    gs.monotone_residual = False
+    base = save_ground_state(tmp_path, gs, "ff00")
+    with open(base + "_norms.json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    del sidecar["monotone_residual"]
+    with open(base + "_norms.json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    loaded = load_ground_state(base, "ff00")
+    assert loaded.monotone_residual is True
+    assert loaded.iterations == gs.iterations
 
 
 def test_concurrent_writers_of_one_path(tmp_path):

@@ -103,6 +103,7 @@ def test_config_invalid_exit_code(tmp_path):
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/not_a_checkpoint.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/short.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/other_box.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/version_2.json"),
         ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
         ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
          "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
@@ -121,7 +122,7 @@ def test_config_invalid_exit_code(tmp_path):
          "groundstate-max_iter-zero", "groundstate-tol-nan", "groundstate-tol-negative",
          "formats-xml", "sweep-workers-zero", "sweep-workers-negative",
          "checkpoint-path-not-a-checkpoint", "checkpoint-path-short-payload",
-         "checkpoint-path-other-box",
+         "checkpoint-path-other-box", "checkpoint-path-other-version",
          "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul"],
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
@@ -138,6 +139,13 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     # a checkpoint of the run grid's shape on another box (L = 5, not 12)
     other_box = Grid(1, "cartesian", n=256, L=5.0)
     write_field(os.path.join(tmp_path, "other_box"), Field(other_box, np.ones(256, complex)))
+    # a checkpoint of the run grid under a format version this code does not read
+    header = write_field(os.path.join(tmp_path, "version_2"),
+                         Field(grid, np.ones(256, complex)))
+    with open(header, encoding="utf-8") as fh:
+        fields = json.load(fh)
+    with open(header, "w", encoding="utf-8") as fh:
+        json.dump({**fields, "version": 2}, fh)
     new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
@@ -181,8 +189,24 @@ def test_evolve_writes_artifacts(tmp_path):
         summary = json.load(fh)
     assert summary["status"] == "completed"
     assert summary["config_hash"] == lines[0].split("=", 1)[1]
+    assert [sorted(c) for c in summary["identity_checks"]] == (
+        3 * [["name", "passed", "rel_error", "tol"]])
     assert os.path.exists(os.path.join(outdir, "final_state.json"))
     assert os.path.exists(os.path.join(outdir, "final_state.bin"))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("amplitude = 1.0", "amplitude = 0"),
+    ("width = 1.0", "width = 1e-3"),  # narrower than the grid spacing
+], ids=["amplitude-zero", "width-below-spacing"])
+def test_evolve_of_a_zero_field(tmp_path, old, new):
+    outdir = os.path.join(tmp_path, "run")
+    text = BASE.format(outdir=outdir).replace(old, new)
+    assert main(["evolve", write_cfg(tmp_path, text)]) == 0
+    with open(os.path.join(outdir, "summary.json"), encoding="utf-8") as fh:
+        checks = json.load(fh)["identity_checks"]
+    [virial] = [c for c in checks if c["name"].startswith("virial-identity")]
+    assert virial["rel_error"] == 0.0 and virial["passed"]
 
 
 @pytest.mark.parametrize("r_list, columns", [

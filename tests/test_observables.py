@@ -1,3 +1,4 @@
+import math
 import os
 import random
 
@@ -9,6 +10,7 @@ from nlslab.evolve import EvolveConfig, SplitStepper, evolve, evolve_linear
 from nlslab.grid import Field, Grid, weighted_norm
 from nlslab.observables import (
     RADIAL_SOBOLEV_CONSTANTS,
+    ObservableRecord,
     interaction_morawetz_l4,
     localized_virial_bound_check,
     localized_virial_slack_ladder,
@@ -116,6 +118,20 @@ def test_virial_identity_needs_records():
     rec = record(Field(g, np.exp(-g.axis**2).astype(complex)), spec)
     with pytest.raises(ValueError):
         virial_identity_check([rec, rec], spec)
+
+
+@pytest.mark.parametrize("virial, rel_error", [
+    (lambda t: 0.0, 0.0),  # a zero field
+    (lambda t: t * t, math.inf),  # a second difference against zero forms
+], ids=["zero-field", "zero-forms"])
+def test_virial_identity_at_zero_scale(virial, rel_error):
+    spec = EquationSpec(d=1, c=0.3, sigma=0.5, alpha=2.0, sign="focusing")
+    records = [ObservableRecord(t=t, mass=0.0, energy=0.0, kinetic=0.0,
+                                potential_term=0.0, nonlinear_term=0.0,
+                                virial=virial(t)) for t in (0.0, 0.5, 1.0)]
+    chk = virial_identity_check(records, spec)
+    assert chk.rel_error == rel_error
+    assert chk.passed == (rel_error == 0.0)
 
 
 def _heavy_tail_trajectory(r_list=(8.0, 16.0, 32.0), t_end=0.4):
