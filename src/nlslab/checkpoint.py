@@ -118,16 +118,22 @@ def save_ground_state(directory, gs, solver_hash):
 
 
 def load_ground_state(base_path, solver_hash):
-    """Load a ground-state artifact written by save_ground_state; None
-    unless the artifact stores solver_hash."""
+    """Load a ground-state artifact written by save_ground_state; None, for
+    the caller to solve it again, unless it stores solver_hash and reads back."""
     from .groundstate import GroundState
 
-    with open(base_path + "_norms.json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("solver_hash") != solver_hash:
+    try:
+        with open(base_path + "_norms.json", "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except ValueError:  # not JSON, or not UTF-8
+        return None
+    if not isinstance(sidecar, dict) or sidecar.get("solver_hash") != solver_hash:
         return None
     # a field the sidecar lacks (monotone_residual, in older ones) keeps
     # its dataclass default
     stored = {f.name: sidecar[f.name] for f in fields(GroundState)
               if f.name != "field" and f.name in sidecar}
-    return GroundState(field=read_field(base_path + ".json"), **stored)
+    try:
+        return GroundState(field=read_field(base_path + ".json"), **stored)
+    except (OSError, ValueError, TypeError):  # a profile missing or rejected,
+        return None                           # or a required field absent

@@ -222,15 +222,17 @@ class CartesianGrid(Grid):
         return apply
 
     # fftn's and ifftn's transforms over u's trailing d axes, one axis at a
-    # time in their order: the same bits, without fftn's argument handling
+    # time in their order: the same bits, without fftn's argument handling.
+    # Only _fft's first axis allocates; _ifft transforms its argument in place
     def _fft(self, u):
-        for ax in range(-1, -self.d - 1, -1):
-            u = np.fft.fft(u, axis=ax)
-        return u
+        out = np.fft.fft(u, axis=-1)
+        for ax in range(-2, -self.d - 1, -1):
+            np.fft.fft(out, axis=ax, out=out)
+        return out
 
     def _ifft(self, u):
         for ax in range(-1, -self.d - 1, -1):
-            u = np.fft.ifft(u, axis=ax)
+            np.fft.ifft(u, axis=ax, out=u)
         return u
 
     def laplacian(self, u):
@@ -246,22 +248,34 @@ class CartesianGrid(Grid):
     def _elliptic_solver(self):
         return self._fourier_multiplier(1.0 / (1.0 + self.k_squared()))
 
+    @_memoized
+    def _ik(self, axis):
+        return 1j * self._along(self.k, axis)
+
+    def _derivative_sums(self, u, weight):
+        """(||grad u||^2, int grad(a) . Im(conj(u) grad u)) from one spectral
+        derivative per axis, du_j = ifft_j(i k_j fft_j(u)), held one at a time."""
+        kin = flux = 0.0
+        for ax in range(self.d):
+            du = np.fft.fft(u, axis=ax)
+            du *= self._ik(ax)
+            np.fft.ifft(du, axis=ax, out=du)
+            kin += np.vdot(du, du).real
+            du *= self.unit_vector(ax) if weight == "abs" else 2.0 * self.coords(ax)
+            flux += np.vdot(u, du).imag
+        return float(kin) * self.cell_volume, float(flux) * self.cell_volume
+
     def grad_sq(self, u):
-        """||grad u||_L2^2 from the spectral multiplier |k|^2."""
-        uh = self._fft(u)
-        k2_uh2 = self.k_squared() * np.abs(uh) ** 2
-        return float(np.sum(k2_uh2)) * self.cell_volume / uh.size
+        """||grad u||_L2^2 as the sum over axes of ||du/dx_j||^2."""
+        return self._derivative_sums(u, "abs")[0]
 
     def radial_flux(self, u, weight):
         """int grad(a) . Im(conj(u) grad u) for a = |x| ("abs") or |x|^2."""
-        total = 0.0
-        for ax in range(self.d):
-            ik = 1j * self._along(self.k, ax)
-            du = np.fft.ifft(ik * np.fft.fft(u, axis=ax), axis=ax)
-            flow = np.imag(np.conj(u) * du)
-            da = self.unit_vector(ax) if weight == "abs" else 2.0 * self.coords(ax)
-            total += self.integrate(da * flow)
-        return total
+        return self._derivative_sums(u, weight)[1]
+
+    def grad_sq_and_flux(self, u):
+        """(grad_sq(u), radial_flux(u, "abs")) from one derivative pass."""
+        return self._derivative_sums(u, "abs")
 
     @_memoized
     def shell_mask(self):
@@ -390,6 +404,10 @@ class RadialGrid(Grid):
         if weight != "abs":
             flow = 2.0 * self.r * flow
         return self.integrate(flow)
+
+    def grad_sq_and_flux(self, u):
+        """(grad_sq(u), radial_flux(u, "abs"))."""
+        return self.grad_sq(u), self.radial_flux(u, "abs")
 
     @_memoized
     def shell_mask(self):

@@ -78,10 +78,11 @@ def _petviashvili(grid, alpha, damping, tol, change_tol, max_iter):
     eff_tol = max(tol, grid.residual_floor)
     residuals = []
     monotone_failures = 0
+    lap_q = grid.laplacian(q).real  # kept from each residual for the next iteration
     for it in range(1, max_iter + 1):
         nl = np.abs(q) ** alpha * q
         g = grid.inv_one_minus_lap(nl).real
-        lin = grid.integrate(q * q) - grid.integrate(grid.laplacian(q).real * q)
+        lin = grid.integrate(q * q) - grid.integrate(lap_q * q)
         nld = grid.integrate(nl * q)
         if not nld > 0.0:  # |q|^alpha underflowed: no rescaling exists
             break
@@ -90,9 +91,8 @@ def _petviashvili(grid, alpha, damping, tol, change_tol, max_iter):
             q_new = q + damping * (q_new - q)
         change = math.sqrt(max(grid.integrate((q_new - q) ** 2), 0.0))
         q = q_new
-        res = float(
-            np.max(np.abs(grid.laplacian(q).real - q + np.abs(q) ** alpha * q))
-        )
+        lap_q = grid.laplacian(q).real
+        res = float(np.max(np.abs(lap_q - q + np.abs(q) ** alpha * q)))
         residuals.append(res)
         # diagnostic: past the burn-in the residual should fall until it
         # sits on the roundoff floor; repeated growth aborts the attempt

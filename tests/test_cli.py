@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,6 +254,54 @@ def test_groundstate_command(tmp_path, capsys):
     assert os.path.exists(base + ".bin")
     # cached artifact is reused on the second call
     assert main(["groundstate", path]) == 0
+
+
+def _cut_to_40_bytes(base):
+    with open(base + "_norms.json", "r+b") as fh:
+        fh.truncate(40)
+
+
+def _rewrite_sidecar(edit):
+    def damage(base):
+        with open(base + "_norms.json", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        with open(base + "_norms.json", "w", encoding="utf-8") as fh:
+            json.dump(edit(sidecar), fh)
+    return damage
+
+
+def _cut_payload(base):
+    with open(base + ".bin", "r+b") as fh:
+        fh.truncate(16)
+
+
+@pytest.mark.parametrize("damage", [
+    _cut_to_40_bytes,
+    _rewrite_sidecar(lambda sidecar: [sidecar]),
+    _rewrite_sidecar(lambda sidecar: {k: v for k, v in sidecar.items() if k != "mass"}),
+    lambda base: os.remove(base + ".json"),
+    _cut_payload,
+], ids=["not-json", "not-a-dict", "no-mass", "no-profile", "short-profile"])
+def test_unreadable_ground_state_artifact_is_solved_again(tmp_path, capsys, damage):
+    outdir = os.path.join(tmp_path, "gs")
+    path = write_cfg(tmp_path, BASE.format(outdir=outdir).replace(
+        "alpha = 2.0", "alpha = 6.0").replace("sign = defocusing", "sign = focusing"))
+    assert main(["groundstate", path]) == 0
+    first = capsys.readouterr().out
+    base = os.path.join(outdir, "groundstates", "groundstate_d1_alpha6")
+    damage(base)
+    assert main(["groundstate", path]) == 0
+    assert capsys.readouterr().out == first
+    with open(base + "_norms.json", encoding="utf-8") as fh:
+        assert json.load(fh)["kind"] == "ground-state"  # rewritten whole
+
+
+def test_cli_import_leaves_scipy_fft_out():
+    # importing scipy.fft pulls in scipy.special, a cost every CLI start would pay
+    code = "import sys, nlslab.cli; sys.exit('scipy.fft' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_groundstate_artifact_keyed_by_solver_settings(tmp_path, monkeypatch):

@@ -271,9 +271,47 @@ def test_free_propagator_keeps_the_bits_of_the_plain_product(grid):
     mult = np.cos(arg) - 1j * np.sin(arg)
     want = np.fft.ifftn(mult * np.fft.fftn(u))
     assert grid.free_propagator(0.05)(u).tobytes() == want.tobytes()
-    # and grad_sq, through the same forward transform, what `fftn` gives
-    k2_uh2 = grid.k_squared() * np.abs(np.fft.fftn(u)) ** 2
-    assert grid.grad_sq(u) == float(np.sum(k2_uh2)) * grid.cell_volume / u.size
+    # and grad_sq, the sum over axes of ||ifft_j(i k_j fft_j(u))||^2
+    kin = 0.0
+    for ax in range(grid.d):
+        ik = 1j * grid.k.reshape([-1 if a == ax else 1 for a in range(grid.d)])
+        du = np.fft.ifft(np.fft.fft(u, axis=ax) * ik, axis=ax)
+        kin += np.vdot(du, du).real
+    assert grid.grad_sq(u) == float(kin) * grid.cell_volume
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
+def test_axis_transforms_keep_the_bits_of_fftn(grid):
+    # _fft and _ifft give fftn's and ifftn's bits, on a field and on a stack,
+    # and _fft leaves its argument, read-only or not, as it was
+    axes = tuple(range(-grid.d, 0))
+    u = random_band_limited_field(grid, 2).values
+    stack = np.stack([u, random_band_limited_field(grid, 3).values])
+    for v, read_only in ((u, False), (stack, False), (stack.copy(), True)):
+        before = v.tobytes()
+        v.flags.writeable = not read_only
+        spectrum = grid._fft(v)
+        assert v.tobytes() == before
+        assert spectrum.tobytes() == np.fft.fftn(v, axes=axes).tobytes()
+        want = np.fft.ifftn(spectrum, axes=axes)
+        assert grid._ifft(spectrum).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, n, L", [(1, 256, 12.0), (2, 128, 10.0), (3, 64, 9.0)])
+def test_derivative_pass_on_a_chirped_gaussian(d, n, L):
+    # u = exp(-|x|^2/2 + i b |x|^2) has grad u = (-1 + 2ib) x u, so
+    # ||grad u||^2 = (1 + 4b^2) int |x|^2 e^{-|x|^2} = (1 + 4b^2) (d/2) pi^(d/2)
+    # and x/|x| . Im(conj(u) grad u) = 2b |x| |u|^2 at every node
+    b = 0.25
+    g = Grid(d, "cartesian", n=n, L=L)
+    r = g.radius()
+    u = np.exp(-(r**2) / 2.0 + 1j * b * r**2)
+    kin, flux = g.grad_sq_and_flux(u)
+    assert kin == pytest.approx((1.0 + 4.0 * b * b) * d / 2.0 * np.pi ** (d / 2.0),
+                                rel=1e-10, abs=0.0)
+    assert flux == pytest.approx(2.0 * b * g.integrate(r * np.abs(u) ** 2),
+                                 rel=1e-10, abs=0.0)
+    assert (kin, flux) == (g.grad_sq(u), g.radial_flux(u, "abs"))
 
 
 def test_radial_free_propagator_on_a_stack():

@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from nlslab.equation import EquationSpec, RegimeNotCoveredError
 from nlslab.evolve import EvolveConfig, SplitStepper, evolve, evolve_linear
 from nlslab.grid import Field, Grid, weighted_norm
+from nlslab.checks import random_radial_field
 from nlslab.observables import (
     RADIAL_SOBOLEV_CONSTANTS,
+    IdentityCheck,
     ObservableRecord,
     interaction_morawetz_l4,
     localized_virial_bound_check,
@@ -40,6 +44,22 @@ def test_record_energy_of_ground_state(gs_1d_cubic):
     assert rec.energy == pytest.approx(
         0.5 * rec.kinetic + rec.potential_term + rec.nonlinear_term, rel=1e-14
     )
+
+
+def test_record_on_a_radial_grid_keeps_the_bits_of_its_functionals():
+    spec = EquationSpec(d=3, c=1.0, sigma=1.0, alpha=2.0, sign="defocusing")
+    g = Grid(3, "radial", n_r=512, r_max=10.0)
+    f = random_radial_field(g, 4)
+    rec = record(f, spec)
+    assert rec.kinetic == g.grad_sq(f.values)
+    assert rec.morawetz_abs == 2.0 * g.radial_flux(f.values, "abs")
+
+
+def test_identity_check_from_numpy_scalars_serializes():
+    for rel_error in (np.float64(1e-4), np.float64(0.5)):
+        check = IdentityCheck("virial-identity", rel_error, np.float64(1e-3))
+        assert type(check.rel_error) is float and type(check.passed) is bool
+        assert json.loads(json.dumps(asdict(check)))["passed"] == (rel_error <= 1e-3)
 
 
 def test_morawetz_real_field_vanishes():
