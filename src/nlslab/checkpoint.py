@@ -32,7 +32,7 @@ FORMAT_NAME = "nls-field-checkpoint"
 FORMAT_VERSION = 1
 
 
-def atomic_write_bytes(path, data: bytes):
+def atomic_write_bytes(path, data):
     # a temp name per process and thread: concurrent writers of one path
     # never share a temp file, and the last rename wins whole
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
@@ -58,7 +58,8 @@ def write_field(base_path, field: Field, config_hash=None):
     header.update(g.describe())
     if config_hash is not None:
         header["config_hash"] = config_hash
-    payload = np.ascontiguousarray(field.values).astype("<c16").tobytes()
+    # a view of the values on a little-endian host: the file gets their bytes
+    payload = np.ascontiguousarray(field.values, dtype="<c16")
     atomic_write_bytes(f"{base_path}.bin", payload)
     atomic_write_text(f"{base_path}.json", json.dumps(header, sort_keys=True, indent=1))
     return f"{base_path}.json"

@@ -7,16 +7,20 @@ pointwise phase rotation by the potential plus the nonlinearity, which
 commute pointwise and are applied in one exponential.  Both sub-flows
 are unitary, so discrete mass is conserved to roundoff.
 
-On Cartesian grids the Fourier multiplier composes, A(dt/2) A(dt/2) =
-A(dt), so fixed-dt runs merge the trailing half-step of one step with
-the leading half-step of the next: n steps between two reads of the
+On Cartesian grids the Fourier multiplier composes, A(a) A(b) = A(a + b)
+for any a and b, so `evolve` merges the trailing half-step of one step
+with the leading half-step of the next: n steps between two reads of the
 field run as A(dt/2) B A(dt) B ... A(dt) B A(dt/2), one FFT round trip
-per step instead of two.  `evolve` closes the pending half wherever it
-reads the field (a record, a checkpoint, the end, max_steps) and
-`evolve_linear` at the end; the finiteness check runs on every step's
-shifted field, which is finite exactly when the true one is.  Adaptive
-runs change dt from step to step and are not merged, and radial grids
-never merge, because Crank-Nicolson halves do not compose.
+per step instead of two.  Where it reads the field (a record, a
+checkpoint, the end, max_steps, and every step of an adaptive run, whose
+dt follows max|u| of the true field) `evolve` settles the owed half.
+Settling takes the true field's spectrum on the way, and the stepper
+keeps it: the next step starts from it with A(dt'/2) and no forward
+transform, so a step that is read costs one forward and two inverse
+transforms instead of two and two.  `evolve_linear` settles at the
+end.  The finiteness check runs on every step's shifted field, which is
+finite exactly when the true one is.  Radial grids never merge, because
+Crank-Nicolson halves do not compose.
 
 `evolve` steps a (K, *shape) stack of fields that share a grid, spec
 and fixed dt in one loop, so a sweep over initial data pays numpy's
@@ -100,11 +104,15 @@ class SplitStepper:
     step(u, dt) is one Strang step and returns the field at t + dt; u may
     be one field's values or a (K, *shape) stack of them.  With
     merge_halves on a grid whose free flow composes, step instead leaves
-    its trailing A(dt/2) pending and returns the field shifted by it; the
-    next step of the same dt applies that half together with its own
-    leading half as one A(dt).  settle(u) applies a pending half and
-    returns the true field, so a caller that merges settles wherever it
-    reads the field.
+    its trailing A(dt/2) owed and returns the field shifted by it; the
+    next step applies the owed half together with its own leading half as
+    one A(owed + dt/2), whatever its dt.  settle(u) writes the true field
+    over u and returns it, so a caller that merges settles wherever it
+    reads the field.  settle keeps the true field's spectrum, and the
+    next step starts from it: a read step costs one forward and two
+    inverse transforms, against two and two unmerged.  Until then the
+    stepper holds one field's worth more memory, and step must be given
+    settle's output, or keep(u, rows) of it.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
@@ -114,21 +122,23 @@ class SplitStepper:
         # V = c max(|x|, epsilon_reg)^(-sigma), shared with observables.record
         self.potential = spec.c * grid.radius_power(-spec.sigma, epsilon_reg)
         self._merge = merge_halves and grid.free_flow_composes
-        self._pending = None  # dt of the step whose trailing half is owed
+        self._owed = None  # free-flow time that step's output still owes
+        self._spectrum = None  # settle's output's spectrum, for the next step
         self._free_ops = {}
         self._linear_phase_cache = (None, None)
 
     # -- A: the grid's free flow over tau -------------------------------
 
-    def _free(self, u, tau):
+    def _free(self, tau):
+        """The free-flow map over tau, u -> A(tau) u."""
         # keyed by tau, which adaptive dt halving changes; a merging run
-        # holds dt/2 and dt, and builds dt only once a merge happens
+        # holds dt/2, and dt once it merges across a step it does not read
         op = self._free_ops.get(tau)
         if op is None:
             if len(self._free_ops) == 2:
                 self._free_ops.clear()
             op = self._free_ops[tau] = self.grid.free_propagator(tau)
-        return op(u)
+        return op
 
     # -- B: exact phase rotation (potential and nonlinearity commute) --
 
@@ -155,22 +165,33 @@ class SplitStepper:
         return u
 
     def step(self, u, dt, nonlinear=True):
-        if self._pending == dt:
-            u = self._free(u, dt)  # the owed half and this step's leading half
+        half = 0.5 * dt
+        if self._spectrum is not None:  # u is settle's output
+            u = self.grid._ifft(self._free(half).on_spectrum(self._spectrum))
+            self._spectrum = None
         else:
-            u = self._free(self.settle(u), 0.5 * dt)
+            u = self._free(half if self._owed is None else self._owed + half)(u)
         u = self._phase(u, dt, nonlinear)
         if self._merge:
-            self._pending = dt
+            self._owed = half
             return u
-        return self._free(u, 0.5 * dt)
+        return self._free(half)(u)
 
     def settle(self, u):
-        """The true field of step's output u: applies a pending half-step."""
-        if self._pending is None:
+        """The true field of step's output u, written over u; its spectrum
+        is kept for the next step."""
+        if self._owed is None:
             return u
-        dt, self._pending = self._pending, None
-        return self._free(u, 0.5 * dt)
+        spectrum = self._free(self._owed).on_spectrum(self.grid._fft(u))
+        u[...] = spectrum
+        self._spectrum, self._owed = spectrum, None
+        return self.grid._ifft(u)
+
+    def keep(self, u, rows):
+        """u[rows], with the rows of a kept spectrum taken along."""
+        if self._spectrum is not None:
+            self._spectrum = self._spectrum[rows]
+        return u[rows]
 
 
 def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:
@@ -228,7 +249,8 @@ class _Member:
                     "without dt collapse"
                 )
                 self.warned_grad = True
-            self.last_good = f.copy()
+            self.last_good.values[...] = f.values  # reuses the buffer
+            self.last_good.time = f.time
         if checkpoint and self.checkpoint_cb is not None:
             self.checkpoint_cb(f.copy())
         return True
@@ -288,8 +310,7 @@ def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
     fixed = cfg.adaptivity == "fixed"
     if not fixed and len(fields) > 1:
         raise ValueError("adaptive dt advances one field at a time")
-    # a fixed dt merges half-steps between the points that read the field
-    stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=fixed)
+    stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=True)
     members = [_Member(f, spec, cfg, cb, delta)
                for f, cb, delta in zip(fields, checkpoint_cbs, glassey_deltas)]
     live = list(members)  # the members of the rows of u, in order
@@ -300,7 +321,7 @@ def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
     def keep(rows):
         nonlocal u, live
         if not all(rows):
-            u = u[np.asarray(rows)]
+            u = stepper.keep(u, np.asarray(rows))
             live = [m for m, ok in zip(live, rows) if ok]
 
     if fixed:
@@ -362,7 +383,8 @@ def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
         )
         record_now = step % cfg.record_stride == 0 or at_end
         checkpoint_now = checkpoints and (step % cfg.checkpoint_stride == 0 or at_end)
-        if record_now or checkpoint_now or step >= cfg.max_steps:
+        # an adaptive run reads max|u| of the true field for its next dt
+        if not fixed or record_now or checkpoint_now or step >= cfg.max_steps:
             u = stepper.settle(u)
         if record_now or checkpoint_now:
             # a comprehension: no loop variable keeps a row of u alive

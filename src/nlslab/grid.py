@@ -208,17 +208,23 @@ class CartesianGrid(Grid):
         `fftn(u) * mult` once the spectrum reaches 256 KiB (it computes
         into the temporary), so the order is fixed per grid to match:
         stack rows and solo fields keep the bits solo runs always had.
+
+        The returned map's on_spectrum(s) is its product alone: it
+        multiplies the spectrum s = _fft(u) in place and returns it.
         """
         spectrum_first = 16 * math.prod(self.shape) >= 256 * 1024
 
-        def apply(u):
-            u = self._fft(u)
+        def on_spectrum(s):
             if spectrum_first:
-                u *= mult
+                s *= mult
             else:
-                np.multiply(mult, u, out=u)
-            return self._ifft(u)
+                np.multiply(mult, s, out=s)
+            return s
 
+        def apply(u):
+            return self._ifft(on_spectrum(self._fft(u)))
+
+        apply.on_spectrum = on_spectrum
         return apply
 
     # fftn's and ifftn's transforms over u's trailing d axes, one axis at a
@@ -284,6 +290,13 @@ class CartesianGrid(Grid):
         for ax in range(self.d):
             edge = edge | (np.abs(self.coords(ax)) >= 0.9 * self.L)
         return edge
+
+    def shell_mass_fraction(self, u):
+        """Share of u's mass on shell_mask(): the uniform cell volume
+        cancels, so both sums are plain sums of |u|^2."""
+        shell = u[self.shell_mask()]
+        total = np.vdot(u, u).real
+        return float(np.vdot(shell, shell).real / total) if total else 0.0
 
     def describe(self):
         return {"mode": self.mode, "d": self.d, "n": self.n, "L": self.L}
@@ -414,6 +427,14 @@ class RadialGrid(Grid):
         """Nodes with r >= 0.9 r_max (the boundary reflection monitor)."""
         return self.r >= 0.9 * self.r_max
 
+    def shell_mass_fraction(self, u):
+        """Share of u's mass on shell_mask()."""
+        dens = np.abs(u) ** 2
+        total = self.integrate(dens)
+        if total == 0.0:
+            return 0.0
+        return self.integrate(dens * self.shell_mask()) / total
+
     def describe(self):
         return {"mode": self.mode, "d": self.d, "n_r": self.n_r, "r_max": self.r_max}
 
@@ -482,10 +503,5 @@ def h1_norm(f: Field) -> float:
 
 def boundary_shell_mass_fraction(f: Field) -> float:
     """Mass fraction in the outer 10% shell (boundary reflection monitor)."""
-    g = f.grid
     with np.errstate(all="ignore"):  # tolerate overflowing stress fields
-        dens = np.abs(f.values) ** 2
-        total = g.integrate(dens)
-        if total == 0.0:
-            return 0.0
-        return g.integrate(dens * g.shell_mask()) / total
+        return f.grid.shell_mass_fraction(f.values)

@@ -300,6 +300,24 @@ def per_step_run(u0, spec, dt, n_steps, record_stride, checkpoint_stride):
     return records, checkpoints, None
 
 
+def adaptive_per_step_run(u0, spec, cfg):
+    """Reference for an adaptive evolve that neither blows up nor meets the
+    dt floor: Strang steps one by one, each closed, under evolve's CFL rule."""
+    stepper = SplitStepper(u0.grid, spec)
+    u, t, times, fields = u0.values, 0.0, [0.0], [u0.values]
+    while t < cfg.t_end * (1.0 - 1e-12):
+        dt = cfg.dt0
+        raw = cfg.cfl_constant / np.max(np.abs(u)) ** spec.alpha
+        if raw < dt:
+            dt = cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw)))
+        dt = min(dt, cfg.t_end - t)
+        u = stepper.step(u, dt)
+        t += dt
+        times.append(t)
+        fields.append(u)
+    return times, fields
+
+
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -385,3 +403,62 @@ def test_stack_needs_one_grid_and_a_fixed_dt():
     [stacked] = evolve([u0], spec, EvolveConfig(dt0=1e-3, t_end=0.01, record_stride=3))
     assert stacked.records == solo.records
     assert stacked.final_field.values.tobytes() == solo.final_field.values.tobytes()
+
+
+def test_adaptive_merge_matches_per_step_loop():
+    # sup|u| falls as the data disperses, so the CFL dt doubles twice and
+    # the merged run carries its spectrum across each change of dt
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(1, "cartesian", n=256, L=10.0)
+    u0 = Field(g, (3.0 * np.exp(-g.axis**2 / 2.0)).astype(complex))
+    cfg = EvolveConfig(dt0=0.05, t_end=0.5, adaptivity="cfl-nonlinear", record_stride=1)
+    out = evolve(u0, spec, cfg)
+    times, fields = adaptive_per_step_run(u0, spec, cfg)
+    assert out.status == "completed"
+    # dt 0.00625, 0.0125 and 0.025, and a last step cut to t_end
+    assert np.unique(np.diff(times).round(12)).tolist() == [0.00625, 0.0125, 0.01875, 0.025]
+    assert [r.t for r in out.records] == times
+    for rec, u in zip(out.records, fields):
+        want = observables.record(Field(g, u, rec.t), spec)
+        for name in ("mass", "energy", "kinetic", "virial", "linfty"):
+            assert getattr(rec, name) == pytest.approx(getattr(want, name), rel=1e-12)
+    assert rel_err(out.final_field.values, fields[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("adaptivity, d", [("fixed", 2), ("cfl-nonlinear", 1)])
+def test_one_forward_transform_per_read_step(adaptivity, d):
+    # a step that is read starts from the spectrum its settle kept: past
+    # the first step's own start, each step takes one forward transform
+    spec = EquationSpec(d=d, c=1.0, sigma=0.5, alpha=2.0, sign="focusing")
+    g = Grid(d, "cartesian", n=64, L=8.0)
+    u0 = random_band_limited_field(g, 3)
+    forward = []
+    transform = g._fft
+    g._fft = lambda u: forward.append(u.shape) or transform(u)
+    out = evolve(u0, spec, EvolveConfig(dt0=1e-3, t_end=0.03, adaptivity=adaptivity,
+                                        record_stride=1))
+    n_steps = len(out.records) - 1
+    assert out.status == "completed" and n_steps >= 30
+    assert forward == [(1, *g.shape)] * (n_steps + 1)
+
+
+def test_member_invalid_at_a_record_leaves_the_rest_as_solo_runs():
+    # the first member focuses until its |u|^4 overflows: its field stays
+    # finite, but its record at step 78 fails, and the stack drops its row
+    # while the stepper holds the stack's spectrum
+    spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=1e-3, sign="defocusing")
+    g = Grid(1, "cartesian", n=256, L=40.0)
+    z = 1.0 - 20.0j
+    chirped = np.exp(-g.axis**2 / (2.0 * z)) / np.sqrt(z)
+    fields = [Field(g, 1.2e77 * chirped), random_band_limited_field(g, 4),
+              Field(g, chirped)]
+    cfg = EvolveConfig(dt0=0.1, t_end=8.0, record_stride=1)
+    bad, *rest = evolve(fields, spec, cfg)
+    assert bad.status == "invalid" and bad.warnings[0].startswith("non-finite observable")
+    assert len(bad.records) == 78 and bad.t_reached == 78 * 0.1
+    assert bad.final_field.time == bad.records[-1].t == 77 * 0.1
+    for f, stacked in zip(fields[1:], rest):
+        solo = evolve(f, spec, cfg)
+        assert stacked.status == solo.status == "completed"
+        assert stacked.records == solo.records
+        assert stacked.final_field.values.tobytes() == solo.final_field.values.tobytes()
