@@ -84,9 +84,9 @@ def read_field(header_path) -> Field:
         sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
         grid = Grid(header["d"], header["mode"], **sizes)
         payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
-        time = header["time"]
-    except KeyError as exc:
-        raise ValueError(f"{header_path}: header lacks {exc}") from exc
+        time = float(header["time"])
+    except (KeyError, TypeError, OverflowError) as exc:  # a key absent or mistyped
+        raise ValueError(f"{header_path}: bad header: {exc!r}") from exc
     with open(payload_path, "rb") as fh:
         payload = fh.read()
     if len(payload) != 16 * math.prod(grid.shape):
@@ -126,7 +126,7 @@ def load_ground_state(base_path, solver_hash):
     try:
         with open(base_path + "_norms.json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-    except ValueError:  # not JSON, or not UTF-8
+    except (OSError, ValueError):  # absent, not JSON, or not UTF-8
         return None
     if not isinstance(sidecar, dict) or sidecar.get("solver_hash") != solver_hash:
         return None

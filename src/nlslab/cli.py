@@ -50,7 +50,7 @@ from .equation import (
 from .evolve import evolve
 from .grid import Field, Grid, GridError, InvalidFieldError
 from .groundstate import GroundStateError, make_bubble, solve_ground_state
-from .observables import IdentityCheck, virial_identity_check, virial_rhs_forms
+from .observables import IdentityCheck, record, virial_identity_check, virial_rhs_forms
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,10 +90,9 @@ def _solve_artifact_groundstate(cfg: ExperimentConfig):
     gdir = _groundstate_dir(cfg)
     base = os.path.join(gdir, ground_state_basename(d, alpha))
     solver_hash = groundstate_solver_hash(cfg)
-    if os.path.exists(base + "_norms.json"):
-        gs = load_ground_state(base, solver_hash=solver_hash)
-        if gs is not None:
-            return gs
+    gs = load_ground_state(base, solver_hash=solver_hash)
+    if gs is not None:
+        return gs
     gc = cfg.groundstate
     gs = solve_ground_state(d, alpha, build_groundstate_grid(cfg),
                             tol=gc.tol, max_iter=gc.max_iter)
@@ -120,8 +119,6 @@ def _threshold_for_field(cfg, u0):
     convexity margin of blow-up-branch data with E >= 0, else None.  The
     reference ground state (or bubble) is dropped on return.
     """
-    from .observables import record
-
     spec = cfg.equation
     info = classify_criticality(spec)
     rec = record(u0, spec, epsilon_reg=cfg.evolve.epsilon_reg)
@@ -406,14 +403,19 @@ def _hash_consistency(cfg: ExperimentConfig) -> tuple[bool, str]:
             for name in files:
                 path = os.path.join(root, name)
                 found = {}
-                if name.endswith(".json"):
-                    with open(path, "r", encoding="utf-8") as fh:
-                        found = json.load(fh)
-                elif name.endswith(".csv"):
-                    with open(path, "r", encoding="utf-8") as fh:
-                        first = fh.readline().strip()
-                    if first.startswith("# config_hash="):
-                        found = {"config_hash": first.split("=", 1)[1]}
+                try:
+                    if name.endswith(".json"):
+                        with open(path, "r", encoding="utf-8") as fh:
+                            found = json.load(fh)
+                    elif name.endswith(".csv"):
+                        with open(path, "r", encoding="utf-8") as fh:
+                            first = fh.readline().strip()
+                        if first.startswith("# config_hash="):
+                            found = {"config_hash": first.split("=", 1)[1]}
+                except ValueError as exc:  # not JSON, or not UTF-8
+                    return False, f"{path} is unreadable: {exc}"
+                if not isinstance(found, dict):  # a JSON array or scalar carries no hash
+                    continue
                 for key in want.keys() & found.keys():
                     seen += 1
                     if found[key] != want[key]:

@@ -258,8 +258,8 @@ def threshold_test(
     d, alpha = spec.d, spec.alpha
 
     if info.regime == MASS_CRITICAL:
-        q_gm = math.sqrt(mass)
-        b_gm = math.sqrt(ground_state.mass)
+        q_em, b_em = energy, 0.0
+        q_gm, b_gm = math.sqrt(mass), math.sqrt(ground_state.mass)
         e_scale = abs(energy) + gradnorm**2 + 1e-300
         if q_gm < b_gm - rel_tol * b_gm:
             verdict = GLOBAL_BRANCH
@@ -267,17 +267,7 @@ def threshold_test(
             verdict = BLOWUP_BRANCH
         else:
             verdict = NEITHER
-        return ThresholdVerdict(
-            regime=info.regime,
-            quantity_em=energy,
-            bound_em=0.0,
-            quantity_gm=q_gm,
-            bound_gm=b_gm,
-            verdict=verdict,
-            radial_blowup_alpha_ok=info.radial_blowup_alpha_ok,
-        )
-
-    if info.regime == INTERCRITICAL:
+    elif info.regime == INTERCRITICAL:
         beta = info.beta_c
         q_gm = gradnorm * _power(mass, beta / 2.0)
         b_gm = math.sqrt(ground_state.kinetic) * _power(ground_state.mass, beta / 2.0)
@@ -296,16 +286,17 @@ def threshold_test(
         b_gm = math.sqrt(ground_state.kinetic)
         ratio_gm, ratio_em = q_gm / b_gm, q_em / b_em
 
-    # both bounds are positive: q < b (1 - rel_tol) reads ratio < 1 - rel_tol
-    em_below = ratio_em < 1.0 - rel_tol
-    gm_below = ratio_gm < 1.0 - rel_tol
-    gm_above = ratio_gm > 1.0 + rel_tol
-    if em_below and gm_below:
-        verdict = GLOBAL_BRANCH
-    elif em_below and gm_above:
-        verdict = BLOWUP_BRANCH
-    else:
-        verdict = NEITHER
+    if info.regime != MASS_CRITICAL:
+        # both bounds are positive: q < b (1 - rel_tol) reads ratio < 1 - rel_tol
+        em_below = ratio_em < 1.0 - rel_tol
+        gm_below = ratio_gm < 1.0 - rel_tol
+        gm_above = ratio_gm > 1.0 + rel_tol
+        if em_below and gm_below:
+            verdict = GLOBAL_BRANCH
+        elif em_below and gm_above:
+            verdict = BLOWUP_BRANCH
+        else:
+            verdict = NEITHER
     return ThresholdVerdict(
         regime=info.regime,
         quantity_em=q_em,

@@ -80,7 +80,7 @@ class EvolveConfig:
     phi_r_list: tuple[float, ...] = declared(
         (), each(above(0.0)), 'localized-virial scales, e.g. "8 16 32"')
     epsilon_reg: float = declared(0.0, at_least(0.0), "floor of |x| in the potential")
-    max_steps: int = declared(10_000_000, at_least(1))
+    max_steps: int = declared(10_000_000, at_least(1), "steps allowed to reach t_end")
 
     def __post_init__(self):
         check_domains(self)
@@ -383,14 +383,16 @@ def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
         )
         record_now = step % cfg.record_stride == 0 or at_end
         checkpoint_now = checkpoints and (step % cfg.checkpoint_stride == 0 or at_end)
+        # a run that reaches t_end on its max_steps-th step completes
+        out_of_steps = step >= cfg.max_steps and not at_end
         # an adaptive run reads max|u| of the true field for its next dt
-        if not fixed or record_now or checkpoint_now or step >= cfg.max_steps:
+        if not fixed or record_now or checkpoint_now or out_of_steps:
             u = stepper.settle(u)
         if record_now or checkpoint_now:
             # a comprehension: no loop variable keeps a row of u alive
             keep([m.read(Field(grid, row, t), record_now, checkpoint_now)
                   for m, row in zip(live, u)])
-        if step >= cfg.max_steps:
+        if out_of_steps:
             for m in live:
                 m.stop("invalid", t, f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
             break

@@ -127,7 +127,7 @@ class Grid:
     @_memoized
     def phi_weight(self, R):
         """Localized virial weight phi_R sampled on every node."""
-        return eval_localized_weight(R, self).phi.reshape(self.shape)
+        return eval_localized_weight(R, self.radius(), self.d).phi.reshape(self.shape)
 
     def __repr__(self):
         p = self.describe()
@@ -258,9 +258,10 @@ class CartesianGrid(Grid):
     def _ik(self, axis):
         return 1j * self._along(self.k, axis)
 
-    def _derivative_sums(self, u, weight):
-        """(||grad u||^2, int grad(a) . Im(conj(u) grad u)) from one spectral
-        derivative per axis, du_j = ifft_j(i k_j fft_j(u)), held one at a time."""
+    def grad_sq_and_flux(self, u, weight="abs"):
+        """(||grad u||^2, int grad(a) . Im(conj(u) grad u)) for a = |x| ("abs")
+        or |x|^2, from one spectral derivative per axis,
+        du_j = ifft_j(i k_j fft_j(u)), held one at a time."""
         kin = flux = 0.0
         for ax in range(self.d):
             du = np.fft.fft(u, axis=ax)
@@ -270,18 +271,6 @@ class CartesianGrid(Grid):
             du *= self.unit_vector(ax) if weight == "abs" else 2.0 * self.coords(ax)
             flux += np.vdot(u, du).imag
         return float(kin) * self.cell_volume, float(flux) * self.cell_volume
-
-    def grad_sq(self, u):
-        """||grad u||_L2^2 as the sum over axes of ||du/dx_j||^2."""
-        return self._derivative_sums(u, "abs")[0]
-
-    def radial_flux(self, u, weight):
-        """int grad(a) . Im(conj(u) grad u) for a = |x| ("abs") or |x|^2."""
-        return self._derivative_sums(u, weight)[1]
-
-    def grad_sq_and_flux(self, u):
-        """(grad_sq(u), radial_flux(u, "abs")) from one derivative pass."""
-        return self._derivative_sums(u, "abs")
 
     @_memoized
     def shell_mask(self):
@@ -399,28 +388,21 @@ class RadialGrid(Grid):
 
         return solve_parts
 
-    def grad_sq(self, u):
-        """||grad u||_L2^2 from face differences; equals <-Lap u, u> exactly."""
+    def grad_sq_and_flux(self, u, weight="abs"):
+        """(||grad u||^2, int a'(r) Im(conj(u) du/dr)) for a = |x| ("abs") or
+        |x|^2.  ||grad u||^2 comes from face differences and equals
+        <-Lap u, u> exactly; du/dr is second order, even at 0, Dirichlet at r_max."""
         a = self._face_coef
-        diff = np.abs(u[1:] - u[:-1]) ** 2
-        total = np.sum(a[1:-1] * diff) / self.dr
-        total += 2.0 * a[-1] * np.abs(u[-1]) ** 2 / self.dr
-        return SURFACE_MEASURE[self.d] * float(total)
-
-    def radial_flux(self, u, weight):
-        """int a'(r) Im(conj(u) du/dr) for a = |x| ("abs") or |x|^2."""
-        du = np.empty_like(u)  # second order, even at 0, Dirichlet at r_max
+        kin = np.sum(a[1:-1] * np.abs(u[1:] - u[:-1]) ** 2) / self.dr
+        kin += 2.0 * a[-1] * np.abs(u[-1]) ** 2 / self.dr
+        du = np.empty_like(u)
         du[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.dr)
         du[0] = (u[1] - u[0]) / (2.0 * self.dr)      # even mirror ghost: u[-1] = u[0]
         du[-1] = (-u[-1] - u[-2]) / (2.0 * self.dr)  # Dirichlet ghost: u[n] = -u[n-1]
         flow = np.imag(np.conj(u) * du)
         if weight != "abs":
             flow = 2.0 * self.r * flow
-        return self.integrate(flow)
-
-    def grad_sq_and_flux(self, u):
-        """(grad_sq(u), radial_flux(u, "abs"))."""
-        return self.grad_sq(u), self.radial_flux(u, "abs")
+        return SURFACE_MEASURE[self.d] * float(kin), self.integrate(flow)
 
     @_memoized
     def shell_mask(self):
@@ -485,9 +467,9 @@ def mass_fourier(f: Field) -> float:
 
 
 def gradient_norm_sq(f: Field) -> float:
-    """||grad f||_L2^2 under the grid's own gradient (see grad_sq)."""
+    """||grad f||_L2^2 under the grid's own gradient (see grad_sq_and_flux)."""
     f.require_finite()
-    return f.grid.grad_sq(f.values)
+    return f.grid.grad_sq_and_flux(f.values)[0]
 
 
 def weighted_norm(f: Field, weight) -> float:

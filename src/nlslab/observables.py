@@ -120,7 +120,7 @@ def morawetz_action(u: Field, weight="abs") -> float:
     With a = |x|^2 this is d/dt ||x u||^2 along solutions.
     """
     u.require_finite()
-    return 2.0 * u.grid.radial_flux(u.values, weight)
+    return 2.0 * u.grid.grad_sq_and_flux(u.values, weight)[1]
 
 
 @dataclass

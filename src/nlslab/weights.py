@@ -145,19 +145,12 @@ class LocalizedWeights:
     psi2: np.ndarray       # 2d - Lap phi_R
 
 
-def eval_localized_weight(R, radii_or_grid, d=None) -> LocalizedWeights:
-    """Sample phi_R and companions at grid radii (or an explicit array)."""
+def eval_localized_weight(R, radii, d) -> LocalizedWeights:
+    """Sample phi_R and companions at the given radii in dimension d."""
     if R <= 0:
         raise ValueError("scale R must be positive")
     verify_bridge()
-    if hasattr(radii_or_grid, "radius"):
-        grid = radii_or_grid
-        radii = np.ravel(grid.radius())
-        d = grid.d
-    else:
-        radii = np.asarray(radii_or_grid, dtype=float).ravel()
-        if d is None:
-            raise ValueError("dimension d required with an explicit radius array")
+    radii = np.asarray(radii, dtype=float).ravel()
     rho = radii / R
     chi_rho, z, zp = _chi_derivatives(rho, range(3))
     # radial Laplacian of phi_R as a function of rho alone: zeta/rho = 2 on

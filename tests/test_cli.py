@@ -106,6 +106,11 @@ def test_config_invalid_exit_code(tmp_path):
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/short.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/other_box.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/version_2.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/n_null.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/L_abc.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/n_inf.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/time_null.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_5.json"),
         ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
         ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
          "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
@@ -125,6 +130,8 @@ def test_config_invalid_exit_code(tmp_path):
          "formats-xml", "sweep-workers-zero", "sweep-workers-negative",
          "checkpoint-path-not-a-checkpoint", "checkpoint-path-short-payload",
          "checkpoint-path-other-box", "checkpoint-path-other-version",
+         "checkpoint-path-n-null", "checkpoint-path-L-string", "checkpoint-path-n-inf",
+         "checkpoint-path-time-null", "checkpoint-path-payload-number",
          "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul"],
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
@@ -141,13 +148,17 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     # a checkpoint of the run grid's shape on another box (L = 5, not 12)
     other_box = Grid(1, "cartesian", n=256, L=5.0)
     write_field(os.path.join(tmp_path, "other_box"), Field(other_box, np.ones(256, complex)))
-    # a checkpoint of the run grid under a format version this code does not read
-    header = write_field(os.path.join(tmp_path, "version_2"),
-                         Field(grid, np.ones(256, complex)))
-    with open(header, encoding="utf-8") as fh:
-        fields = json.load(fh)
-    with open(header, "w", encoding="utf-8") as fh:
-        json.dump({**fields, "version": 2}, fh)
+    # checkpoints of the run grid under a format version this code does not
+    # read, or whose header holds a value of the wrong type
+    for name, edit in (("version_2", {"version": 2}), ("n_null", {"n": None}),
+                       ("L_abc", {"L": "abc"}), ("n_inf", {"n": float("inf")}),
+                       ("time_null", {"time": None}), ("payload_5", {"payload": 5})):
+        header = write_field(os.path.join(tmp_path, name),
+                             Field(grid, np.ones(256, complex)))
+        with open(header, encoding="utf-8") as fh:
+            fields = json.load(fh)
+        with open(header, "w", encoding="utf-8") as fh:
+            json.dump({**fields, **edit}, fh)
     new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
@@ -482,6 +493,28 @@ def test_check_command_hash_consistency(tmp_path):
     with open(bogus, "w", encoding="utf-8") as fh:
         json.dump({"config_hash": "0000"}, fh)
     assert main(["check", path]) == 4
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("truncated.json", b'{"config_hash": "00'),
+     ("latin1.csv", "# config_hash=caf\xe9\n".encode("latin-1")),
+     ("array.json", b"[1, 2]")],
+    ids=["truncated-json", "non-utf8-csv", "json-array"],
+)
+def test_check_on_an_unreadable_or_hashless_file(tmp_path, capsys, name, content):
+    outdir = os.path.join(tmp_path, "chk")
+    path = write_cfg(tmp_path, BASE.format(outdir=outdir))
+    assert main(["evolve", path]) == 0
+    with open(os.path.join(outdir, name), "wb") as fh:
+        fh.write(content)
+    capsys.readouterr()
+    # a JSON value that is not an object carries no hash and is skipped
+    hashless = name == "array.json"
+    assert main(["check", path]) == (0 if hashless else 4)
+    out = capsys.readouterr().out
+    if not hashless:
+        assert f"FAIL hash-consistency: {os.path.join(outdir, name)} " in out
 
 
 # -- sweeps over [initial] on fixed dt advance as one stack ---------------

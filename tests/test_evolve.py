@@ -252,6 +252,22 @@ def test_invalid_status_keeps_last_good_field():
     assert out.final_field is not None and out.final_field.is_finite()
 
 
+@pytest.mark.parametrize("adaptivity", ["fixed", "cfl-nonlinear"])
+def test_max_steps_equal_to_the_step_count_completes(adaptivity):
+    # dt0 = 1e-2 reaches t_end = 0.1 in exactly 10 steps; max|u| = 1 keeps
+    # the adaptive dt at dt0
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(1, "cartesian", n=64, L=8.0)
+    u0 = Field(g, np.exp(-g.axis**2).astype(complex))
+    for max_steps, status in ((10, "completed"), (9, "invalid")):
+        cfg = EvolveConfig(dt0=1e-2, t_end=0.1, adaptivity=adaptivity,
+                           max_steps=max_steps)
+        out = evolve(u0, spec, cfg)
+        assert out.status == status, max_steps
+        assert bool(out.warnings) == (status == "invalid")
+    assert out.t_reached == pytest.approx(0.09, rel=1e-12)
+
+
 def test_grid_refinement_consistency():
     # data away from the potential cusp: doubling n must leave E(u(t))
     # unchanged at spectral accuracy

@@ -137,7 +137,7 @@ def test_eval_on_grids():
     gc = Grid(2, "cartesian", n=64, L=8.0)
     gr = Grid(3, "radial", n_r=256, r_max=16.0)
     for g in (gc, gr):
-        lw = eval_localized_weight(4.0, g)
+        lw = eval_localized_weight(4.0, g.radius(), g.d)
         assert lw.phi.shape == (np.prod(g.shape),)
         assert np.all(np.isfinite(lw.bilap))
 
