@@ -16,6 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .equation import check_domains
 from .grid import Field, Grid
 
 __all__ = [
@@ -119,8 +120,8 @@ def save_ground_state(directory, gs, solver_hash):
 
 
 def load_ground_state(base_path, solver_hash):
-    """Load a ground-state artifact written by save_ground_state; None, for
-    the caller to solve it again, unless it stores solver_hash and reads back."""
+    """The ground-state artifact written by save_ground_state, or None (solve
+    it again) unless it stores solver_hash and reads back in declared domains."""
     from .groundstate import GroundState
 
     try:
@@ -135,6 +136,8 @@ def load_ground_state(base_path, solver_hash):
     stored = {f.name: sidecar[f.name] for f in fields(GroundState)
               if f.name != "field" and f.name in sidecar}
     try:
-        return GroundState(field=read_field(base_path + ".json"), **stored)
-    except (OSError, ValueError, TypeError):  # a profile missing or rejected,
-        return None                           # or a required field absent
+        gs = GroundState(field=read_field(base_path + ".json"), **stored)
+        check_domains(gs)
+        return gs
+    except (OSError, ValueError, TypeError):  # a profile missing or rejected, a field
+        return None                           # absent, or a value outside its domain

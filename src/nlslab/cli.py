@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-import typing
 
 import numpy as np
 
@@ -41,14 +40,9 @@ from .config import (
     load_config,
     override,
 )
-from .equation import (
-    ThresholdVerdict,
-    classify_criticality,
-    negativity_margin,
-    threshold_test,
-)
-from .evolve import evolve
-from .grid import Field, Grid, GridError, InvalidFieldError
+from .equation import classify_criticality, negativity_margin, threshold_test
+from .evolve import Member, evolve
+from .grid import Grid, GridError, InvalidFieldError
 from .groundstate import GroundStateError, make_bubble, solve_ground_state
 from .observables import IdentityCheck, record, virial_identity_check, virial_rhs_forms
 
@@ -112,8 +106,8 @@ def _initial_field(cfg: ExperimentConfig):
     return build_initial_field(cfg, grid, ground_state)
 
 
-def _threshold_for_field(cfg, u0):
-    """(verdict, glassey_delta, record of u0) for the initial data.
+def _threshold(cfg, rec):
+    """(verdict, glassey_delta) for initial data with record rec.
 
     The verdict is None when the regime is uncovered.  glassey_delta is the
     convexity margin of blow-up-branch data with E >= 0, else None.  The
@@ -121,12 +115,11 @@ def _threshold_for_field(cfg, u0):
     """
     spec = cfg.equation
     info = classify_criticality(spec)
-    rec = record(u0, spec, epsilon_reg=cfg.evolve.epsilon_reg)
     if (
         info.regime in ("mass-subcritical", "energy-supercritical")
         or spec.c < 0
     ):
-        return None, None, rec
+        return None, None
     if info.regime == "energy-critical":
         grid = Grid(3, "radial", n_r=cfg.groundstate.n_r, r_max=128.0)
         reference = make_bubble(grid)
@@ -142,7 +135,7 @@ def _threshold_for_field(cfg, u0):
     glassey_delta = None
     if verdict.verdict == "blowup-branch" and rec.energy >= 0:
         glassey_delta = negativity_margin(spec, rec.mass, rec.energy, reference)
-    return verdict, glassey_delta, rec
+    return verdict, glassey_delta
 
 
 def _verdict_dict(verdict):
@@ -177,24 +170,19 @@ def _write_summary(path, payload):
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-class _PreparedRun(typing.NamedTuple):
-    config_hash: str
-    u0: Field
-    verdict: ThresholdVerdict | None  # None outside the covered regimes
-    glassey_delta: float | None
-    checkpoint_cb: typing.Callable[[Field], None] | None
-
-
-def _prepare_run(cfg: ExperimentConfig) -> _PreparedRun:
-    """The pre-step part of a run: u0, its verdict and Glassey delta, and
-    the checkpoint writer."""
+def _prepare_run(cfg: ExperimentConfig):
+    """The pre-step part of a run: its Member (u0, the one record of u0,
+    its Glassey delta and the checkpoint writer) and its threshold verdict
+    (None outside the covered regimes)."""
     run_dir = cfg.output.directory
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
     u0 = _initial_field(cfg)
+    rec0 = record(u0, cfg.equation, phi_r=tuple(cfg.evolve.phi_r_list),
+                  epsilon_reg=cfg.evolve.epsilon_reg)
     verdict, glassey_delta = None, None
     try:
-        verdict, glassey_delta, _ = _threshold_for_field(cfg, u0)
+        verdict, glassey_delta = _threshold(cfg, rec0)
     except GroundStateError:
         pass
 
@@ -205,14 +193,13 @@ def _prepare_run(cfg: ExperimentConfig) -> _PreparedRun:
         write_field(base, f, config_hash=chash)
         checkpoint_index[0] += 1
 
-    cb = checkpoint_cb if cfg.evolve.checkpoint_stride > 0 else None
-    return _PreparedRun(chash, u0, verdict, glassey_delta, cb)
+    return Member(u0, rec0, glassey_delta, checkpoint_cb), verdict
 
 
-def _finish_run(cfg: ExperimentConfig, run: _PreparedRun, outcome, started):
+def _finish_run(cfg: ExperimentConfig, verdict, outcome, started):
     """The post-step part of a run: series.csv, the final state and
     summary.json; returns the summary."""
-    run_dir, chash = cfg.output.directory, run.config_hash
+    run_dir, chash = cfg.output.directory, config_hash(cfg)
     if "csv" in cfg.output.formats:
         atomic_write_text(
             os.path.join(run_dir, "series.csv"),
@@ -232,7 +219,7 @@ def _finish_run(cfg: ExperimentConfig, run: _PreparedRun, outcome, started):
         "max_boundary_mass_fraction": outcome.max_boundary_mass_fraction,
         "warnings": outcome.warnings,
         "n_records": len(outcome.records),
-        "threshold": _verdict_dict(run.verdict),
+        "threshold": _verdict_dict(verdict),
         "identity_checks": [dataclasses.asdict(c) for c in _identity_checks(outcome, cfg)],
         "wall_time_s": time.perf_counter() - started,
     }
@@ -243,18 +230,16 @@ def _finish_run(cfg: ExperimentConfig, run: _PreparedRun, outcome, started):
 
 def _run_stack(cfgs):
     """Run configs that differ only in [initial] and output.directory as
-    one stepped stack (one config: a solo run); [(outcome, summary)].
+    one stepped stack (one config: a solo run); their summaries.
 
     A member's wall_time_s runs from the start of the stack to its own
     summary, so it counts the whole shared stepping loop.
     """
     started = time.perf_counter()
-    runs = [_prepare_run(cfg) for cfg in cfgs]
-    outcomes = evolve([r.u0 for r in runs], cfgs[0].equation, cfgs[0].evolve,
-                      checkpoint_cb=[r.checkpoint_cb for r in runs],
-                      glassey_delta=[r.glassey_delta for r in runs])
-    return [(outcome, _finish_run(cfg, run, outcome, started))
-            for cfg, run, outcome in zip(cfgs, runs, outcomes)]
+    members, verdicts = zip(*(_prepare_run(cfg) for cfg in cfgs))
+    outcomes = evolve(list(members), cfgs[0].equation, cfgs[0].evolve)
+    return [_finish_run(cfg, verdict, outcome, started)
+            for cfg, verdict, outcome in zip(cfgs, verdicts, outcomes)]
 
 
 def cmd_groundstate(cfg: ExperimentConfig) -> int:
@@ -271,26 +256,28 @@ def cmd_groundstate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:
-    [(outcome, _)] = _run_stack([cfg])
+    [summary] = _run_stack([cfg])
     print(
-        f"status={outcome.status} t_reached={outcome.t_reached:.6g} "
-        f"records={len(outcome.records)}"
+        f"status={summary['status']} t_reached={summary['t_reached']:.6g} "
+        f"records={summary['n_records']}"
     )
-    if outcome.tstar_estimate is not None:
-        bound = outcome.glassey_bound
+    if summary["tstar_estimate"] is not None:
+        bound = summary["glassey_bound"]
         print(
-            f"Tstar_estimate={outcome.tstar_estimate:.6g}"
+            f"Tstar_estimate={summary['tstar_estimate']:.6g}"
             + (f" glassey_bound={bound:.6g}" if bound is not None else "")
         )
-    for w in outcome.warnings:
+    for w in summary["warnings"]:
         print(f"warning: {w}")
-    if outcome.status == "invalid":
+    if summary["status"] == "invalid":
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
-    verdict, _, rec0 = _threshold_for_field(cfg, _initial_field(cfg))
+    # no phi_r: the verdict reads only mass, energy and the gradient norm
+    rec0 = record(_initial_field(cfg), cfg.equation, epsilon_reg=cfg.evolve.epsilon_reg)
+    verdict, _ = _threshold(cfg, rec0)
     os.makedirs(cfg.output.directory, exist_ok=True)
     payload = {
         "code_version": __version__,
@@ -338,10 +325,6 @@ def _sweep_stacks(members, workers):
     return [members[i * k // n:(i + 1) * k // n] for i in range(n)]
 
 
-def _stack_summaries(stack):
-    return [summary for _, summary in _run_stack(stack)]
-
-
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     sw = cfg.sweep
     if not sw.parameter or not sw.values:
@@ -355,9 +338,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
         workers = min(sw.workers, len(stacks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_stack = list(pool.map(_stack_summaries, stacks))
+            per_stack = list(pool.map(_run_stack, stacks))
     else:
-        per_stack = [_stack_summaries(stack) for stack in stacks]
+        per_stack = [_run_stack(stack) for stack in stacks]
     results = list(zip(sw.values, (s for stack in per_stack for s in stack)))
 
     chash = config_hash(cfg)

@@ -39,7 +39,8 @@ Cauchy increments rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from . import observables
 __all__ = [
     "EvolveConfig",
     "TrajectoryOutcome",
+    "Member",
     "SplitStepper",
     "evolve",
     "evolve_linear",
@@ -94,8 +96,8 @@ class TrajectoryOutcome:
     glassey_bound: float | None
     records: list
     final_field: Field | None
-    warnings: list = dataclass_field(default_factory=list)
-    max_boundary_mass_fraction: float = 0.0
+    warnings: list
+    max_boundary_mass_fraction: float
 
 
 class SplitStepper:
@@ -205,14 +207,28 @@ def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:
     return (vdot0 + np.sqrt(vdot0**2 + 2.0 * delta * v0)) / delta
 
 
-class _Member:
-    """The bookkeeping of one trajectory in a stepped stack."""
+@dataclass
+class Member:
+    """One trajectory of an `evolve` stack.  record0 is u0's record under the
+    run's phi_r_list and epsilon_reg, glassey_delta the convexity margin of
+    its Glassey bound; None lets evolve take u0's record, or the margin of
+    negative energy."""
 
-    def __init__(self, u0, spec, cfg, checkpoint_cb, glassey_delta):
+    u0: Field
+    record0: observables.ObservableRecord | None = None
+    glassey_delta: float | None = None
+    checkpoint_cb: Callable[[Field], None] | None = None
+
+
+class _Trajectory:
+    """The bookkeeping of one Member in a stepped stack."""
+
+    def __init__(self, member: Member, spec, cfg):
+        u0, glassey_delta = member.u0, member.glassey_delta
         u0.require_finite()
-        self.spec, self.cfg, self.checkpoint_cb = spec, cfg, checkpoint_cb
+        self.spec, self.cfg, self.checkpoint_cb = spec, cfg, member.checkpoint_cb
         self.records, self.shell_max = [], 0.0
-        self.add_record(u0)
+        self.add_record(u0, member.record0)
         rec0 = self.records[0]
         self.grad0 = np.sqrt(rec0.kinetic)
         self.warnings = []
@@ -226,8 +242,8 @@ class _Member:
         self.last_good = u0.copy()
         self.outcome = None
 
-    def add_record(self, f):
-        self.records.append(observables.record(
+    def add_record(self, f, rec=None):
+        self.records.append(rec if rec is not None else observables.record(
             f, self.spec, phi_r=tuple(self.cfg.phi_r_list),
             epsilon_reg=self.cfg.epsilon_reg))
         self.shell_max = max(self.shell_max, boundary_shell_mass_fraction(f))
@@ -276,7 +292,7 @@ class _Member:
 
 
 def evolve(
-    u0: Field | list[Field],
+    u0: Field | list[Member],
     spec: EquationSpec,
     cfg: EvolveConfig,
     checkpoint_cb=None,
@@ -288,35 +304,31 @@ def evolve(
     criteria; either alone only produces a warning.  On a NaN the run stops
     with status "invalid" and the last good recorded field.
 
-    u0 may also be a list of fields on one grid, with checkpoint_cb and
-    glassey_delta lists of the same length (or None): the fields then
-    advance as one (K, *shape) stack on fixed dt, each with its own
+    u0 may also be a list of Members whose fields share one grid: they
+    then advance as one (K, *shape) stack on fixed dt, each with its own
     records, checkpoints, warnings and stop, and a list of outcomes is
     returned.  Every member's outcome equals that of its solo run bit for
-    bit, provided every member or none has a checkpoint callback (a
-    checkpoint step settles the whole stack).
+    bit.  The field is read at every checkpoint step of a positive
+    checkpoint_stride, whether or not a member has a callback.
     """
     if isinstance(u0, Field):
-        return _evolve_stack([u0], spec, cfg, [checkpoint_cb], [glassey_delta])[0]
-    k = len(u0)
-    return _evolve_stack(list(u0), spec, cfg, checkpoint_cb or [None] * k,
-                         glassey_delta or [None] * k)
+        member = Member(u0, glassey_delta=glassey_delta, checkpoint_cb=checkpoint_cb)
+        return _evolve_stack([member], spec, cfg)[0]
+    return _evolve_stack(u0, spec, cfg)
 
 
-def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
-    grid = fields[0].grid
-    if any(f.grid.describe() != grid.describe() for f in fields):
+def _evolve_stack(members, spec, cfg):
+    grid = members[0].u0.grid
+    if any(m.u0.grid.describe() != grid.describe() for m in members):
         raise ValueError("the fields of a stack must share one grid")
     fixed = cfg.adaptivity == "fixed"
-    if not fixed and len(fields) > 1:
+    if not fixed and len(members) > 1:
         raise ValueError("adaptive dt advances one field at a time")
     stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=True)
-    members = [_Member(f, spec, cfg, cb, delta)
-               for f, cb, delta in zip(fields, checkpoint_cbs, glassey_deltas)]
-    live = list(members)  # the members of the rows of u, in order
-    u = np.stack([f.values for f in fields])
+    runs = [_Trajectory(m, spec, cfg) for m in members]
+    live = list(runs)  # the trajectories of the rows of u, in order
+    u = np.stack([m.u0.values for m in members])
     t = 0.0
-    checkpoints = cfg.checkpoint_stride > 0 and any(checkpoint_cbs)
 
     def keep(rows):
         nonlocal u, live
@@ -382,7 +394,8 @@ def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
             not fixed and t >= cfg.t_end * (1.0 - 1e-12)
         )
         record_now = step % cfg.record_stride == 0 or at_end
-        checkpoint_now = checkpoints and (step % cfg.checkpoint_stride == 0 or at_end)
+        checkpoint_now = cfg.checkpoint_stride > 0 and (
+            step % cfg.checkpoint_stride == 0 or at_end)
         # a run that reaches t_end on its max_steps-th step completes
         out_of_steps = step >= cfg.max_steps and not at_end
         # an adaptive run reads max|u| of the true field for its next dt
@@ -400,7 +413,7 @@ def _evolve_stack(fields, spec, cfg, checkpoint_cbs, glassey_deltas):
     for m, row in zip(live, u):
         if m.outcome is None:
             m.stop("completed", t, field=Field(grid, row.copy(), t))
-    return [m.outcome for m in members]
+    return [m.outcome for m in runs]
 
 
 def evolve_linear(u0: Field, spec: EquationSpec, duration: float, dt: float) -> Field:

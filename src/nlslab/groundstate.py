@@ -9,10 +9,11 @@ W = (1 + |x|^2 / (d(d-2)))^(-(d-2)/2) is evaluated in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from .equation import above, at_least, declared, one_of
 from .grid import (
     Field,
     Grid,
@@ -50,15 +51,15 @@ class GroundState:
     """
 
     field: Field
-    d: int
-    alpha: float
-    mass: float
-    kinetic: float
-    lp: float
-    residual: float
-    gn_constant: float
-    iterations: int
-    monotone_residual: bool = True
+    d: int = declared(MISSING, one_of(1, 2, 3))
+    alpha: float = declared(MISSING, above(0.0))
+    mass: float = declared(MISSING, above(0.0))
+    kinetic: float = declared(MISSING, above(0.0))
+    lp: float = declared(MISSING, above(0.0))
+    residual: float = declared(MISSING, at_least(0.0))
+    gn_constant: float = declared(MISSING, at_least(0.0))
+    iterations: int = declared(MISSING, at_least(1))
+    monotone_residual: bool = declared(True, one_of(True, False))
 
     def pohozaev_errors(self):
         """Relative errors of M = c1 K and M = c2 P (scaling identities)."""

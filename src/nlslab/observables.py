@@ -276,7 +276,6 @@ def interaction_morawetz_l4(records, spec: EquationSpec, horizons):
         raise ValueError("wrong-dimension: interaction Morawetz L4 needs d = 3")
     if spec.sign != "defocusing" or spec.c <= 0:
         raise ValueError("interaction Morawetz bound applies to defocusing c > 0")
-    records = list(getattr(records, "records", records))
     ts = np.array([r.t for r in records])
     l4 = np.array([r.l4_density for r in records])
     out = []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -256,6 +257,24 @@ def test_evolve_writes_strided_checkpoints(tmp_path):
     assert os.path.exists(os.path.join(outdir, "checkpoint_000000.bin"))
 
 
+def test_evolve_records_u0_once(tmp_path, monkeypatch):
+    # the threshold verdict reads the record that becomes series.csv's first row
+    calls = []
+    record = nlslab.observables.record
+
+    def counting_record(*args, **kwargs):
+        calls.append(args[0].time)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(nlslab.observables, "record", counting_record)
+    monkeypatch.setattr(nlslab.cli, "record", counting_record)
+    outdir = os.path.join(tmp_path, "once")
+    assert main(["evolve", write_cfg(tmp_path, BASE.format(outdir=outdir))]) == 0
+    with open(os.path.join(outdir, "summary.json"), encoding="utf-8") as fh:
+        assert len(calls) == json.load(fh)["n_records"] == 11
+    assert calls.count(0.0) == 1
+
+
 def test_groundstate_command(tmp_path, capsys):
     outdir = os.path.join(tmp_path, "gs")
     path = write_cfg(tmp_path, BASE.format(outdir=outdir))
@@ -305,6 +324,42 @@ def test_unreadable_ground_state_artifact_is_solved_again(tmp_path, capsys, dama
     assert capsys.readouterr().out == first
     with open(base + "_norms.json", encoding="utf-8") as fh:
         assert json.load(fh)["kind"] == "ground-state"  # rewritten whole
+
+
+def _focusing_alpha6(outdir):
+    """BASE with focusing d = 1, alpha = 6 (intercritical) data and its
+    ground state solved on n = 256, L = 20."""
+    return BASE.format(outdir=outdir).replace("alpha = 2.0", "alpha = 6.0").replace(
+        "sign = defocusing", "sign = focusing").replace("n = 256\nL = 15.0",
+                                                        "n = 256\nL = 20.0")
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("mass", '"abc"'), ("mass", "NaN"), ("mass", "-1.0"), ("kinetic", "1e400"),
+    ("d", "7"), ("iterations", '"x"'), ("monotone_residual", '"yes"'),
+], ids=["type-swap", "nan", "negative", "overflow-to-inf", "bad-d", "bad-iterations",
+        "bad-bool"])
+def test_sidecar_value_outside_its_domain_is_solved_again(tmp_path, key, raw):
+    outdir = os.path.join(tmp_path, "cls")
+    path = write_cfg(tmp_path, _focusing_alpha6(outdir))
+    assert main(["classify", path]) == 0
+    norms = os.path.join(outdir, "groundstates", "groundstate_d1_alpha6_norms.json")
+    artifacts = (norms, os.path.join(outdir, "classify.json"))
+
+    def contents():
+        found = []
+        for name in artifacts:
+            with open(name, "rb") as fh:
+                found.append(fh.read())
+        return found
+
+    clean = contents()
+    edited, n = re.subn(rf'("{key}": )[^,\n]+', rf"\g<1>{raw}", clean[0].decode())
+    assert n == 1
+    with open(norms, "w", encoding="utf-8") as fh:
+        fh.write(edited)
+    assert main(["classify", path]) == 0
+    assert contents() == clean  # the sidecar solved again, the verdict unchanged
 
 
 def test_cli_import_leaves_scipy_fft_out():
@@ -637,6 +692,27 @@ def test_member_leaving_the_stack_stops_at_its_solo_step(tmp_path, monkeypatch):
     assert overflowed["warnings"] == ["non-finite field after step 9 (t=0.45)"]
     assert overflowed["n_records"] == 2  # t = 0 and step 5
     assert completed["status"] == "completed" and completed["n_records"] == 5
+
+
+def test_stacked_members_keep_their_own_glassey_margins(tmp_path, evolve_calls):
+    # amplitude 1.0 is on neither branch; 1.629 is on the blow-up branch
+    # with E >= 0, so its margin comes from negativity_margin through its
+    # Member; 1.63 has E < 0, so evolve takes the negative-energy margin
+    outdir = os.path.join(tmp_path, "sweep")
+    text = _focusing_alpha6(outdir).replace("t_end = 0.2", "t_end = 0.05") + (
+        "\n[sweep]\nparameter = initial.amplitude\nvalues = 1.0 1.629 1.63\n")
+    path = write_cfg(tmp_path, text)
+    assert main(["sweep", path]) == 0
+    assert evolve_calls == [3]
+    swept = _assert_members_equal_solo_runs(path, outdir)
+    neither, nonnegative, negative = (
+        swept[f"run_00{i}/summary.json"] for i in range(3))
+    assert neither["threshold"]["verdict"] == "neither"
+    assert neither["glassey_bound"] is None
+    for summary in (nonnegative, negative):
+        assert summary["threshold"]["verdict"] == "blowup-branch"
+        assert summary["glassey_bound"] is not None
+    assert nonnegative["threshold"]["quantity_em"] >= 0 > negative["threshold"]["quantity_em"]
 
 
 @pytest.mark.parametrize("old, new, parameter, values", [

@@ -6,6 +6,7 @@ from nlslab.checks import random_band_limited_field, random_radial_field
 from nlslab.equation import EquationSpec
 from nlslab.evolve import (
     EvolveConfig,
+    Member,
     SplitStepper,
     evolve,
     evolve_linear,
@@ -411,12 +412,13 @@ def test_stack_needs_one_grid_and_a_fixed_dt():
     u0 = Field(g, np.exp(-g.axis**2).astype(complex))
     other = Field(Grid(1, "cartesian", n=64, L=6.0), u0.values)
     with pytest.raises(ValueError, match="one grid"):
-        evolve([u0, other], spec, EvolveConfig(dt0=1e-3, t_end=0.01))
+        evolve([Member(u0), Member(other)], spec, EvolveConfig(dt0=1e-3, t_end=0.01))
     with pytest.raises(ValueError, match="adaptive"):
-        evolve([u0, u0], spec, EvolveConfig(dt0=1e-3, t_end=0.01,
-                                            adaptivity="cfl-nonlinear"))
+        evolve([Member(u0), Member(u0)], spec,
+               EvolveConfig(dt0=1e-3, t_end=0.01, adaptivity="cfl-nonlinear"))
     solo = evolve(u0, spec, EvolveConfig(dt0=1e-3, t_end=0.01, record_stride=3))
-    [stacked] = evolve([u0], spec, EvolveConfig(dt0=1e-3, t_end=0.01, record_stride=3))
+    [stacked] = evolve([Member(u0)], spec,
+                       EvolveConfig(dt0=1e-3, t_end=0.01, record_stride=3))
     assert stacked.records == solo.records
     assert stacked.final_field.values.tobytes() == solo.final_field.values.tobytes()
 
@@ -469,7 +471,7 @@ def test_member_invalid_at_a_record_leaves_the_rest_as_solo_runs():
     fields = [Field(g, 1.2e77 * chirped), random_band_limited_field(g, 4),
               Field(g, chirped)]
     cfg = EvolveConfig(dt0=0.1, t_end=8.0, record_stride=1)
-    bad, *rest = evolve(fields, spec, cfg)
+    bad, *rest = evolve([Member(f) for f in fields], spec, cfg)
     assert bad.status == "invalid" and bad.warnings[0].startswith("non-finite observable")
     assert len(bad.records) == 78 and bad.t_reached == 78 * 0.1
     assert bad.final_field.time == bad.records[-1].t == 77 * 0.1
