@@ -67,11 +67,7 @@ def write_field(base_path, field: Field, config_hash=None):
 
 
 def read_field(header_path) -> Field:
-    """Reconstruct a Field (and its grid) from a checkpoint header path."""
-    if header_path.endswith(".bin"):
-        header_path = header_path[:-4] + ".json"
-    if not header_path.endswith(".json"):
-        header_path = header_path + ".json"
+    """Reconstruct a Field (and its grid) from a checkpoint's .json header."""
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
@@ -121,7 +117,8 @@ def save_ground_state(directory, gs, solver_hash):
 
 def load_ground_state(base_path, solver_hash):
     """The ground-state artifact written by save_ground_state, or None (solve
-    it again) unless it stores solver_hash and reads back in declared domains."""
+    it again) unless it stores solver_hash, reads back in declared domains
+    and stores the norms its profile has."""
     from .groundstate import GroundState
 
     try:
@@ -133,11 +130,13 @@ def load_ground_state(base_path, solver_hash):
         return None
     # a field the sidecar lacks (monotone_residual, in older ones) keeps
     # its dataclass default
-    stored = {f.name: sidecar[f.name] for f in fields(GroundState)
-              if f.name != "field" and f.name in sidecar}
+    given = {f.name: sidecar[f.name] for f in fields(GroundState)
+             if f.init and f.name != "field" and f.name in sidecar}
     try:
-        gs = GroundState(field=read_field(base_path + ".json"), **stored)
+        gs = GroundState(field=read_field(base_path + ".json"), **given)
         check_domains(gs)
-        return gs
-    except (OSError, ValueError, TypeError):  # a profile missing or rejected, a field
-        return None                           # absent, or a value outside its domain
+    except (OSError, ArithmeticError, ValueError, TypeError):  # a profile missing
+        return None  # or rejected, a field absent, or a value outside its domain
+    if any(sidecar.get(f.name) != getattr(gs, f.name) for f in fields(gs) if not f.init):
+        return None  # a stored norm that is not the profile's
+    return gs

@@ -22,12 +22,12 @@ __all__ = [
 ]
 
 
-def random_band_limited_field(grid: Grid, seed, k_frac=0.25, amplitude=1.0) -> Field:
-    """Random smooth field from low-|k| Fourier modes (Cartesian grids)."""
+def random_band_limited_field(grid: Grid, seed, amplitude=1.0) -> Field:
+    """Random smooth field from the modes with |k| <= max|k|/4 (Cartesian)."""
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k2 = grid.k_squared()
-    cutoff = k_frac**2 * float(np.max(k2))
+    cutoff = 0.25**2 * float(np.max(k2))
     coef = np.where(k2 <= cutoff, coef, 0.0)
     values = np.fft.ifftn(coef)
     peak = float(np.max(np.abs(values)))
@@ -36,18 +36,18 @@ def random_band_limited_field(grid: Grid, seed, k_frac=0.25, amplitude=1.0) -> F
     return Field(grid, values)
 
 
-def random_radial_field(grid: Grid, seed, n_bumps=4, amplitude=1.0) -> Field:
-    """Random smooth decaying radial field: a few signed Gaussian bumps."""
+def random_radial_field(grid: Grid, seed) -> Field:
+    """Random smooth decaying radial field of peak 1: four signed Gaussian bumps."""
     rng = np.random.default_rng(seed)
     values = np.zeros(grid.shape, dtype=np.complex128)
     r = grid.radius()
-    for _ in range(n_bumps):
+    for _ in range(4):
         c = rng.standard_normal() + 1j * rng.standard_normal()
         w = rng.uniform(0.5, 3.0)
         values = values + c * np.exp(-(r**2) / (2.0 * w**2))
     peak = float(np.max(np.abs(values)))
     if peak > 0:
-        values = values * (amplitude / peak)
+        values = values * (1.0 / peak)
     return Field(grid, values)
 
 
@@ -175,7 +175,7 @@ CHECKS = [
 ]
 
 
-def run_invariant_suite(seed=0, report=print):
+def run_invariant_suite(seed=0):
     """Run every invariant check; returns True iff all pass."""
     all_ok = True
     for name, fn in CHECKS:
@@ -184,5 +184,5 @@ def run_invariant_suite(seed=0, report=print):
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
-        report(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

@@ -40,7 +40,8 @@ from .config import (
     load_config,
     override,
 )
-from .equation import classify_criticality, negativity_margin, threshold_test
+from .equation import (ENERGY_CRITICAL, classify_criticality, negativity_margin,
+                       threshold_not_covered, threshold_test)
 from .evolve import Member, evolve
 from .grid import Grid, GridError, InvalidFieldError
 from .groundstate import GroundStateError, make_bubble, solve_ground_state
@@ -79,18 +80,17 @@ def _groundstate_dir(cfg: ExperimentConfig):
 
 def _solve_artifact_groundstate(cfg: ExperimentConfig):
     """Load the (d, alpha) ground-state artifact; solve and save it when it
-    is absent or was solved with other [groundstate] solver settings."""
+    is absent, was solved with other [groundstate] solver settings, or holds
+    another alpha or a profile on another grid."""
     d, alpha = cfg.equation.d, cfg.equation.alpha
-    gdir = _groundstate_dir(cfg)
-    base = os.path.join(gdir, ground_state_basename(d, alpha))
+    gdir, grid = _groundstate_dir(cfg), build_groundstate_grid(cfg)
     solver_hash = groundstate_solver_hash(cfg)
-    gs = load_ground_state(base, solver_hash=solver_hash)
-    if gs is not None:
-        return gs
-    gc = cfg.groundstate
-    gs = solve_ground_state(d, alpha, build_groundstate_grid(cfg),
-                            tol=gc.tol, max_iter=gc.max_iter)
-    save_ground_state(gdir, gs, solver_hash)
+    gs = load_ground_state(os.path.join(gdir, ground_state_basename(d, alpha)),
+                           solver_hash=solver_hash)
+    if gs is None or gs.alpha != alpha or gs.field.grid.describe() != grid.describe():
+        gc = cfg.groundstate
+        gs = solve_ground_state(d, alpha, grid, tol=gc.tol, max_iter=gc.max_iter)
+        save_ground_state(gdir, gs, solver_hash)
     return gs
 
 
@@ -114,13 +114,9 @@ def _threshold(cfg, rec):
     reference ground state (or bubble) is dropped on return.
     """
     spec = cfg.equation
-    info = classify_criticality(spec)
-    if (
-        info.regime in ("mass-subcritical", "energy-supercritical")
-        or spec.c < 0
-    ):
+    if threshold_not_covered(spec) is not None:
         return None, None
-    if info.regime == "energy-critical":
+    if classify_criticality(spec).regime == ENERGY_CRITICAL:
         grid = Grid(3, "radial", n_r=cfg.groundstate.n_r, r_max=128.0)
         reference = make_bubble(grid)
     else:

@@ -32,6 +32,7 @@ __all__ = [
     "BLOWUP_BRANCH",
     "NEITHER",
     "classify_criticality",
+    "threshold_not_covered",
     "threshold_test",
     "glassey_delta_negative_energy",
     "negativity_margin",
@@ -232,30 +233,37 @@ def _energy_ratio(spec, beta, mass, energy, ground_state):
     return math.copysign(_exp(log_ratio), energy)
 
 
+def threshold_not_covered(spec: EquationSpec) -> str | None:
+    """Why threshold_test has no verdict for spec, or None when it has one."""
+    if spec.c < 0:
+        return "attractive potential (c < 0): outside the dichotomy classification"
+    regime = classify_criticality(spec).regime
+    if regime in (MASS_SUBCRITICAL, ENERGY_SUPERCRITICAL):
+        return f"regime-not-covered: {regime}"
+    return None
+
+
 def threshold_test(
     spec: EquationSpec,
     mass: float,
     energy: float,
     gradnorm: float,
     ground_state,
-    rel_tol: float = 1e-9,
 ) -> ThresholdVerdict:
     """Classify initial data against the global/blow-up threshold conditions.
 
     mass = ||u0||_L2^2, energy = E(u0) (with the potential term), gradnorm
     = ||grad u0||_L2.  ground_state is a GroundState for the mass-critical
     and intercritical regimes and a Bubble for the energy-critical one.
-    Comparisons within rel_tol of the bound return "neither" (the extremal
-    object itself sits exactly on the boundary).
+    Comparisons within a relative rel_tol = 1e-9 of the bound return
+    "neither" (the extremal object itself sits exactly on the boundary).
+    Raises RegimeNotCoveredError where threshold_not_covered gives a reason.
     """
-    if spec.c < 0:
-        raise RegimeNotCoveredError(
-            "attractive potential (c < 0): outside the dichotomy classification"
-        )
+    reason = threshold_not_covered(spec)
+    if reason is not None:
+        raise RegimeNotCoveredError(reason)
     info = classify_criticality(spec)
-    if info.regime in (MASS_SUBCRITICAL, ENERGY_SUPERCRITICAL):
-        raise RegimeNotCoveredError(f"regime-not-covered: {info.regime}")
-    d, alpha = spec.d, spec.alpha
+    d, alpha, rel_tol = spec.d, spec.alpha, 1e-9
 
     if info.regime == MASS_CRITICAL:
         q_em, b_em = energy, 0.0

@@ -296,7 +296,6 @@ def evolve(
     spec: EquationSpec,
     cfg: EvolveConfig,
     checkpoint_cb=None,
-    glassey_delta=None,
 ) -> TrajectoryOutcome | list[TrajectoryOutcome]:
     """Integrate to t_end or to detected blow-up, recording observables.
 
@@ -312,8 +311,7 @@ def evolve(
     checkpoint_stride, whether or not a member has a callback.
     """
     if isinstance(u0, Field):
-        member = Member(u0, glassey_delta=glassey_delta, checkpoint_cb=checkpoint_cb)
-        return _evolve_stack([member], spec, cfg)[0]
+        return _evolve_stack([Member(u0, checkpoint_cb=checkpoint_cb)], spec, cfg)[0]
     return _evolve_stack(u0, spec, cfg)
 
 
@@ -339,17 +337,11 @@ def _evolve_stack(members, spec, cfg):
     if fixed:
         # a quotient that overflows still makes a run that stops at max_steps
         n_steps = max(1, round(min(cfg.t_end / cfg.dt0, np.finfo(float).max)))
-        dt_fixed = cfg.t_end / n_steps
+        dt = dt_fixed = cfg.t_end / n_steps
 
-    step = 0
-    while live:
-        if fixed:
-            if step >= n_steps:
-                break
-            dt = dt_fixed
-        else:
-            if t >= cfg.t_end * (1.0 - 1e-12):
-                break
+    step, at_end = 0, False
+    while live and not at_end:
+        if not fixed:
             m = live[0]  # adaptive dt follows its one field
             sup = float(np.max(np.abs(u)))
             dt = cfg.dt0
@@ -390,9 +382,7 @@ def _evolve_stack(members, spec, cfg):
             if not live:
                 break
 
-        at_end = (fixed and step == n_steps) or (
-            not fixed and t >= cfg.t_end * (1.0 - 1e-12)
-        )
+        at_end = step == n_steps if fixed else t >= cfg.t_end * (1.0 - 1e-12)
         record_now = step % cfg.record_stride == 0 or at_end
         checkpoint_now = cfg.checkpoint_stride > 0 and (
             step % cfg.checkpoint_stride == 0 or at_end)

@@ -154,10 +154,9 @@ def virial_rhs_forms(rec: ObservableRecord, spec: EquationSpec):
     return f1, f2, f3
 
 
-def _second_difference(trajectory, value):
-    """Second central difference of value(record) over an outcome's (or a
-    list's) uniformly strided records, and the interior records."""
-    records = list(getattr(trajectory, "records", trajectory))
+def _second_difference(records, value):
+    """Second central difference of value(record) over uniformly strided
+    records, and the interior records."""
     ts = np.array([r.t for r in records])
     dts = np.diff(ts)
     if len(dts) < 2:
@@ -192,26 +191,24 @@ def virial_identity_check(records, spec: EquationSpec, tol=1e-3) -> IdentityChec
     return IdentityCheck(name, _relative(worst, float(np.max(np.abs(forms)))), tol)
 
 
-def _localized_slack(trajectory, spec, R):
-    final = getattr(trajectory, "final_field", None)
-    if final is not None:
-        g = final.grid
-        if not isinstance(g, RadialGrid) or g.d < 2:
-            raise ValueError("not-radial: localized virial needs a radial d>=2 grid")
+def _localized_slack(outcome, spec, R):
+    g = outcome.final_field.grid
+    if not isinstance(g, RadialGrid) or g.d < 2:
+        raise ValueError("not-radial: localized virial needs a radial d>=2 grid")
     if spec.sign != "focusing":
         raise ValueError("localized virial estimate applies to the focusing case")
     key = float(R)
     try:
-        d2v, interior = _second_difference(trajectory, lambda r: r.virial_phi_r[key])
+        d2v, interior = _second_difference(outcome.records,
+                                           lambda r: r.virial_phi_r[key])
     except KeyError:
         raise ValueError(f"records carry no localized virial for R={R}")
     f1 = np.array([virial_rhs_forms(r, spec)[0] for r in interior])
     return float(np.max(d2v - f1)), float(np.max(np.abs(f1)))
 
 
-def localized_virial_bound_check(
-    trajectory, spec: EquationSpec, R, epsilon=0.0, tol=1e-2
-) -> IdentityCheck:
+def localized_virial_bound_check(outcome, spec: EquationSpec, R,
+                                 tol=1e-2) -> IdentityCheck:
     """One-sided check d^2/dt^2 V_phiR <= unlocalized RHS + slack(R).
 
     rel_error is the measured slack (worst signed exceedance) over the
@@ -220,16 +217,15 @@ def localized_virial_bound_check(
     remainder scale in R (and its epsilon structure for alpha < 4) is
     assessed by the ladder helper; no implicit constant is asserted.
     """
-    slack, scale = _localized_slack(trajectory, spec, R)
-    return IdentityCheck(f"localized-virial-R{R:g}-eps{epsilon:g}",
-                         _relative(slack, scale), tol)
+    slack, scale = _localized_slack(outcome, spec, R)
+    return IdentityCheck(f"localized-virial-R{R:g}", _relative(slack, scale), tol)
 
 
-def localized_virial_slack_ladder(trajectory, spec: EquationSpec, r_list):
+def localized_virial_slack_ladder(outcome, spec: EquationSpec, r_list):
     """Measured slack per R plus per-doubling reduction factors."""
     slacks = {}
     for R in r_list:
-        slack, _ = _localized_slack(trajectory, spec, R)
+        slack, _ = _localized_slack(outcome, spec, R)
         slacks[float(R)] = slack
     rs = sorted(slacks)
     factors = []
@@ -247,18 +243,16 @@ def localized_virial_slack_ladder(trajectory, spec: EquationSpec, r_list):
 RADIAL_SOBOLEV_CONSTANTS = {2: 0.48, 3: 0.34}
 
 
-def radial_sobolev_oracle(f: Field, frozen_c=None):
+def radial_sobolev_oracle(f: Field):
     """Evaluate the radial uniform-decay inequality against the frozen C."""
     g = f.grid
     if not isinstance(g, RadialGrid) or g.d < 2:
         raise ValueError("not-radial: oracle requires a radial grid with d >= 2")
-    if frozen_c is None:
-        frozen_c = RADIAL_SOBOLEV_CONSTANTS[g.d]
     lhs = float(np.max(g.r ** ((g.d - 1) / 2.0) * np.abs(f.values)))
     m = mass(f)
     k = gradient_norm_sq(f)
     product = (m * k) ** 0.25
-    rhs = frozen_c * product
+    rhs = RADIAL_SOBOLEV_CONSTANTS[g.d] * product
     ratio = lhs / product if product > 0 else 0.0
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "holds": lhs <= rhs}
 

@@ -79,7 +79,7 @@ def _table():
 _TABLE = _table()
 
 
-def _chi_derivatives(r, orders=range(5)):
+def _chi_derivatives(r, orders):
     """chi's derivatives of the given orders at r (order 1 is zeta)."""
     r = np.asarray(r, dtype=float)
     # pieces [0, 1], (1, BRIDGE_LEFT], (BRIDGE_LEFT, 2) and [2, inf)
@@ -111,7 +111,7 @@ def chi(r):
 _BRIDGE_VERIFIED = False
 
 
-def verify_bridge(samples=20001):
+def verify_bridge():
     """Certify zeta' < 0 strictly inside the bridge and chi'' <= 2 globally.
 
     Impossible to fail for the constructed quintic; checked anyway so a
@@ -120,10 +120,10 @@ def verify_bridge(samples=20001):
     global _BRIDGE_VERIFIED
     if _BRIDGE_VERIFIED:
         return
-    inner = np.linspace(BRIDGE_LEFT, BRIDGE_RIGHT, samples)[1:-1]
+    inner = np.linspace(BRIDGE_LEFT, BRIDGE_RIGHT, 20001)[1:-1]
     if not np.all(zeta_prime(inner) < 0.0):
         raise BridgeConstructionError("bridge-construction-failure: zeta' >= 0 inside")
-    dense = np.linspace(0.0, 3.0, samples)
+    dense = np.linspace(0.0, 3.0, 20001)
     if not np.all(zeta_prime(dense) <= 2.0 + 1e-12):
         raise BridgeConstructionError("bridge-construction-failure: chi'' > 2")
     _BRIDGE_VERIFIED = True

@@ -114,6 +114,17 @@ def test_ground_state_sidecar_without_monotone_residual(tmp_path):
     assert loaded.iterations == gs.iterations
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e110], ids=["zero", "norms-overflow"])
+def test_ground_state_profile_without_a_sharp_constant_is_rejected(tmp_path, scale):
+    # a zero profile has no gradient; scaled by 1e110, its mass is finite
+    # and its power in the sharp constant overflows a float
+    grid = Grid(1, "cartesian", n=256, L=15.0)
+    base = save_ground_state(tmp_path, solve_ground_state(1, 2.0, grid), "ff00")
+    profile = read_field(base + ".json")
+    write_field(base, Field(grid, scale * profile.values))
+    assert load_ground_state(base, "ff00") is None
+
+
 def test_concurrent_writers_of_one_path(tmp_path):
     path = os.path.join(tmp_path, "shared.bin")
     payloads = [bytes([i]) * (1 << 18) for i in (1, 2)]

@@ -10,7 +10,8 @@ import pytest
 import nlslab.cli
 from nlslab.checkpoint import write_field
 from nlslab.cli import main
-from nlslab.config import build_grid, config_hash, load_config, parse_config
+from nlslab.config import (build_grid, build_groundstate_grid, config_hash, load_config,
+                            parse_config)
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import solve_ground_state
 
@@ -112,6 +113,7 @@ def test_config_invalid_exit_code(tmp_path):
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/n_inf.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/time_null.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_5.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/prev/final_state.bin"),
         ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
         ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
          "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
@@ -133,6 +135,7 @@ def test_config_invalid_exit_code(tmp_path):
          "checkpoint-path-other-box", "checkpoint-path-other-version",
          "checkpoint-path-n-null", "checkpoint-path-L-string", "checkpoint-path-n-inf",
          "checkpoint-path-time-null", "checkpoint-path-payload-number",
+         "checkpoint-path-names-the-payload",
          "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul"],
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
@@ -160,6 +163,10 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
             fields = json.load(fh)
         with open(header, "w", encoding="utf-8") as fh:
             json.dump({**fields, **edit}, fh)
+    # a checkpoint of the run grid, named by its payload and not its header
+    os.makedirs(os.path.join(tmp_path, "prev"))
+    write_field(os.path.join(tmp_path, "prev", "final_state"),
+                Field(grid, np.ones(256, complex)))
     new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
@@ -334,17 +341,32 @@ def _focusing_alpha6(outdir):
                                                         "n = 256\nL = 20.0")
 
 
-@pytest.mark.parametrize("key, raw", [
-    ("mass", '"abc"'), ("mass", "NaN"), ("mass", "-1.0"), ("kinetic", "1e400"),
-    ("d", "7"), ("iterations", '"x"'), ("monotone_residual", '"yes"'),
+@pytest.mark.parametrize("suffix, key, raw", [
+    ("_norms", "mass", '"abc"'), ("_norms", "mass", "NaN"), ("_norms", "mass", "-1.0"),
+    ("_norms", "kinetic", "1e400"), ("_norms", "d", "7"), ("_norms", "iterations", '"x"'),
+    ("_norms", "monotone_residual", '"yes"'),
+    # values inside their domains that are not the profile's, or the config's
+    ("_norms", "mass", "3.0"), ("_norms", "d", "2"), ("_norms", "alpha", "4.0"),
+    ("_norms", "lp", "1.0"), ("_norms", "gn_constant", "0.5"), ("", "L", "21.0"),
 ], ids=["type-swap", "nan", "negative", "overflow-to-inf", "bad-d", "bad-iterations",
-        "bad-bool"])
-def test_sidecar_value_outside_its_domain_is_solved_again(tmp_path, key, raw):
+        "bad-bool", "other-mass", "other-d", "other-alpha", "other-lp",
+        "other-gn_constant", "profile-other-L"])
+def test_sidecar_value_outside_its_domain_is_solved_again(tmp_path, monkeypatch, suffix,
+                                                          key, raw):
+    solved = []
+
+    def counting_solve(*args, **kw):
+        solved.append(args)
+        return solve_ground_state(*args, **kw)
+
+    monkeypatch.setattr(nlslab.cli, "solve_ground_state", counting_solve)
     outdir = os.path.join(tmp_path, "cls")
     path = write_cfg(tmp_path, _focusing_alpha6(outdir))
     assert main(["classify", path]) == 0
-    norms = os.path.join(outdir, "groundstates", "groundstate_d1_alpha6_norms.json")
-    artifacts = (norms, os.path.join(outdir, "classify.json"))
+    assert main(["classify", path]) == 0
+    assert len(solved) == 1  # the clean artifact loads
+    base = os.path.join(outdir, "groundstates", "groundstate_d1_alpha6")
+    artifacts = (base + "_norms.json", base + ".json", os.path.join(outdir, "classify.json"))
 
     def contents():
         found = []
@@ -354,12 +376,42 @@ def test_sidecar_value_outside_its_domain_is_solved_again(tmp_path, key, raw):
         return found
 
     clean = contents()
-    edited, n = re.subn(rf'("{key}": )[^,\n]+', rf"\g<1>{raw}", clean[0].decode())
+    target = base + suffix + ".json"
+    edited, n = re.subn(rf'("{key}": )[^,\n]+', rf"\g<1>{raw}",
+                        clean[artifacts.index(target)].decode())
     assert n == 1
-    with open(norms, "w", encoding="utf-8") as fh:
+    with open(target, "w", encoding="utf-8") as fh:
         fh.write(edited)
     assert main(["classify", path]) == 0
-    assert contents() == clean  # the sidecar solved again, the verdict unchanged
+    assert len(solved) == 2
+    assert contents() == clean  # the artifact solved again, the verdict unchanged
+
+
+def test_loaded_ground_state_of_another_alpha_or_grid_is_solved_again(tmp_path,
+                                                                     monkeypatch):
+    cfg = load_config(write_cfg(tmp_path, _focusing_alpha6(os.path.join(tmp_path, "cls"))))
+    grid = build_groundstate_grid(cfg)
+    for other in (solve_ground_state(1, 4.0, grid),
+                  solve_ground_state(1, 6.0, Grid(1, "cartesian", n=256, L=21.0))):
+        monkeypatch.setattr(nlslab.cli, "load_ground_state", lambda *a, **kw: other)
+        gs = nlslab.cli._solve_artifact_groundstate(cfg)
+        assert gs.alpha == 6.0 and gs.field.grid.describe() == grid.describe()
+
+
+@pytest.mark.parametrize("command, summary", [
+    ("evolve", "summary.json"), ("classify", "classify.json"),
+], ids=["mass-subcritical-evolve", "attractive-intercritical-classify"])
+def test_uncovered_data_solves_no_reference(tmp_path, command, summary):
+    # BASE is mass-subcritical (d = 1, alpha = 2); the classify case is
+    # focusing intercritical data under an attractive potential (c < 0)
+    outdir = os.path.join(tmp_path, "run")
+    text = BASE.format(outdir=outdir)
+    if command == "classify":
+        text = _focusing_alpha6(outdir).replace("c = 1.0", "c = -1.0", 1)
+    assert main([command, write_cfg(tmp_path, text)]) == 0
+    with open(os.path.join(outdir, summary), encoding="utf-8") as fh:
+        assert json.load(fh)["threshold"] == {"verdict": "not-applicable"}
+    assert not os.path.exists(os.path.join(outdir, "groundstates"))
 
 
 def test_cli_import_leaves_scipy_fft_out():
