@@ -94,7 +94,10 @@ def read_field(header_path) -> Field:
 
 
 def ground_state_basename(d, alpha):
-    return f"groundstate_d{d}_alpha{alpha:g}"
+    """alpha in the name as :g text where that reads back as alpha, else as
+    repr, so that two alphas never share one artifact."""
+    text = f"{alpha:g}"
+    return f"groundstate_d{d}_alpha{text if float(text) == alpha else repr(alpha)}"
 
 
 def save_ground_state(directory, gs, solver_hash):

@@ -32,7 +32,6 @@ from .config import (
     ConfigError,
     DEFAULT_CONFIG_TEMPLATE,
     ExperimentConfig,
-    build_grid,
     build_groundstate_grid,
     build_initial_field,
     config_hash,
@@ -92,18 +91,6 @@ def _solve_artifact_groundstate(cfg: ExperimentConfig):
         gs = solve_ground_state(d, alpha, grid, tol=gc.tol, max_iter=gc.max_iter)
         save_ground_state(gdir, gs, solver_hash)
     return gs
-
-
-def _initial_field(cfg: ExperimentConfig):
-    """u0 on the run grid; groundstate-scaled data solves Q on that grid."""
-    grid = build_grid(cfg)
-    ground_state = None
-    if cfg.initial.kind == "groundstate-scaled":
-        ground_state = solve_ground_state(
-            cfg.equation.d, cfg.equation.alpha, grid, tol=cfg.groundstate.tol,
-            max_iter=cfg.groundstate.max_iter,
-        )
-    return build_initial_field(cfg, grid, ground_state)
 
 
 def _threshold(cfg, rec):
@@ -173,7 +160,7 @@ def _prepare_run(cfg: ExperimentConfig):
     run_dir = cfg.output.directory
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
-    u0 = _initial_field(cfg)
+    u0 = build_initial_field(cfg)
     rec0 = record(u0, cfg.equation, phi_r=tuple(cfg.evolve.phi_r_list),
                   epsilon_reg=cfg.evolve.epsilon_reg)
     verdict, glassey_delta = None, None
@@ -272,7 +259,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
     # no phi_r: the verdict reads only mass, energy and the gradient norm
-    rec0 = record(_initial_field(cfg), cfg.equation, epsilon_reg=cfg.evolve.epsilon_reg)
+    rec0 = record(build_initial_field(cfg), cfg.equation, epsilon_reg=cfg.evolve.epsilon_reg)
     verdict, _ = _threshold(cfg, rec0)
     os.makedirs(cfg.output.directory, exist_ok=True)
     payload = {

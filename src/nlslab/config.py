@@ -25,6 +25,7 @@ from .equation import (
 )
 from .evolve import EvolveConfig
 from .grid import Field, Grid, GridError
+from .groundstate import solve_ground_state
 
 __all__ = [
     "ConfigError",
@@ -224,8 +225,6 @@ def _validate(cfg: ExperimentConfig):
             )
     if cfg.initial.kind == "checkpoint" and not cfg.initial.path:
         raise ConfigError("[initial] kind = checkpoint requires path")
-    if cfg.equation.d > 1 and cfg.grid.mode == "cartesian" and cfg.grid.n > 4096:
-        raise ConfigError("[grid] n too large for a d > 1 Cartesian box")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -292,13 +291,10 @@ def build_groundstate_grid(cfg: ExperimentConfig) -> Grid:
     return Grid(d, "radial", n_r=g.n_r, r_max=g.r_max)
 
 
-def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) -> Field:
-    """Assemble u0 from the [initial] section.
-
-    groundstate-scaled data requires a GroundState solved on this grid
-    (passed by the caller so artifacts can be reused).
-    """
-    ini = cfg.initial
+def build_initial_field(cfg: ExperimentConfig) -> Field:
+    """u0 on the run grid, from the [initial] section; groundstate-scaled
+    data solves Q on that grid with the [groundstate] tol and max_iter."""
+    ini, grid = cfg.initial, build_grid(cfg)
     if ini.kind == "gaussian":
         two_var = 2.0 * np.float64(ini.width) ** 2  # inf, not OverflowError
         if grid.mode == "radial":
@@ -312,9 +308,10 @@ def build_initial_field(cfg: ExperimentConfig, grid: Grid, ground_state=None) ->
             values = values * np.exp(1j * ini.phase_k * grid.coords(0))
         return Field(grid, values.astype(np.complex128))
     if ini.kind == "groundstate-scaled":
-        if ground_state is None:
-            raise ConfigError("groundstate-scaled initial data needs a solved Q")
-        return Field(grid, ini.scale * ground_state.field.values)
+        gc = cfg.groundstate
+        gs = solve_ground_state(cfg.equation.d, cfg.equation.alpha, grid, tol=gc.tol,
+                                max_iter=gc.max_iter)
+        return Field(grid, ini.scale * gs.field.values)
     from .checkpoint import read_field
 
     try:

@@ -26,8 +26,9 @@ Crank-Nicolson halves do not compose.
 and fixed dt in one loop, so a sweep over initial data pays numpy's
 per-call overhead once per step instead of K times.  Each member keeps
 its own records, checkpoints, warnings and stop; a member that goes
-non-finite leaves the stack at the step where its solo run would stop.
-A solo run is the stack of one.  The grid operators act on the trailing
+non-finite stops at the step where its solo run would stop, and its row
+stays in the stack, stepped but never read, until the stack ends.  A
+solo run is the stack of one.  The grid operators act on the trailing
 axes, so every row of the stack is bit-identical to its solo run.
 
 The free propagator for -tau is the exact inverse of the one for tau,
@@ -114,7 +115,7 @@ class SplitStepper:
     next step starts from it: a read step costs one forward and two
     inverse transforms, against two and two unmerged.  Until then the
     stepper holds one field's worth more memory, and step must be given
-    settle's output, or keep(u, rows) of it.
+    settle's output.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
@@ -189,12 +190,6 @@ class SplitStepper:
         self._spectrum, self._owed = spectrum, None
         return self.grid._ifft(u)
 
-    def keep(self, u, rows):
-        """u[rows], with the rows of a kept spectrum taken along."""
-        if self._spectrum is not None:
-            self._spectrum = self._spectrum[rows]
-        return u[rows]
-
 
 def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:
     """Blow-up time bound: positive root of v0 + vdot0 t - delta t^2 / 2.
@@ -248,28 +243,29 @@ class _Trajectory:
             epsilon_reg=self.cfg.epsilon_reg))
         self.shell_max = max(self.shell_max, boundary_shell_mass_fraction(f))
 
+    def grew(self, kinetic):
+        """Whether sqrt(kinetic) reached blowup_grad_factor times ||grad u0||."""
+        return self.grad0 > 0 and np.sqrt(kinetic) >= self.cfg.blowup_grad_factor * self.grad0
+
     def read(self, f, record, checkpoint):
-        """Record and checkpoint f as due; False when the member stopped."""
+        """Record and checkpoint f as due; a record that fails stops the member."""
         if record:
             try:
                 self.add_record(f)
             except InvalidFieldError as exc:
                 self.stop("invalid", f.time, str(exc))
-                return False
-            grad_now = np.sqrt(self.records[-1].kinetic)
-            grad0 = self.grad0
-            if (grad0 > 0 and grad_now >= self.cfg.blowup_grad_factor * grad0
-                    and not self.warned_grad):
+                return
+            kinetic = self.records[-1].kinetic
+            if self.grew(kinetic) and not self.warned_grad:
                 self.warnings.append(
-                    f"gradient grew {grad_now / grad0:.1f}x at t={f.time:.6g} "
-                    "without dt collapse"
+                    f"gradient grew {np.sqrt(kinetic) / self.grad0:.1f}x at "
+                    f"t={f.time:.6g} without dt collapse"
                 )
                 self.warned_grad = True
             self.last_good.values[...] = f.values  # reuses the buffer
             self.last_good.time = f.time
         if checkpoint and self.checkpoint_cb is not None:
             self.checkpoint_cb(f.copy())
-        return True
 
     def stop(self, status, t, warning=None, field=None):
         """End the trajectory at t; an invalid one keeps its last good record."""
@@ -324,15 +320,10 @@ def _evolve_stack(members, spec, cfg):
         raise ValueError("adaptive dt advances one field at a time")
     stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=True)
     runs = [_Trajectory(m, spec, cfg) for m in members]
-    live = list(runs)  # the trajectories of the rows of u, in order
+    # row i of u is runs[i]'s field; a stopped member's row is stepped on
+    # but never read again
     u = np.stack([m.u0.values for m in members])
     t = 0.0
-
-    def keep(rows):
-        nonlocal u, live
-        if not all(rows):
-            u = stepper.keep(u, np.asarray(rows))
-            live = [m for m, ok in zip(live, rows) if ok]
 
     if fixed:
         # a quotient that overflows still makes a run that stops at max_steps
@@ -340,9 +331,9 @@ def _evolve_stack(members, spec, cfg):
         dt = dt_fixed = cfg.t_end / n_steps
 
     step, at_end = 0, False
-    while live and not at_end:
+    while not at_end and any(m.outcome is None for m in runs):
         if not fixed:
-            m = live[0]  # adaptive dt follows its one field
+            m = runs[0]  # adaptive dt follows its one field
             sup = float(np.max(np.abs(u)))
             dt = cfg.dt0
             if sup > 0.0:
@@ -353,8 +344,7 @@ def _evolve_stack(members, spec, cfg):
                     dt = cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw)))
             if dt < cfg.blowup_dt_floor:
                 f = Field(grid, u[0], t)
-                grad_now = np.sqrt(gradient_norm_sq(f))
-                if m.grad0 > 0 and grad_now >= cfg.blowup_grad_factor * m.grad0:
+                if m.grew(gradient_norm_sq(f)):
                     if m.records[-1].t != t:  # the trajectory up to detection
                         m.add_record(f)
                     m.stop("blowup-detected", t, field=f.copy())
@@ -373,14 +363,10 @@ def _evolve_stack(members, spec, cfg):
         step += 1
         t = step * dt_fixed if fixed else t + dt
 
-        finite = np.isfinite(u.view(np.float64)).reshape(len(live), -1).all(axis=1)
-        if not finite.all():
-            for m, ok in zip(live, finite):
-                if not ok:
-                    m.stop("invalid", t, f"non-finite field after step {step} (t={t:.6g})")
-            keep(finite)
-            if not live:
-                break
+        finite = np.isfinite(u.view(np.float64)).reshape(len(runs), -1).all(axis=1)
+        for m, ok in zip(runs, finite):
+            if not ok and m.outcome is None:
+                m.stop("invalid", t, f"non-finite field after step {step} (t={t:.6g})")
 
         at_end = step == n_steps if fixed else t >= cfg.t_end * (1.0 - 1e-12)
         record_now = step % cfg.record_stride == 0 or at_end
@@ -392,15 +378,17 @@ def _evolve_stack(members, spec, cfg):
         if not fixed or record_now or checkpoint_now or out_of_steps:
             u = stepper.settle(u)
         if record_now or checkpoint_now:
-            # a comprehension: no loop variable keeps a row of u alive
-            keep([m.read(Field(grid, row, t), record_now, checkpoint_now)
-                  for m, row in zip(live, u)])
+            # by index: no loop variable keeps a row of u alive
+            for i, m in enumerate(runs):
+                if m.outcome is None:
+                    m.read(Field(grid, u[i], t), record_now, checkpoint_now)
         if out_of_steps:
-            for m in live:
-                m.stop("invalid", t, f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
+            for m in runs:
+                if m.outcome is None:
+                    m.stop("invalid", t, f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
             break
 
-    for m, row in zip(live, u):
+    for m, row in zip(runs, u):
         if m.outcome is None:
             m.stop("completed", t, field=Field(grid, row.copy(), t))
     return [m.outcome for m in runs]

@@ -42,6 +42,9 @@ __all__ = [
 # surface measure of the unit sphere S^{d-1}; d=1 counts both half-lines
 SURFACE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
+# the most nodes a grid may have: 256 MiB per complex field
+MAX_NODES = 4096**2
+
 
 class GridError(ValueError):
     """Invalid grid construction parameters."""
@@ -148,6 +151,8 @@ class CartesianGrid(Grid):
             raise GridError(f"resolution-too-small: n={n} < 8")
         if n & (n - 1):
             raise GridError(f"n={n} must be a power of two")
+        if n**self.d > MAX_NODES:
+            raise GridError(f"n={n}: {n**self.d} nodes in d={self.d} exceed {MAX_NODES}")
         if not (0.0 < 2.0 * L / n and L < np.inf):  # dx must not underflow to 0
             raise GridError(f"box half-width L={L} must be finite and positive")
         self.n = n
@@ -302,6 +307,8 @@ class RadialGrid(Grid):
         n_r = int(n_r)
         if n_r < 8:
             raise GridError(f"resolution-too-small: n_r={n_r} < 8")
+        if n_r > MAX_NODES:
+            raise GridError(f"n_r={n_r} exceeds {MAX_NODES} nodes")
         if not (0.0 < r_max / n_r and r_max < np.inf):  # dr must not underflow
             raise GridError(f"r_max={r_max} must be finite and positive")
         self.n_r = n_r

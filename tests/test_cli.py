@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nlslab.cli
+import nlslab.config
 from nlslab.checkpoint import write_field
 from nlslab.cli import main
 from nlslab.config import (build_grid, build_groundstate_grid, config_hash, load_config,
@@ -121,6 +122,11 @@ def test_config_invalid_exit_code(tmp_path):
          "[grid]\nmode = cartesian\nn = 64\nL = 1e200"),
         # the run directory that follows becomes a comment line
         ("directory = ", "directory = {tmp}/a\0b\n; "),
+        # more than 4096**2 nodes
+        ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
+         "[grid]\nmode = cartesian\nn = 256",
+         "d = 2\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
+         "[grid]\nmode = cartesian\nn = 8192"),
     ],
     ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan",
          "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
@@ -136,7 +142,8 @@ def test_config_invalid_exit_code(tmp_path):
          "checkpoint-path-n-null", "checkpoint-path-L-string", "checkpoint-path-n-inf",
          "checkpoint-path-time-null", "checkpoint-path-payload-number",
          "checkpoint-path-names-the-payload",
-         "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul"],
+         "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul",
+         "cartesian-2d-n-over-cap"],
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     # the first occurrence is the [grid] / [observables] / [evolve] key
@@ -445,20 +452,62 @@ def test_groundstate_artifact_keyed_by_solver_settings(tmp_path, monkeypatch):
         assert json.load(fh)["n"] == 1024
 
 
-def test_groundstate_scaled_data_solved_with_the_configured_max_iter(tmp_path, monkeypatch):
-    solved = []
+@pytest.mark.parametrize("old, new", [
+    ("", ""),
+    ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
+     "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
+     "d = 3\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
+     "[grid]\nmode = radial\nn_r = 512\nr_max = 20.0"),
+], ids=["cartesian-1d", "radial-3d"])
+def test_groundstate_scaled_data_solved_with_the_configured_max_iter(tmp_path, monkeypatch,
+                                                                     old, new):
+    solved, built = [], []
 
     def recording_solve(d, alpha, grid, **kw):
-        solved.append((grid.L, kw.get("max_iter")))
-        return solve_ground_state(d, alpha, grid, **kw)
+        gs = solve_ground_state(d, alpha, grid, **kw)
+        solved.append((grid.describe(), kw.get("max_iter"), gs))
+        return gs
 
-    monkeypatch.setattr(nlslab.cli, "solve_ground_state", recording_solve)
-    text = BASE.format(outdir=os.path.join(tmp_path, "cls")).replace(
+    def recording_build(cfg):
+        built.append(nlslab.config.build_initial_field(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(nlslab.config, "solve_ground_state", recording_solve)
+    monkeypatch.setattr(nlslab.cli, "build_initial_field", recording_build)
+    text = BASE.format(outdir=os.path.join(tmp_path, "cls")).replace(old, new, 1).replace(
         "kind = gaussian\namplitude = 1.0\nwidth = 1.0",
         "kind = groundstate-scaled\nscale = 0.5",
-    ).replace("[groundstate]\n", "[groundstate]\nmax_iter = 321\n")
-    assert main(["classify", write_cfg(tmp_path, text)]) == 0
-    assert solved == [(12.0, 321)]  # one solve, on the run grid
+    ).replace("[groundstate]\n", "[groundstate]\nmax_iter = 321\nn_r = 1024\n")
+    path = write_cfg(tmp_path, text)
+    assert main(["classify", path]) == 0
+    [(grid, max_iter, gs)] = solved  # one solve, on the run grid
+    assert grid == build_grid(load_config(path)).describe() and max_iter == 321
+    [u0] = built
+    assert np.array_equal(u0.values, 0.5 * gs.field.values)
+
+
+def test_alphas_that_print_alike_keep_their_own_ground_state_artifacts(tmp_path,
+                                                                      monkeypatch):
+    # alpha = 6.0000001 prints as 6 under :g
+    solved = []
+
+    def counting_solve(*args, **kw):
+        solved.append(args)
+        return solve_ground_state(*args, **kw)
+
+    monkeypatch.setattr(nlslab.cli, "solve_ground_state", counting_solve)
+    gdir = os.path.join(tmp_path, "shared")
+    counts = []
+    for alpha in ("6.0", "6.0000001", "6.0"):
+        text = _focusing_alpha6(os.path.join(tmp_path, "cls")).replace(
+            "alpha = 6.0", f"alpha = {alpha}").replace(
+            "[groundstate]\n", f"[groundstate]\ndirectory = {gdir}\n")
+        before = len(solved)
+        assert main(["classify", write_cfg(tmp_path, text)]) == 0
+        counts.append(len(solved) - before)
+    assert counts == [1, 1, 0]
+    assert sorted(name for name in os.listdir(gdir) if name.endswith("_norms.json")) == [
+        "groundstate_d1_alpha6.0000001_norms.json", "groundstate_d1_alpha6_norms.json"]
 
 
 def test_classify_groundstate_scaled(tmp_path, capsys):
@@ -727,7 +776,7 @@ def test_member_leaving_the_stack_stops_at_its_solo_step(tmp_path, monkeypatch):
         return Field(grid, cfg.initial.amplitude * 1.25
                      * np.exp(-grid.axis**2 / (2.0 * z)) / np.sqrt(z))
 
-    monkeypatch.setattr(nlslab.cli, "_initial_field", chirped)
+    monkeypatch.setattr(nlslab.cli, "build_initial_field", chirped)
     outdir = os.path.join(tmp_path, "sweep")
     text = BASE.format(outdir=outdir).replace(
         "c = 1.0", "c = 0.0").replace("alpha = 2.0", "alpha = 1e5").replace(

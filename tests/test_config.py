@@ -81,6 +81,18 @@ def test_invalid_configs_raise():
         parse_config("[grid]\nn = 64\n")  # no [equation] section
 
 
+def test_grids_over_the_node_cap_are_rejected_before_any_array():
+    # 4096**2 nodes at most: a 3-D box of n = 512 would hold 2**27
+    def with_grid(d, old, new):
+        return parse_config(MINIMAL.replace("d = 1", f"d = {d}").replace(old, new))
+
+    assert with_grid(2, "n = 256", "n = 4096").grid.n == 4096
+    for d, old, new in ((3, "n = 256", "n = 512"), (2, "n = 256", "n = 8192"),
+                        (3, "mode = cartesian\nn = 256", "mode = radial\nn_r = 16777217")):
+        with pytest.raises(ConfigError, match="exceed"):
+            with_grid(d, old, new)
+
+
 def test_radial_gaussian_constraints():
     text = MINIMAL.replace("mode = cartesian", "mode = radial") + (
         "\n[initial]\nkind = gaussian\nphase_k = 1.0\n"
@@ -93,7 +105,7 @@ def test_build_grid_and_gaussian():
     cfg = parse_config(MINIMAL)
     grid = build_grid(cfg)
     assert isinstance(grid, Grid) and grid.n == 256
-    u0 = build_initial_field(cfg, grid)
+    u0 = build_initial_field(cfg)
     assert u0.values.shape == grid.shape
     assert abs(u0.values[128]) > 0.5
 
@@ -103,10 +115,8 @@ def test_build_groundstate_scaled():
     cfg = parse_config(text)
     grid = build_grid(cfg)
     gs = solve_ground_state(1, 2.0, grid)
-    u0 = build_initial_field(cfg, grid, gs)
+    u0 = build_initial_field(cfg)
     assert abs(u0.values).max() == pytest.approx(0.1 * abs(gs.field.values).max())
-    with pytest.raises(ConfigError):
-        build_initial_field(cfg, grid, None)
 
 
 def test_sweep_values_parse():
