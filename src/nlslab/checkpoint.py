@@ -46,51 +46,60 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _json_text(obj):
+    # strict JSON: a NaN or infinite value raises ValueError
+    return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+
+
+def _header(grid, time, payload, config_hash=None):
+    """The header write_field writes, the one statement of the format; the
+    payload name and config_hash are text."""
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "endianness": "little",
+              "time": time, "payload": str(payload), **grid.describe()}
+    if config_hash is not None:
+        header["config_hash"] = str(config_hash)
+    return header
+
+
 def write_field(base_path, field: Field, config_hash=None):
     """Write <base>.json header and <base>.bin payload; returns header path."""
-    g = field.grid
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "endianness": "little",
-        "time": field.time,
-        "payload": os.path.basename(f"{base_path}.bin"),
-    }
-    header.update(g.describe())
-    if config_hash is not None:
-        header["config_hash"] = config_hash
+    header = _header(field.grid, field.time, os.path.basename(f"{base_path}.bin"),
+                     config_hash)
     # a view of the values on a little-endian host: the file gets their bytes
     payload = np.ascontiguousarray(field.values, dtype="<c16")
     atomic_write_bytes(f"{base_path}.bin", payload)
-    atomic_write_text(f"{base_path}.json", json.dumps(header, sort_keys=True, indent=1))
+    atomic_write_text(f"{base_path}.json", _json_text(header))
     return f"{base_path}.json"
 
 
-def read_field(header_path) -> Field:
-    """Reconstruct a Field (and its grid) from a checkpoint's .json header."""
+def read_field(header_path, grid=None) -> Field:
+    """The Field of a checkpoint's .json header, on grid (default: the
+    header's).  ValueError unless the header is, as JSON text, the one
+    write_field writes for that grid, its time, payload and config_hash."""
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise ValueError(f"{header_path}: not a field checkpoint")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{header_path}: unsupported checkpoint version "
-                         f"{header.get('version')!r}")
-    if header.get("endianness") != "little":
-        raise ValueError("unsupported endianness tag")
     try:
-        sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
-        grid = Grid(header["d"], header["mode"], **sizes)
-        payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
-        time = float(header["time"])
+        if grid is None:
+            sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
+            grid = Grid(header["d"], header["mode"], **sizes)
+        expected = _header(grid, float(header["time"]), header["payload"],
+                           header.get("config_hash"))
     except (KeyError, TypeError, OverflowError) as exc:  # a key absent or mistyped
         raise ValueError(f"{header_path}: bad header: {exc!r}") from exc
+    if _json_text(header) != _json_text(expected):
+        shown = {k: [json.dumps(h[k]) if k in h else "absent" for h in (header, expected)]
+                 for k in sorted(header.keys() | expected.keys())}
+        raise ValueError(f"{header_path}: header mismatch: " + ", ".join(
+            f"{k} {read} (expected {want})" for k, (read, want) in shown.items()
+            if read != want))
+    payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
     with open(payload_path, "rb") as fh:
         payload = fh.read()
     if len(payload) != 16 * math.prod(grid.shape):
         raise ValueError(f"{payload_path}: {len(payload)} bytes do not hold a "
                          f"complex128 field of shape {grid.shape}")
     values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
-    return Field(grid, values.copy(), time)
+    return Field(grid, values.copy(), expected["time"])
 
 
 def ground_state_basename(d, alpha):
@@ -100,46 +109,39 @@ def ground_state_basename(d, alpha):
     return f"groundstate_d{d}_alpha{text if float(text) == alpha else repr(alpha)}"
 
 
-def save_ground_state(directory, gs, solver_hash):
-    """Persist profile (field checkpoint) plus a JSON sidecar: every
-    GroundState field but the profile, with kind, profile and solver_hash.
+def _sidecar(gs, profile, solver_hash):
+    """The sidecar save_ground_state writes: every GroundState field but the
+    profile, with kind, profile (the header's file name) and solver_hash."""
+    sidecar = {f.name: getattr(gs, f.name) for f in fields(gs) if f.name != "field"}
+    sidecar.update(kind="ground-state", profile=profile, solver_hash=solver_hash)
+    return sidecar
 
-    solver_hash, of the solver settings that produced gs, identifies it.
-    """
+
+def save_ground_state(directory, gs, solver_hash):
+    """Persist profile (field checkpoint) plus a JSON sidecar; solver_hash,
+    of the solver settings that produced gs, identifies it."""
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, ground_state_basename(gs.d, gs.alpha))
     write_field(base, gs.field)
-    sidecar = {f.name: getattr(gs, f.name) for f in fields(gs) if f.name != "field"}
-    sidecar.update(kind="ground-state", profile=os.path.basename(base) + ".json",
-                   solver_hash=solver_hash)
-    atomic_write_text(
-        base + "_norms.json", json.dumps(sidecar, sort_keys=True, indent=1)
-    )
+    atomic_write_text(base + "_norms.json",
+                      _json_text(_sidecar(gs, os.path.basename(base) + ".json", solver_hash)))
     return base
 
 
-def load_ground_state(base_path, solver_hash):
-    """The ground-state artifact written by save_ground_state, or None (solve
-    it again) unless it stores solver_hash, reads back in declared domains
-    and stores the norms its profile has."""
+def load_ground_state(base_path, alpha, grid, solver_hash):
+    """The ground state of alpha at base_path, its profile read on grid, or
+    None (solve it again) unless its fields lie in their declared domains
+    and the sidecar is, as JSON text, the one save_ground_state writes for
+    it and solver_hash."""
     from .groundstate import GroundState
 
     try:
         with open(base_path + "_norms.json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-    except (OSError, ValueError):  # absent, not JSON, or not UTF-8
-        return None
-    if not isinstance(sidecar, dict) or sidecar.get("solver_hash") != solver_hash:
-        return None
-    # a field the sidecar lacks (monotone_residual, in older ones) keeps
-    # its dataclass default
-    given = {f.name: sidecar[f.name] for f in fields(GroundState)
-             if f.init and f.name != "field" and f.name in sidecar}
-    try:
-        gs = GroundState(field=read_field(base_path + ".json"), **given)
+        gs = GroundState(read_field(base_path + ".json", grid), alpha, sidecar["residual"],
+                         sidecar["iterations"], sidecar["monotone_residual"])
         check_domains(gs)
-    except (OSError, ArithmeticError, ValueError, TypeError):  # a profile missing
-        return None  # or rejected, a field absent, or a value outside its domain
-    if any(sidecar.get(f.name) != getattr(gs, f.name) for f in fields(gs) if not f.init):
-        return None  # a stored norm that is not the profile's
-    return gs
+        expected = _sidecar(gs, os.path.basename(base_path) + ".json", solver_hash)
+        return gs if _json_text(sidecar) == _json_text(expected) else None
+    except (OSError, KeyError, ArithmeticError, ValueError, TypeError):  # absent, not
+        return None  # JSON, a field missing, or a value outside its domain

@@ -78,15 +78,15 @@ def _groundstate_dir(cfg: ExperimentConfig):
 
 
 def _solve_artifact_groundstate(cfg: ExperimentConfig):
-    """Load the (d, alpha) ground-state artifact; solve and save it when it
-    is absent, was solved with other [groundstate] solver settings, or holds
-    another alpha or a profile on another grid."""
+    """Load the (d, alpha) ground-state artifact; solve and save it unless
+    it is the one save_ground_state writes for the config's alpha, ground-state
+    grid and [groundstate] solver settings."""
     d, alpha = cfg.equation.d, cfg.equation.alpha
     gdir, grid = _groundstate_dir(cfg), build_groundstate_grid(cfg)
     solver_hash = groundstate_solver_hash(cfg)
-    gs = load_ground_state(os.path.join(gdir, ground_state_basename(d, alpha)),
-                           solver_hash=solver_hash)
-    if gs is None or gs.alpha != alpha or gs.field.grid.describe() != grid.describe():
+    gs = load_ground_state(os.path.join(gdir, ground_state_basename(d, alpha)), alpha,
+                           grid, solver_hash)
+    if gs is None:
         gc = cfg.groundstate
         gs = solve_ground_state(d, alpha, grid, tol=gc.tol, max_iter=gc.max_iter)
         save_ground_state(gdir, gs, solver_hash)

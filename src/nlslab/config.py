@@ -315,13 +315,9 @@ def build_initial_field(cfg: ExperimentConfig) -> Field:
     from .checkpoint import read_field
 
     try:
-        f = read_field(ini.path)
-    except ValueError as exc:
+        return read_field(ini.path, grid)
+    except (OSError, ValueError) as exc:  # absent, unreadable or not of this grid
         raise ConfigError(f"[initial] path: {exc}") from exc
-    if f.grid.describe() != grid.describe():
-        raise ConfigError(f"checkpoint grid {f.grid.describe()} does not match "
-                          f"run grid {grid.describe()}")
-    return f
 
 
 def _template() -> str:

@@ -62,7 +62,7 @@ class GroundState:
     gn_constant: float = dataclasses.field(init=False,
                                            metadata={"domain": at_least(0.0)})
     iterations: int = declared(MISSING, at_least(1))
-    monotone_residual: bool = declared(True, one_of(True, False))
+    monotone_residual: bool = declared(MISSING, one_of(True, False))
 
     def __post_init__(self):
         q = self.field

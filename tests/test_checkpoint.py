@@ -33,10 +33,33 @@ def test_roundtrip_cartesian(tmp_path):
 def test_roundtrip_radial(tmp_path):
     g = Grid(3, "radial", n_r=128, r_max=12.0)
     f = random_radial_field(g, 9)
-    base = os.path.join(tmp_path, "rad")
-    write_field(base, f)
-    back = read_field(base + ".json")
+    f.time = 0.75
+    header = write_field(os.path.join(tmp_path, "rad"), f, config_hash="abc123")
+    back = read_field(header)
     assert np.array_equal(back.values, f.values)
+    assert back.time == 0.75
+    assert back.grid.describe() == g.describe()
+    # written again from what was read: the same header, the same payload
+    again = write_field(os.path.join(tmp_path, "again"), back, config_hash="abc123")
+    with open(header, "rb") as a, open(again, "rb") as b:
+        assert a.read().replace(b"rad.bin", b"again.bin") == b.read()
+    with open(header[:-5] + ".bin", "rb") as a, open(again[:-5] + ".bin", "rb") as b:
+        assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("grid, other, sizes", [
+    (Grid(1, "cartesian", n=16, L=4.0), Grid(1, "cartesian", n=32, L=5.0),
+     ["L 4.0 (expected 5.0)", "n 16 (expected 32)"]),
+    (Grid(3, "radial", n_r=64, r_max=8.0), Grid(3, "radial", n_r=64, r_max=9.0),
+     ["r_max 8.0 (expected 9.0)"]),
+], ids=["cartesian", "radial"])
+def test_read_on_another_grid_names_the_differing_sizes(tmp_path, grid, other, sizes):
+    header = write_field(os.path.join(tmp_path, "x"), Field(grid, np.ones(grid.shape)))
+    with pytest.raises(ValueError, match="header mismatch") as info:
+        read_field(header, other)
+    for size in sizes:
+        assert size in str(info.value)
+    assert read_field(header, grid).grid is grid
 
 
 def test_header_contents(tmp_path):
@@ -82,12 +105,29 @@ def test_rejects_unknown_version(tmp_path):
         read_field(header)
 
 
-def test_ground_state_artifact_roundtrip(tmp_path):
-    grid = Grid(1, "cartesian", n=256, L=15.0)
-    gs = solve_ground_state(1, 2.0, grid)
+@pytest.mark.parametrize("edit", [
+    {"n": 16.7}, {"n": 16.0}, {"L": True}, {"L": 4}, {"time": "0.5"}, {"time": True},
+    {"time": float("nan")}, {"extra": 1}, {"config_hash": None}, {"config_hash": 7},
+], ids=["n-fraction", "n-float", "L-bool", "L-int", "time-string", "time-bool",
+        "time-nan", "extra-key", "config_hash-null", "config_hash-number"])
+def test_rejects_a_header_not_in_its_written_form(tmp_path, edit):
+    g = Grid(1, "cartesian", n=16, L=4.0)
+    f = Field(g, np.ones(g.shape, complex), time=0.5)
+    header = write_field(os.path.join(tmp_path, "x"), f, config_hash="abc123")
+    with open(header, encoding="utf-8") as fh:
+        fields = json.load(fh)
+    with open(header, "w", encoding="utf-8") as fh:
+        json.dump({**fields, **edit}, fh)
+    with pytest.raises(ValueError):
+        read_field(header)
+
+
+def _ground_state_artifact_roundtrip(tmp_path, grid):
+    gs = solve_ground_state(grid.d, 2.0, grid)
     base = save_ground_state(tmp_path, gs, "ff00")
-    assert load_ground_state(base, "ee00") is None
-    loaded = load_ground_state(base, "ff00")
+    assert load_ground_state(base, 2.0, grid, "ee00") is None
+    assert load_ground_state(base, 2.5, grid, "ff00") is None
+    loaded = load_ground_state(base, 2.0, grid, "ff00")
     assert loaded.mass == gs.mass
     assert loaded.kinetic == gs.kinetic
     assert loaded.gn_constant == gs.gn_constant
@@ -99,19 +139,24 @@ def test_ground_state_artifact_roundtrip(tmp_path):
             assert a.read() == b.read()
 
 
+def test_ground_state_artifact_roundtrip(tmp_path):
+    _ground_state_artifact_roundtrip(tmp_path, Grid(1, "cartesian", n=256, L=15.0))
+
+
+def test_ground_state_artifact_roundtrip_radial(tmp_path):
+    _ground_state_artifact_roundtrip(tmp_path, Grid(3, "radial", n_r=512, r_max=10.0))
+
+
 def test_ground_state_sidecar_without_monotone_residual(tmp_path):
     grid = Grid(1, "cartesian", n=256, L=15.0)
     gs = solve_ground_state(1, 2.0, grid)
-    gs.monotone_residual = False
     base = save_ground_state(tmp_path, gs, "ff00")
     with open(base + "_norms.json", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     del sidecar["monotone_residual"]
     with open(base + "_norms.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh)
-    loaded = load_ground_state(base, "ff00")
-    assert loaded.monotone_residual is True
-    assert loaded.iterations == gs.iterations
+    assert load_ground_state(base, 2.0, grid, "ff00") is None
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e110], ids=["zero", "norms-overflow"])
@@ -122,7 +167,7 @@ def test_ground_state_profile_without_a_sharp_constant_is_rejected(tmp_path, sca
     base = save_ground_state(tmp_path, solve_ground_state(1, 2.0, grid), "ff00")
     profile = read_field(base + ".json")
     write_field(base, Field(grid, scale * profile.values))
-    assert load_ground_state(base, "ff00") is None
+    assert load_ground_state(base, 2.0, grid, "ff00") is None
 
 
 def test_concurrent_writers_of_one_path(tmp_path):

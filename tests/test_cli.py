@@ -1,18 +1,22 @@
+import contextlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nlslab.cli
 import nlslab.config
-from nlslab.checkpoint import write_field
+from nlslab.checkpoint import load_ground_state, save_ground_state, write_field
 from nlslab.cli import main
-from nlslab.config import (build_grid, build_groundstate_grid, config_hash, load_config,
-                            parse_config)
+from nlslab.config import (build_grid, build_groundstate_grid, config_hash,
+                            groundstate_solver_hash, load_config, parse_config)
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import solve_ground_state
 
@@ -115,6 +119,14 @@ def test_config_invalid_exit_code(tmp_path):
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/time_null.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_5.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/prev/final_state.bin"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/absent.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/prev"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/no_payload.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/n_fraction.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/L_true.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/time_string.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/extra_key.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/config_hash_null.json"),
         ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
         ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
          "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
@@ -141,7 +153,11 @@ def test_config_invalid_exit_code(tmp_path):
          "checkpoint-path-other-box", "checkpoint-path-other-version",
          "checkpoint-path-n-null", "checkpoint-path-L-string", "checkpoint-path-n-inf",
          "checkpoint-path-time-null", "checkpoint-path-payload-number",
-         "checkpoint-path-names-the-payload",
+         "checkpoint-path-names-the-payload", "checkpoint-path-missing",
+         "checkpoint-path-a-directory", "checkpoint-path-payload-missing",
+         "checkpoint-path-n-fraction", "checkpoint-path-L-bool",
+         "checkpoint-path-time-string", "checkpoint-path-extra-key",
+         "checkpoint-path-config_hash-null",
          "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul",
          "cartesian-2d-n-over-cap"],
 )
@@ -160,10 +176,13 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     other_box = Grid(1, "cartesian", n=256, L=5.0)
     write_field(os.path.join(tmp_path, "other_box"), Field(other_box, np.ones(256, complex)))
     # checkpoints of the run grid under a format version this code does not
-    # read, or whose header holds a value of the wrong type
+    # read, or whose header holds a value of the wrong type or an extra key
     for name, edit in (("version_2", {"version": 2}), ("n_null", {"n": None}),
                        ("L_abc", {"L": "abc"}), ("n_inf", {"n": float("inf")}),
-                       ("time_null", {"time": None}), ("payload_5", {"payload": 5})):
+                       ("time_null", {"time": None}), ("payload_5", {"payload": 5}),
+                       ("n_fraction", {"n": 256.7}), ("L_true", {"L": True}),
+                       ("time_string", {"time": "0.5"}), ("extra_key", {"extra": 1}),
+                       ("config_hash_null", {"config_hash": None})):
         header = write_field(os.path.join(tmp_path, name),
                              Field(grid, np.ones(256, complex)))
         with open(header, encoding="utf-8") as fh:
@@ -174,6 +193,9 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     os.makedirs(os.path.join(tmp_path, "prev"))
     write_field(os.path.join(tmp_path, "prev", "final_state"),
                 Field(grid, np.ones(256, complex)))
+    # a checkpoint of the run grid whose payload is gone
+    write_field(os.path.join(tmp_path, "no_payload"), Field(grid, np.ones(256, complex)))
+    os.remove(os.path.join(tmp_path, "no_payload.bin"))
     new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
@@ -181,6 +203,50 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("config-invalid: ")
     # a bad sweep value stops the sweep before its first member runs
     assert not os.path.exists(os.path.join(outdir, "run_000"))
+
+
+# the keys of a run-grid checkpoint header that carries its config's hash,
+# and one-key edits of it: a value replaced, the key deleted, or a key added
+_HEADER_KEYS = ["L", "config_hash", "d", "endianness", "format", "mode", "n", "payload",
+                "time", "version"]
+_HEADER_VALUES = st.sampled_from([None, True, "x", -1, 2**70, 1e308, math.nan, math.inf])
+_DELETED = object()
+_HEADER_EDITS = st.one_of(
+    st.tuples(st.sampled_from(_HEADER_KEYS), _HEADER_VALUES | st.just(_DELETED)),
+    st.tuples(st.text(min_size=1, max_size=6).filter(lambda k: k not in _HEADER_KEYS),
+              _HEADER_VALUES),
+)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_HEADER_EDITS)
+def test_edited_checkpoint_header_exits_0_or_2(edit):
+    key, value = edit
+    # mass-subcritical d = 1 data: classify solves no reference
+    text = BASE.format(outdir="run").replace("n = 256\nL = 12.0", "n = 64\nL = 8.0", 1).replace(
+        "kind = gaussian", "kind = checkpoint\npath = run/state.json")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        path = write_cfg(tmp, text)
+        os.makedirs("run")
+        header = write_field(os.path.join("run", "state"),
+                             Field(Grid(1, "cartesian", n=64, L=8.0), np.ones(64)),
+                             config_hash=config_hash(load_config(path)))
+        with open(header, encoding="utf-8") as fh:
+            fields = json.load(fh)
+        assert sorted(fields) == _HEADER_KEYS
+        if value is _DELETED:
+            refused = key != "config_hash"  # a header without the hash is well formed
+            del fields[key]
+        else:  # an added key, or a value of another type
+            refused = key not in fields or type(value) is not type(fields[key])
+            fields[key] = value
+        with open(header, "w", encoding="utf-8") as fh:
+            json.dump(fields, fh)
+        code = main(["classify", path])
+        assert code in ((2,) if refused else (0, 2))
+        # only an edited config_hash differs from the config's
+        check = main(["check", path])
+        assert check == (4 if key == "config_hash" and value is not _DELETED else 0)
 
 
 def test_evolve_just_above_the_mass_critical_power(tmp_path):
@@ -394,15 +460,18 @@ def test_sidecar_value_outside_its_domain_is_solved_again(tmp_path, monkeypatch,
     assert contents() == clean  # the artifact solved again, the verdict unchanged
 
 
-def test_loaded_ground_state_of_another_alpha_or_grid_is_solved_again(tmp_path,
-                                                                     monkeypatch):
+def test_loaded_ground_state_of_another_alpha_or_grid_is_solved_again(tmp_path):
     cfg = load_config(write_cfg(tmp_path, _focusing_alpha6(os.path.join(tmp_path, "cls"))))
-    grid = build_groundstate_grid(cfg)
+    grid, solver_hash = build_groundstate_grid(cfg), groundstate_solver_hash(cfg)
+    gdir = nlslab.cli._groundstate_dir(cfg)
+    # the other grid's state sits where the config's artifact belongs
     for other in (solve_ground_state(1, 4.0, grid),
                   solve_ground_state(1, 6.0, Grid(1, "cartesian", n=256, L=21.0))):
-        monkeypatch.setattr(nlslab.cli, "load_ground_state", lambda *a, **kw: other)
-        gs = nlslab.cli._solve_artifact_groundstate(cfg)
-        assert gs.alpha == 6.0 and gs.field.grid.describe() == grid.describe()
+        base = save_ground_state(gdir, other, solver_hash)
+        assert load_ground_state(base, 6.0, grid, solver_hash) is None
+    gs = nlslab.cli._solve_artifact_groundstate(cfg)
+    assert gs.alpha == 6.0 and gs.field.grid.describe() == grid.describe()
+    assert load_ground_state(base, 6.0, grid, solver_hash).mass == gs.mass
 
 
 @pytest.mark.parametrize("command, summary", [
