@@ -32,6 +32,7 @@ from .config import (
     ConfigError,
     DEFAULT_CONFIG_TEMPLATE,
     ExperimentConfig,
+    build_grid,
     build_groundstate_grid,
     build_initial_field,
     config_hash,
@@ -50,6 +51,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
+
+STACK_NODES = 4096  # past this many nodes per field, a stack steps slower than solo runs
+
 
 def _fmt(v) -> str:
     if v is None:
@@ -212,8 +216,8 @@ def _finish_run(cfg: ExperimentConfig, verdict, outcome, started):
 
 
 def _run_stack(cfgs):
-    """Run configs that differ only in [initial] and output.directory as
-    one stepped stack (one config: a solo run); their summaries.
+    """Run configs that share [equation], [grid] and [evolve] as one
+    stepped stack (one config: a solo run); their summaries.
 
     A member's wall_time_s runs from the start of the stack to its own
     summary, so it counts the whole shared stepping loop.
@@ -287,24 +291,17 @@ def _sweep_member(cfg: ExperimentConfig, value, index) -> ExperimentConfig:
     return override(member, "output.directory", run_dir)
 
 
-def _stackable(members) -> bool:
-    """Whether the members can step as one stack: fixed dt on a Cartesian
-    grid, with configs that differ only in [initial] and output.directory."""
-    def shared(m):
-        return dataclasses.replace(
-            m, initial=None, output=dataclasses.replace(m.output, directory=""))
-
-    first = members[0]
-    return (first.evolve.adaptivity == "fixed" and first.grid.mode == "cartesian"
-            and all(shared(m) == shared(first) for m in members))
-
-
 def _sweep_stacks(members, workers):
-    """Stackable members in min(workers, K) contiguous stacks, others one
-    member per stack."""
-    if not _stackable(members):
+    """min(workers, K) contiguous stacks of members that share what the
+    stepping loop reads (a fixed dt, equal [equation], [grid] and [evolve])
+    on fields of at most STACK_NODES nodes, else one member per stack."""
+    first, k = members[0], len(members)
+    if (first.evolve.adaptivity != "fixed"
+            or any((m.equation, m.grid, m.evolve) != (first.equation, first.grid, first.evolve)
+                   for m in members)
+            or np.prod(build_grid(first).shape) > STACK_NODES):
         return [[m] for m in members]
-    k, n = len(members), min(workers, len(members))
+    n = min(workers, k)
     return [members[i * k // n:(i + 1) * k // n] for i in range(n)]
 
 

@@ -314,8 +314,8 @@ def build_initial_field(cfg: ExperimentConfig) -> Field:
         return Field(grid, ini.scale * gs.field.values)
     from .checkpoint import read_field
 
-    try:
-        return read_field(ini.path, grid)
+    try:  # the run's clock starts at 0, whatever time the checkpoint holds
+        return Field(grid, read_field(ini.path, grid).values)
     except (OSError, ValueError) as exc:  # absent, unreadable or not of this grid
         raise ConfigError(f"[initial] path: {exc}") from exc
 

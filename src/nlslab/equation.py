@@ -61,7 +61,8 @@ PATH = Domain("a path without NUL characters", lambda v: "\0" not in v)
 
 
 def one_of(*values) -> Domain:
-    return Domain("one of " + ", ".join(map(str, values)), lambda v: v in values)
+    return Domain("one of " + ", ".join(map(str, values)),
+                  lambda v: any(type(v) is type(x) and v == x for x in values))
 
 
 def above(lo) -> Domain:
@@ -69,9 +70,10 @@ def above(lo) -> Domain:
 
 
 def at_least(lo) -> Domain:
-    # an int bound marks an integer field, which is finite by type
-    text = f">= {lo}" if isinstance(lo, int) else f"finite and >= {lo:g}"
-    return Domain(text, lambda v: lo <= v < math.inf)
+    # an int bound marks an integer field: an int (not a bool), finite by type
+    if isinstance(lo, int):
+        return Domain(f">= {lo}", lambda v: type(v) is int and lo <= v)
+    return Domain(f"finite and >= {lo:g}", lambda v: lo <= v < math.inf)
 
 
 def each(domain: Domain, nonempty=False) -> Domain:

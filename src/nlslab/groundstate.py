@@ -66,6 +66,7 @@ class GroundState:
 
     def __post_init__(self):
         q = self.field
+        self.residual = float(self.residual)  # a read 0 is written back as 0.0
         self.d = q.grid.d
         self.mass, self.kinetic = mass(q), gradient_norm_sq(q)
         self.lp = q.grid.integrate(np.abs(q.values) ** (self.alpha + 2.0))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import math
 import os
@@ -421,9 +422,13 @@ def _focusing_alpha6(outdir):
     # values inside their domains that are not the profile's, or the config's
     ("_norms", "mass", "3.0"), ("_norms", "d", "2"), ("_norms", "alpha", "4.0"),
     ("_norms", "lp", "1.0"), ("_norms", "gn_constant", "0.5"), ("", "L", "21.0"),
+    # values equal to a domain's member but not of its type
+    ("_norms", "iterations", "37.0"), ("_norms", "monotone_residual", "1"),
+    ("_norms", "residual", "0"),
 ], ids=["type-swap", "nan", "negative", "overflow-to-inf", "bad-d", "bad-iterations",
         "bad-bool", "other-mass", "other-d", "other-alpha", "other-lp",
-        "other-gn_constant", "profile-other-L"])
+        "other-gn_constant", "profile-other-L", "float-iterations", "int-bool",
+        "int-residual"])
 def test_sidecar_value_outside_its_domain_is_solved_again(tmp_path, monkeypatch, suffix,
                                                           key, raw):
     solved = []
@@ -488,6 +493,52 @@ def test_uncovered_data_solves_no_reference(tmp_path, command, summary):
     with open(os.path.join(outdir, summary), encoding="utf-8") as fh:
         assert json.load(fh)["threshold"] == {"verdict": "not-applicable"}
     assert not os.path.exists(os.path.join(outdir, "groundstates"))
+
+
+@pytest.mark.parametrize("amplitude, verdict", [(0.5, "global-branch"),
+                                                (3.0, "blowup-branch")])
+def test_energy_critical_data_is_classified_against_the_bubble(tmp_path, amplitude,
+                                                                verdict):
+    # d = 3, alpha = 4: the reference is the closed-form bubble, not a solve
+    outdir = os.path.join(tmp_path, "cls")
+    text = BASE.format(outdir=outdir).replace(
+        "d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing",
+        "d = 3\nc = 1.0\nsigma = 1.0\nalpha = 4.0\nsign = focusing").replace(
+        "mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 1024\nr_max = 12.0").replace(
+        "amplitude = 1.0", f"amplitude = {amplitude}")
+    assert main(["classify", write_cfg(tmp_path, text)]) == 0
+    with open(os.path.join(outdir, "classify.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["regime"] == "energy-critical"
+    assert payload["threshold"]["verdict"] == verdict
+    assert not os.path.exists(os.path.join(outdir, "groundstates"))
+
+
+def test_restart_clock_starts_at_0(tmp_path):
+    # the first run ends at t = 0.1; the restart is a run of its own from 0
+    first = os.path.join(tmp_path, "first")
+    text = BASE.format(outdir=first).replace("dt0 = 1e-3\nt_end = 0.2",
+                                             "dt0 = 0.01\nt_end = 0.1").replace(
+        "stride = 20", "stride = 5")
+    assert main(["evolve", write_cfg(tmp_path, text, "first.cfg")]) == 0
+    restart = os.path.join(tmp_path, "restart")
+    text = text.replace(first, restart).replace(
+        "kind = gaussian", f"kind = checkpoint\npath = {first}/final_state.json").replace(
+        "dt0 = 0.01", "dt0 = 0.01\ncheckpoint_stride = 5")
+    assert main(["evolve", write_cfg(tmp_path, text, "restart.cfg")]) == 0
+    with open(os.path.join(restart, "series.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [float(row["t"]) for row in rows] == pytest.approx([0.0, 0.05, 0.1])
+    times = []
+    for i in range(2):
+        with open(os.path.join(restart, f"checkpoint_{i:06d}.json"), encoding="utf-8") as fh:
+            times.append(json.load(fh)["time"])
+    assert times == pytest.approx([0.05, 0.1])
+    checks = []
+    for run in (first, restart):  # evenly strided, so the virial check runs
+        with open(os.path.join(run, "summary.json"), encoding="utf-8") as fh:
+            checks.append([c["name"] for c in json.load(fh)["identity_checks"]])
+    assert checks[0] == checks[1]
 
 
 def test_cli_import_leaves_scipy_fft_out():
@@ -742,9 +793,12 @@ def test_check_on_an_unreadable_or_hashless_file(tmp_path, capsys, name, content
         assert f"FAIL hash-consistency: {os.path.join(outdir, name)} " in out
 
 
-# -- sweeps over [initial] on fixed dt advance as one stack ---------------
+# -- fixed-dt sweeps on small fields advance as one stack ------------------
 
 STACK_2D = ("d = 1\nc = 1.0", "d = 2\nc = 1.0"), ("n = 256\nL = 12.0", "n = 64\nL = 8.0")
+# mass-subcritical (alpha < 4/3) radial d = 3 data solves no reference
+STACK_3D = (("d = 1\nc = 1.0", "d = 3\nc = 1.0"), ("alpha = 2.0", "alpha = 1.0"),
+            ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 12.0"))
 
 
 def _stack_sweep_text(outdir, d, workers):
@@ -752,9 +806,8 @@ def _stack_sweep_text(outdir, d, workers):
     text = BASE.format(outdir=outdir).replace(
         "t_end = 0.2", "t_end = 0.05\ncheckpoint_stride = 4").replace(
         "stride = 20", "stride = 7")
-    if d == 2:
-        for old, new in STACK_2D:
-            text = text.replace(old, new, 1)
+    for old, new in {1: (), 2: STACK_2D, 3: STACK_3D}[d]:
+        text = text.replace(old, new, 1)
     return text + ("\n[sweep]\nparameter = initial.amplitude\n"
                    f"values = 0.5 1.0 1.5\nworkers = {workers}\n")
 
@@ -806,13 +859,15 @@ def evolve_calls(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])  # d = 3: a radial grid
 @pytest.mark.parametrize("workers", [1, 2])
-def test_stacked_sweep_members_equal_their_solo_runs(tmp_path, d, workers):
+def test_stacked_sweep_members_equal_their_solo_runs(tmp_path, evolve_calls, d, workers):
     outdir = os.path.join(tmp_path, "sweep")
     path = write_cfg(tmp_path, _stack_sweep_text(outdir, d, workers))
     assert main(["sweep", path]) == 0
     swept = _assert_members_equal_solo_runs(path, outdir)
+    # one stack in this process, or two in the workers; then the solo runs
+    assert evolve_calls == ([3] if workers == 1 else []) + [1, 1, 1]
     # 50 steps: 0, 7, ..., 49 and the end; 12, 24, ..., 48 and the end
     assert swept["run_002/series.csv"].count(b"\n") == 2 + 9
     assert sum(k.startswith("run_000/checkpoint_") for k in swept) == 2 * 13
@@ -822,6 +877,18 @@ def test_sweep_over_initial_data_runs_as_one_stack(tmp_path, evolve_calls):
     outdir = os.path.join(tmp_path, "sweep")
     assert main(["sweep", write_cfg(tmp_path, _stack_sweep_text(outdir, 1, 1))]) == 0
     assert evolve_calls == [3]
+
+
+def test_sweep_over_a_key_outside_the_loops_inputs_runs_as_one_stack(tmp_path,
+                                                                     evolve_calls):
+    # [observables] tolerance is read by each member's identity checks only
+    outdir = os.path.join(tmp_path, "sweep")
+    text = BASE.format(outdir=outdir).replace("t_end = 0.2", "t_end = 0.05") + (
+        "\n[sweep]\nparameter = observables.tolerance\nvalues = 1e-10 1e-3\n")
+    path = write_cfg(tmp_path, text)
+    assert main(["sweep", path]) == 0
+    assert evolve_calls == [2]
+    _assert_members_equal_solo_runs(path, outdir)
 
 
 def test_stacks_split_contiguously_over_workers(tmp_path):
@@ -888,15 +955,17 @@ def test_stacked_members_keep_their_own_glassey_margins(tmp_path, evolve_calls):
 @pytest.mark.parametrize("old, new, parameter, values", [
     ("t_end = 0.2", "t_end = 0.05\nadaptivity = cfl-nonlinear",
      "initial.amplitude", "0.5 1.0"),
-    ("d = 1\nc = 1.0", "d = 2\nc = 1.0", "initial.amplitude", "0.5 1.0"),
+    # 128^2 = 16 384 nodes, past STACK_NODES; mass-subcritical, so no reference
+    ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0", "d = 2\nc = 1.0\nsigma = 0.5\nalpha = 1.0",
+     "initial.amplitude", "0.5 1.0"),
     ("t_end = 0.2", "t_end = 0.05", "observables.stride", "10 50"),
-], ids=["adaptive", "radial", "observables-stride"])
+], ids=["adaptive", "large-field", "observables-stride"])
 def test_ineligible_sweeps_run_member_by_member(tmp_path, evolve_calls, old, new,
                                                 parameter, values):
     text = BASE.format(outdir=os.path.join(tmp_path, "sweep")).replace(old, new, 1)
     if "d = 2" in new:
-        text = text.replace("t_end = 0.2", "t_end = 0.05").replace(
-            "mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 12.0")
+        text = text.replace("t_end = 0.2", "t_end = 0.01").replace(
+            "n = 256\nL = 12.0", "n = 128\nL = 12.0", 1)
     text += f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
     assert main(["sweep", write_cfg(tmp_path, text)]) == 0
     assert evolve_calls == [1, 1]

@@ -11,13 +11,17 @@ from nlslab.equation import (
     MASS_CRITICAL,
     MASS_SUBCRITICAL,
     NEITHER,
+    DomainError,
     EquationSpec,
     RegimeNotCoveredError,
+    at_least,
     classify_criticality,
     glassey_delta_negative_energy,
     negativity_margin,
+    one_of,
     threshold_test,
 )
+from nlslab.evolve import EvolveConfig
 
 
 def spec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="focusing"):
@@ -90,6 +94,16 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         spec(d=3, alpha=4.0, sigma=1.7)  # energy-critical needs sigma < 3/2
     assert spec(d=3, alpha=4.0, sigma=1.0).sign == "focusing"
+
+
+def test_integer_and_bool_domains_take_only_their_own_type():
+    assert not at_least(1).accepts(37.0) and not at_least(1).accepts(True)
+    assert at_least(1).accepts(37) and at_least(0.0).accepts(0)
+    assert not one_of(True, False).accepts(1) and not one_of(1, 2, 3).accepts(3.0)
+    for build in (lambda: EvolveConfig(record_stride=2.5),
+                  lambda: EvolveConfig(max_steps=True), lambda: spec(d=3.0)):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_attractive_flagged_and_rejected():

@@ -233,6 +233,35 @@ def test_adaptive_dt_subdivides_dt0():
     assert np.all(dts <= 1e-2 + 1e-12)
 
 
+def test_adaptive_dt_below_the_floor_without_growth_is_clamped():
+    # defocusing amplitude 30: the CFL dt 0.1 / 900 is under the floor from
+    # the first step, but the gradient never grows, so the run completes
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(1, "cartesian", n=256, L=12.0)
+    u0 = Field(g, (30.0 * np.exp(-g.axis**2 / 2.0)).astype(complex))
+    cfg = EvolveConfig(dt0=1e-3, t_end=1e-3, adaptivity="cfl-nonlinear",
+                       blowup_dt_floor=5e-4, record_stride=1)
+    out = evolve(u0, spec, cfg)
+    assert out.status == "completed"
+    assert [w.endswith("without gradient growth; clamped") for w in out.warnings] == [True]
+    assert [r.t for r in out.records] == pytest.approx([0.0, 5e-4, 1e-3], abs=1e-15)
+
+
+def test_tstar_past_the_glassey_bound_warns():
+    # the amplitude-3 run of test_blowup_tstar_monotone_in_amplitude, given
+    # a margin so large that its Glassey bound falls far below T*
+    spec = EquationSpec(d=1, c=0.3, sigma=0.5, alpha=4.0, sign="focusing")
+    g = Grid(1, "cartesian", n=2048, L=8.0)
+    u0 = Field(g, (3.0 * np.exp(-g.axis**2)).astype(complex))
+    cfg = EvolveConfig(dt0=1e-3, t_end=1.0, adaptivity="cfl-nonlinear",
+                       blowup_grad_factor=8.0, blowup_dt_floor=1e-5, record_stride=100)
+    [out] = evolve([Member(u0, glassey_delta=1e6)], spec, cfg)
+    assert out.status == "blowup-detected"
+    assert out.tstar_estimate > 1.2 * out.glassey_bound
+    assert (f"Tstar estimate {out.tstar_estimate:.6g} exceeds the Glassey bound "
+            f"{out.glassey_bound:.6g} by >20%") in out.warnings
+
+
 def test_overflowing_data_rejected_not_propagated():
     # data whose observables overflow violates the entry contract loudly
     spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=4.0, sign="focusing")

@@ -80,20 +80,23 @@ def test_morawetz_plane_wave_envelope():
 
 
 def test_variance_derivative_matches_morawetz():
-    # central difference of ||x u||^2 equals M_{|x|^2} to O(dt^2)
-    spec = EquationSpec(d=1, c=0.4, sigma=0.5, alpha=2.0, sign="defocusing")
-    g = Grid(1, "cartesian", n=512, L=15.0)
-    stepper = SplitStepper(g, spec)
-    u = np.exp(-((g.axis - 1.5) ** 2) / 2.0).astype(complex)
-    dt = 1e-3
-    vs, ms = [], []
-    for step in range(3):
-        f = Field(g, u, step * dt)
-        vs.append(weighted_norm(f, g.radius() ** 2))
-        ms.append(morawetz_action(f, "quadratic"))
-        u = stepper.step(u, dt)
-    dv = (vs[2] - vs[0]) / (2.0 * dt)
-    assert dv == pytest.approx(ms[1], rel=1e-5)
+    # central difference of ||x u||^2 equals M_{|x|^2} to O(dt^2), on a
+    # 1-D box and on d = 2 and 3 radial shells (their quadratic-weight flux)
+    shells = [Grid(d, "radial", n_r=4096, r_max=15.0) for d in (2, 3)]
+    for g in [Grid(1, "cartesian", n=512, L=15.0)] + shells:
+        spec = EquationSpec(d=g.d, c=0.4, sigma=0.5, alpha=2.0, sign="defocusing")
+        stepper = SplitStepper(g, spec)
+        x = g.axis if g.d == 1 else g.r
+        u = np.exp(-((x - 1.5) ** 2) / 2.0).astype(complex)
+        dt = 1e-3
+        vs, ms = [], []
+        for step in range(3):
+            f = Field(g, u, step * dt)
+            vs.append(weighted_norm(f, g.radius() ** 2))
+            ms.append(morawetz_action(f, "quadratic"))
+            u = stepper.step(u, dt)
+        dv = (vs[2] - vs[0]) / (2.0 * dt)
+        assert dv == pytest.approx(ms[1], rel=1e-5)
 
 
 def test_virial_rhs_forms_agree_and_reduce_at_c0():
