@@ -242,6 +242,8 @@ def threshold_not_covered(spec: EquationSpec) -> str | None:
     regime = classify_criticality(spec).regime
     if regime in (MASS_SUBCRITICAL, ENERGY_SUPERCRITICAL):
         return f"regime-not-covered: {regime}"
+    if spec.sign == "defocusing":
+        return "defocusing: the threshold dichotomy is a focusing statement"
     return None
 
 

@@ -8,7 +8,6 @@ against the algebraic right-hand sides the identities prescribe.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
@@ -24,8 +23,8 @@ from .grid import (
     InvalidFieldError,
     RadialGrid,
     gradient_norm_sq,
-    h1_norm,
     mass,
+    weighted_norm,
 )
 
 __all__ = [
@@ -296,41 +295,33 @@ def interaction_morawetz_l4(records, spec: EquationSpec, horizons):
 
 
 def scattering_cauchy_diagnostic(checkpoints, spec: EquationSpec, dt):
-    """H^1 Cauchy increments of the linear-flow pullback to t = 0.
+    """Cauchy increments of the linear-flow pullbacks to t = 0.
 
-    Each checkpoint is propagated backward under the linear flow; if the
-    solution scatters, successive pullbacks form a Cauchy sequence and the
-    increments decrease toward zero (until boundary effects dominate).
-
-    The pullbacks run concurrently on one thread per usable core (the
-    radial solves release the GIL), longest first.  Each one is a single
-    sequential evolve_linear call on one thread, so every increment is
-    bit-identical to a serial run.
+    If the solution scatters, the pullbacks P(-t_k) u_k form a Cauchy
+    sequence and the increments decrease toward zero (until boundary
+    effects dominate).  The increment between consecutive checkpoints
+    a, b is ||P(t_a - t_b) u_b - u_a||_E: one pullback over their
+    interval, measured in the linear energy norm
+    ||w||_E^2 = M(w) + ||grad w||^2 + c int |x|^(-sigma) |w|^2, which the
+    linear flow conserves, so it equals the distance of the two
+    pullbacks at t = 0.  For c > 0 and sigma < 2 the norm is equivalent
+    to H^1 (Hardy), so it decides the same Cauchy property.
     """
     info = classify_criticality(spec)
     if spec.sign != "defocusing" or spec.d != 3 or info.regime != INTERCRITICAL:
         raise RegimeNotCoveredError(
             "scattering diagnostic covers defocusing intercritical d = 3 only"
         )
-    from concurrent.futures import ThreadPoolExecutor
-
     from .evolve import evolve_linear
 
     checkpoints = sorted(checkpoints, key=lambda f: f.time)
     if len(checkpoints) < 2:
         raise ValueError("need at least two checkpoints")
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    longest_first = sorted(range(len(checkpoints)),
-                           key=lambda i: abs(checkpoints[i].time), reverse=True)
-    with ThreadPoolExecutor(max_workers=min(cores, len(checkpoints))) as pool:
-        futures = {i: pool.submit(evolve_linear, checkpoints[i], spec,
-                                  -checkpoints[i].time, dt) for i in longest_first}
-        pullbacks = [futures[i].result() for i in range(len(checkpoints))]
+    potential = spec.c * checkpoints[0].grid.radius_power(-spec.sigma, 0.0)
     increments = []
-    for a, b in zip(pullbacks[:-1], pullbacks[1:]):
-        diff = Field(a.grid, b.values - a.values, 0.0)
-        increments.append(h1_norm(diff))
+    for a, b in zip(checkpoints[:-1], checkpoints[1:]):
+        pulled = evolve_linear(b, spec, a.time - b.time, dt)
+        diff = Field(a.grid, pulled.values - a.values, a.time)
+        increments.append(math.sqrt(
+            mass(diff) + gradient_norm_sq(diff) + weighted_norm(diff, potential)))
     return increments

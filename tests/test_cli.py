@@ -479,20 +479,32 @@ def test_loaded_ground_state_of_another_alpha_or_grid_is_solved_again(tmp_path):
     assert load_ground_state(base, 6.0, grid, solver_hash).mass == gs.mass
 
 
-@pytest.mark.parametrize("command, summary", [
-    ("evolve", "summary.json"), ("classify", "classify.json"),
-], ids=["mass-subcritical-evolve", "attractive-intercritical-classify"])
-def test_uncovered_data_solves_no_reference(tmp_path, command, summary):
-    # BASE is mass-subcritical (d = 1, alpha = 2); the classify case is
-    # focusing intercritical data under an attractive potential (c < 0)
+def _defocused(amplitude):
+    return lambda text: text.replace("sign = focusing", "sign = defocusing").replace(
+        "amplitude = 1.0", f"amplitude = {amplitude}")
+
+
+@pytest.mark.parametrize("command, summary, edit", [
+    ("evolve", "summary.json", lambda text: text),
+    ("classify", "classify.json", lambda text: text.replace("c = 1.0", "c = -1.0", 1)),
+    ("classify", "classify.json", _defocused(0.5)),
+    ("classify", "classify.json", _defocused(3.0)),
+], ids=["mass-subcritical-evolve", "attractive-intercritical-classify",
+        "defocusing-intercritical-0.5-classify", "defocusing-intercritical-3.0-classify"])
+def test_uncovered_data_solves_no_reference(tmp_path, monkeypatch, command, summary, edit):
+    # BASE is mass-subcritical (d = 1, alpha = 2); the classify cases edit
+    # focusing intercritical data: an attractive potential (c < 0), or the
+    # defocusing sign, whose data is global whatever its size
+    solved = []
+    monkeypatch.setattr(nlslab.cli, "solve_ground_state",
+                        lambda *args, **kw: solved.append(args))
     outdir = os.path.join(tmp_path, "run")
-    text = BASE.format(outdir=outdir)
-    if command == "classify":
-        text = _focusing_alpha6(outdir).replace("c = 1.0", "c = -1.0", 1)
-    assert main([command, write_cfg(tmp_path, text)]) == 0
+    text = BASE.format(outdir=outdir) if command == "evolve" else _focusing_alpha6(outdir)
+    assert main([command, write_cfg(tmp_path, edit(text))]) == 0
     with open(os.path.join(outdir, summary), encoding="utf-8") as fh:
         assert json.load(fh)["threshold"] == {"verdict": "not-applicable"}
     assert not os.path.exists(os.path.join(outdir, "groundstates"))
+    assert solved == []
 
 
 @pytest.mark.parametrize("amplitude, verdict", [(0.5, "global-branch"),

@@ -1,7 +1,7 @@
 import json
 import math
-import os
 import random
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 
 from nlslab.equation import EquationSpec, RegimeNotCoveredError
 from nlslab.evolve import EvolveConfig, SplitStepper, evolve, evolve_linear
-from nlslab.grid import Field, Grid, gradient_norm_sq, weighted_norm
+from nlslab.grid import Field, Grid, gradient_norm_sq, mass, weighted_norm
 from nlslab.checks import random_radial_field
 from nlslab.observables import (
     RADIAL_SOBOLEV_CONSTANTS,
@@ -286,19 +286,47 @@ def test_scattering_diagnostic_decreasing_increments():
     assert incs[0] > incs[-1] > 0.0
 
 
-def test_scattering_pullbacks_on_threads_equal_the_serial_run(monkeypatch):
+def _energy_norm(f, spec):
+    g = f.grid
+    return math.sqrt(mass(f) + gradient_norm_sq(f)
+                     + weighted_norm(f, spec.c * g.radius_power(-spec.sigma, 0.0)))
+
+
+def test_scattering_increments_equal_distances_of_full_pullbacks():
+    # the linear flow conserves the E-norm, so one interval's pullback
+    # measures what the distance of the two pullbacks to t = 0 does
+    _, spec, cps = _small_defocusing_3d(4.0, checkpoint_stride=500)
+    incs = scattering_cauchy_diagnostic(cps, spec, dt=2e-3)
+    pulled = [evolve_linear(f, spec, -f.time, 2e-3) for f in cps]
+    full = [_energy_norm(Field(a.grid, b.values - a.values, 0.0), spec)
+            for a, b in zip(pulled[:-1], pulled[1:])]
+    assert len(incs) == len(full) >= 2
+    np.testing.assert_allclose(incs, full, rtol=1e-4)
+
+
+def test_scattering_increments_ignore_checkpoint_order():
     _, spec, cps = _small_defocusing_3d(1.0, checkpoint_stride=100)
     assert len(cps) >= 4
-    # more threads than checkpoints or cores, then one
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
-                        raising=False)
-    threaded = scattering_cauchy_diagnostic(cps, spec, dt=2e-3)
     shuffled = list(cps)
     random.Random(0).shuffle(shuffled)
     assert shuffled != cps
-    assert scattering_cauchy_diagnostic(shuffled, spec, dt=2e-3) == threaded
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert scattering_cauchy_diagnostic(cps, spec, dt=2e-3) == threaded
+    assert (scattering_cauchy_diagnostic(shuffled, spec, dt=2e-3)
+            == scattering_cauchy_diagnostic(cps, spec, dt=2e-3))
+
+
+def test_scattering_pulls_each_checkpoint_back_one_interval(monkeypatch):
+    _, spec, cps = _small_defocusing_3d(1.0, checkpoint_stride=100)
+    durations = []
+
+    def counting_linear(u0, spec, duration, dt):
+        durations.append(duration)
+        return evolve_linear(u0, spec, duration, dt)
+
+    monkeypatch.setattr(sys.modules["nlslab.evolve"], "evolve_linear", counting_linear)
+    scattering_cauchy_diagnostic(cps, spec, dt=2e-3)
+    times = sorted(f.time for f in cps)
+    assert len(durations) == len(cps) - 1
+    assert sum(abs(t) for t in durations) == pytest.approx(times[-1] - times[0])
 
 
 def test_scattering_diagnostic_regime_guard():
