@@ -75,7 +75,8 @@ def write_field(base_path, field: Field, config_hash=None):
 def read_field(header_path, grid=None) -> Field:
     """The Field of a checkpoint's .json header, on grid (default: the
     header's).  ValueError unless the header is, as JSON text, the one
-    write_field writes for that grid, its time, payload and config_hash."""
+    write_field writes for that grid, its time, payload and config_hash,
+    and its payload is a bare file name, read from the header's directory."""
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     try:
@@ -92,7 +93,11 @@ def read_field(header_path, grid=None) -> Field:
         raise ValueError(f"{header_path}: header mismatch: " + ", ".join(
             f"{k} {read} (expected {want})" for k, (read, want) in shown.items()
             if read != want))
-    payload_path = os.path.join(os.path.dirname(header_path), header["payload"])
+    payload = header["payload"]
+    if payload in ("", ".", "..") or os.path.basename(payload) != payload:
+        raise ValueError(f"{header_path}: payload {payload!r} is not a file name "
+                         "in the header's directory")
+    payload_path = os.path.join(os.path.dirname(header_path), payload)
     with open(payload_path, "rb") as fh:
         payload = fh.read()
     if len(payload) != 16 * math.prod(grid.shape):

@@ -12,8 +12,7 @@ for any a and b, so `evolve` merges the trailing half-step of one step
 with the leading half-step of the next: n steps between two reads of the
 field run as A(dt/2) B A(dt) B ... A(dt) B A(dt/2), one FFT round trip
 per step instead of two.  Where it reads the field (a record, a
-checkpoint, the end, max_steps, and every step of an adaptive run, whose
-dt follows max|u| of the true field) `evolve` settles the owed half.
+checkpoint, the end, max_steps) `evolve` settles the owed half.
 Settling takes the true field's spectrum on the way, and the stepper
 keeps it: the next step starts from it with A(dt'/2) and no forward
 transform, so a step that is read costs one forward and two inverse
@@ -21,6 +20,15 @@ transforms instead of two and two.  `evolve_linear` settles at the
 end.  The finiteness check runs on every step's shifted field, which is
 finite exactly when the true one is.  Radial grids never merge, because
 Crank-Nicolson halves do not compose.
+
+An adaptive dt follows max|u| of the true field, but reads it through
+bounds that the shifted field's spectrum gives, and the stepper keeps
+that spectrum for the next step.  Where both bounds give the same
+power-of-two subdivision of dt0, so does max|u|, and the step runs
+unsettled: one forward and one inverse transform.  It settles, from the
+kept spectrum, only where the bounds straddle a subdivision edge, where
+dt would fall below blowup_dt_floor (the gradient check reads the true
+field), and wherever a fixed-dt run settles.
 
 `evolve` steps a (K, *shape) stack of fields that share a grid, spec
 and fixed dt in one loop, so a sweep over initial data pays numpy's
@@ -111,11 +119,13 @@ class SplitStepper:
     next step applies the owed half together with its own leading half as
     one A(owed + dt/2), whatever its dt.  settle(u) writes the true field
     over u and returns it, so a caller that merges settles wherever it
-    reads the field.  settle keeps the true field's spectrum, and the
-    next step starts from it: a read step costs one forward and two
-    inverse transforms, against two and two unmerged.  Until then the
-    stepper holds one field's worth more memory, and step must be given
-    settle's output.
+    reads the field.  sup_bounds(u) bounds max|u| of the true field
+    without settling.  Both keep a spectrum, settle the true field's and
+    sup_bounds the shifted field's, and the next step (or settle) starts
+    from it: a read step costs one forward and two inverse transforms,
+    against two and two unmerged, and a step that is only bounded one and
+    one.  Until then the stepper holds one field's worth more memory, and
+    step must be given the u that settle returned or sup_bounds was given.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
@@ -126,8 +136,12 @@ class SplitStepper:
         self.potential = spec.c * grid.radius_power(-spec.sigma, epsilon_reg)
         self._merge = merge_halves and grid.free_flow_composes
         self._owed = None  # free-flow time that step's output still owes
-        self._spectrum = None  # settle's output's spectrum, for the next step
+        self._spectrum = None  # the spectrum of the u that step is given next
         self._free_ops = {}
+        self._drift = (None, None)  # (tau, min(2, tau |k|^2)) for sup_bounds
+        # once sup_bounds is in use, a nonlinear step notes max|u|^2 of its
+        # rotation's input, which is max|u|^2 of its output: B keeps |u|
+        self._note_peak, self._peak_sq = False, None
         self._linear_phase_cache = (None, None)
 
     # -- A: the grid's free flow over tau -------------------------------
@@ -155,6 +169,8 @@ class SplitStepper:
             return u
         arg = u.real * u.real
         arg += u.imag * u.imag  # |u|^2 without a square root
+        if self._note_peak:
+            self._peak_sq = float(arg.max())
         if self.spec.alpha != 2.0:
             arg **= 0.5 * self.spec.alpha
         arg *= self.spec.nonlinearity_sign
@@ -169,11 +185,13 @@ class SplitStepper:
 
     def step(self, u, dt, nonlinear=True):
         half = 0.5 * dt
-        if self._spectrum is not None:  # u is settle's output
-            u = self.grid._ifft(self._free(half).on_spectrum(self._spectrum))
+        tau = half if self._owed is None else self._owed + half
+        self._peak_sq = None
+        if self._spectrum is not None:  # u's, kept by settle or sup_bounds
+            u = self.grid._ifft(self._free(tau).on_spectrum(self._spectrum))
             self._spectrum = None
         else:
-            u = self._free(half if self._owed is None else self._owed + half)(u)
+            u = self._free(tau)(u)
         u = self._phase(u, dt, nonlinear)
         if self._merge:
             self._owed = half
@@ -185,10 +203,38 @@ class SplitStepper:
         is kept for the next step."""
         if self._owed is None:
             return u
-        spectrum = self._free(self._owed).on_spectrum(self.grid._fft(u))
+        spectrum = self.grid._fft(u) if self._spectrum is None else self._spectrum
+        spectrum = self._free(self._owed).on_spectrum(spectrum)
         u[...] = spectrum
         self._spectrum, self._owed = spectrum, None
         return self.grid._ifft(u)
+
+    def sup_bounds(self, u):
+        """(lo, hi) around max|u| of the true field of step's output u.
+
+        A(tau) moves no node of u by more than (1/N) sum_k min(2, tau |k|^2)
+        |u_k| over the N nodes, a bound on |e^(-i tau |k|^2) - 1| summed
+        against u's spectrum, which is kept for the next step; a 1e-9
+        relative margin covers the roundoff of settling and of taking max|u|
+        from the phase rotation's input.  Owing nothing, both are max|u|.
+        """
+        self._note_peak = True
+        if self._owed is None:
+            top = float(np.abs(u).max())
+            return top, top
+        # a linear last step noted no peak
+        top = float(np.abs(u).max()) if self._peak_sq is None else self._peak_sq**0.5
+        if self._spectrum is None:
+            self._spectrum = self.grid._fft(u)
+        tau, weight = self._drift
+        if tau != self._owed:
+            weight = np.minimum(2.0, self._owed * self.grid.k_squared())
+            self._drift = (self._owed, weight)
+        # one sum per row of a stack; the widest bounds every row
+        rows = np.abs(self._spectrum).reshape(-1, weight.size) @ weight.ravel()
+        drift = float(rows.max()) / weight.size
+        slack = drift + 1e-9 * (top + drift)
+        return max(top - slack, 0.0), top + slack
 
 
 def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:
@@ -311,6 +357,21 @@ def evolve(
     return _evolve_stack(u0, spec, cfg)
 
 
+def _cfl_dt(cfg, alpha, sup):
+    """dt0, or the power-of-two subdivision of dt0 (which keeps the cached
+    free flow valid across consecutive steps) that brings dt sup^alpha to
+    cfl_constant or below; 0 where that needs a dt below the float range."""
+    try:
+        raw = cfg.cfl_constant / sup**alpha
+    except ZeroDivisionError:  # sup^alpha is 0: sup is 0, or nearly
+        return cfg.dt0
+    except OverflowError:  # sup^alpha is past the float range
+        return 0.0
+    if raw >= cfg.dt0:
+        return cfg.dt0
+    return cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw))) if raw > 0.0 else 0.0
+
+
 def _evolve_stack(members, spec, cfg):
     grid = members[0].u0.grid
     if any(m.u0.grid.describe() != grid.describe() for m in members):
@@ -334,14 +395,12 @@ def _evolve_stack(members, spec, cfg):
     while not at_end and any(m.outcome is None for m in runs):
         if not fixed:
             m = runs[0]  # adaptive dt follows its one field
-            sup = float(np.max(np.abs(u)))
-            dt = cfg.dt0
-            if sup > 0.0:
-                raw = cfg.cfl_constant / sup**spec.alpha
-                if raw < dt:
-                    # power-of-two subdivision of dt0: keeps the cached
-                    # linear multiplier valid across consecutive steps
-                    dt = cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw)))
+            lo, hi = stepper.sup_bounds(u)
+            dt = _cfl_dt(cfg, spec.alpha, hi)
+            # dt falls as max|u| grows: equal at both bounds, it is max|u|'s
+            if dt != _cfl_dt(cfg, spec.alpha, lo) or dt < cfg.blowup_dt_floor:
+                u = stepper.settle(u)
+                dt = _cfl_dt(cfg, spec.alpha, stepper.sup_bounds(u)[1])
             if dt < cfg.blowup_dt_floor:
                 f = Field(grid, u[0], t)
                 if m.grew(gradient_norm_sq(f)):
@@ -374,8 +433,7 @@ def _evolve_stack(members, spec, cfg):
             step % cfg.checkpoint_stride == 0 or at_end)
         # a run that reaches t_end on its max_steps-th step completes
         out_of_steps = step >= cfg.max_steps and not at_end
-        # an adaptive run reads max|u| of the true field for its next dt
-        if not fixed or record_now or checkpoint_now or out_of_steps:
+        if record_now or checkpoint_now or out_of_steps:
             u = stepper.settle(u)
         if record_now or checkpoint_now:
             # by index: no loop variable keeps a row of u alive

@@ -122,6 +122,40 @@ def test_rejects_a_header_not_in_its_written_form(tmp_path, edit):
         read_field(header)
 
 
+def _edit_payload(header, payload):
+    with open(header, encoding="utf-8") as fh:
+        fields = json.load(fh)
+    with open(header, "w", encoding="utf-8") as fh:
+        json.dump({**fields, "payload": payload}, fh)
+
+
+@pytest.mark.parametrize("payload", ["../b/x.bin", "b/x.bin", "{tmp}/b/x.bin", "", ".", ".."],
+                         ids=["up-and-over", "subdirectory", "absolute", "empty", "dot",
+                              "dotdot"])
+def test_reads_the_payload_only_from_the_headers_directory(tmp_path, payload):
+    # a payload of the right size lies wherever a path could lead: a header
+    # that names it by any path but a bare file name is refused, not followed
+    g = Grid(1, "cartesian", n=16, L=4.0)
+    for where in ("a", "b", os.path.join("a", "b")):
+        os.makedirs(os.path.join(tmp_path, where))
+        write_field(os.path.join(tmp_path, where, "x"), Field(g, np.full(g.shape, 2j)))
+    header = os.path.join(tmp_path, "a", "x.json")
+    assert np.array_equal(read_field(header).values, np.full(g.shape, 2j))
+    _edit_payload(header, payload.replace("{tmp}", str(tmp_path)))
+    with pytest.raises(ValueError, match="not a file name"):
+        read_field(header)
+
+
+def test_ground_state_whose_profile_names_another_directory_is_solved_again(tmp_path):
+    grid = Grid(1, "cartesian", n=64, L=10.0)
+    gs = solve_ground_state(1, 2.0, grid)
+    base = save_ground_state(os.path.join(tmp_path, "a"), gs, "ff00")
+    save_ground_state(os.path.join(tmp_path, "b"), gs, "ff00")
+    assert load_ground_state(base, 2.0, grid, "ff00") is not None
+    _edit_payload(base + ".json", "../b/" + os.path.basename(base) + ".bin")
+    assert load_ground_state(base, 2.0, grid, "ff00") is None
+
+
 def _ground_state_artifact_roundtrip(tmp_path, grid):
     gs = solve_ground_state(grid.d, 2.0, grid)
     base = save_ground_state(tmp_path, gs, "ff00")

@@ -128,6 +128,12 @@ def test_config_invalid_exit_code(tmp_path):
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/time_string.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/extra_key.json"),
         ("kind = gaussian", "kind = checkpoint\npath = {tmp}/config_hash_null.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/a/payload_up.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_sub.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_abs.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_empty.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_dot.json"),
+        ("kind = gaussian", "kind = checkpoint\npath = {tmp}/payload_dotdot.json"),
         ("mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 1e200"),
         ("d = 1\nc = 1.0\nsigma = 0.5\nalpha = 2.0\nsign = defocusing\n\n"
          "[grid]\nmode = cartesian\nn = 256\nL = 12.0",
@@ -158,7 +164,10 @@ def test_config_invalid_exit_code(tmp_path):
          "checkpoint-path-a-directory", "checkpoint-path-payload-missing",
          "checkpoint-path-n-fraction", "checkpoint-path-L-bool",
          "checkpoint-path-time-string", "checkpoint-path-extra-key",
-         "checkpoint-path-config_hash-null",
+         "checkpoint-path-config_hash-null", "checkpoint-path-payload-up-and-over",
+         "checkpoint-path-payload-in-a-subdirectory", "checkpoint-path-payload-absolute",
+         "checkpoint-path-payload-empty", "checkpoint-path-payload-dot",
+         "checkpoint-path-payload-dotdot",
          "radial-r_max-huge", "cartesian-2d-L-huge", "output-directory-nul",
          "cartesian-2d-n-over-cap"],
 )
@@ -190,6 +199,19 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
             fields = json.load(fh)
         with open(header, "w", encoding="utf-8") as fh:
             json.dump({**fields, **edit}, fh)
+    # checkpoints of the run grid whose payload names a path, not a file
+    # beside the header; b/other.bin is a valid payload of the run grid
+    os.makedirs(os.path.join(tmp_path, "a"))
+    os.makedirs(os.path.join(tmp_path, "b"))
+    write_field(os.path.join(tmp_path, "b", "other"), Field(grid, np.ones(256, complex)))
+    for name, payload in (("a/payload_up", "../b/other.bin"), ("payload_sub", "b/other.bin"),
+                          ("payload_abs", os.path.join(tmp_path, "b", "other.bin")),
+                          ("payload_empty", ""), ("payload_dot", "."), ("payload_dotdot", "..")):
+        header = write_field(os.path.join(tmp_path, name), Field(grid, np.ones(256, complex)))
+        with open(header, encoding="utf-8") as fh:
+            fields = json.load(fh)
+        with open(header, "w", encoding="utf-8") as fh:
+            json.dump({**fields, "payload": payload}, fh)
     # a checkpoint of the run grid, named by its payload and not its header
     os.makedirs(os.path.join(tmp_path, "prev"))
     write_field(os.path.join(tmp_path, "prev", "final_state"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from nlslab.checks import random_band_limited_field, random_radial_field
@@ -8,6 +9,7 @@ from nlslab.evolve import (
     EvolveConfig,
     Member,
     SplitStepper,
+    _cfl_dt,
     evolve,
     evolve_linear,
     glassey_upper_bound,
@@ -452,24 +454,165 @@ def test_stack_needs_one_grid_and_a_fixed_dt():
     assert stacked.final_field.values.tobytes() == solo.final_field.values.tobytes()
 
 
-def test_adaptive_merge_matches_per_step_loop():
+def _adaptive_run_matches_per_step_loop(monkeypatch, record_stride):
     # sup|u| falls as the data disperses, so the CFL dt doubles twice and
     # the merged run carries its spectrum across each change of dt
     spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
     g = Grid(1, "cartesian", n=256, L=10.0)
     u0 = Field(g, (3.0 * np.exp(-g.axis**2 / 2.0)).astype(complex))
-    cfg = EvolveConfig(dt0=0.05, t_end=0.5, adaptivity="cfl-nonlinear", record_stride=1)
-    out = evolve(u0, spec, cfg)
+    cfg = EvolveConfig(dt0=0.05, t_end=0.5, adaptivity="cfl-nonlinear",
+                       record_stride=record_stride)
+    n_steps = n_settles = 0
+    step, settle = SplitStepper.step, SplitStepper.settle
+
+    def counted_step(self, *args, **kwargs):
+        nonlocal n_steps
+        n_steps += 1
+        return step(self, *args, **kwargs)
+
+    def counted_settle(self, u):
+        nonlocal n_settles
+        n_settles += self._owed is not None
+        return settle(self, u)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SplitStepper, "step", counted_step)
+        patch.setattr(SplitStepper, "settle", counted_settle)
+        out = evolve(u0, spec, cfg)
     times, fields = adaptive_per_step_run(u0, spec, cfg)
     assert out.status == "completed"
     # dt 0.00625, 0.0125 and 0.025, and a last step cut to t_end
     assert np.unique(np.diff(times).round(12)).tolist() == [0.00625, 0.0125, 0.01875, 0.025]
-    assert [r.t for r in out.records] == times
-    for rec, u in zip(out.records, fields):
-        want = observables.record(Field(g, u, rec.t), spec)
+    assert n_steps == len(times) - 1
+    read = sorted({*range(0, len(times), record_stride), n_steps})
+    assert [r.t for r in out.records] == [times[k] for k in read]
+    for rec, k in zip(out.records, read):
+        want = observables.record(Field(g, fields[k], rec.t), spec)
         for name in ("mass", "energy", "kinetic", "virial", "linfty"):
             assert getattr(rec, name) == pytest.approx(getattr(want, name), rel=1e-12)
     assert rel_err(out.final_field.values, fields[-1]) <= 1e-12
+    return n_steps, n_settles
+
+
+def test_adaptive_merge_matches_per_step_loop(monkeypatch):
+    n_steps, n_settles = _adaptive_run_matches_per_step_loop(monkeypatch, record_stride=1)
+    assert n_settles == n_steps
+
+
+def test_adaptive_unread_steps_match_per_step_loop(monkeypatch):
+    # six of every seven steps go unread: their dt comes from the bounds on
+    # max|u| and their next step from the spectrum the bounds kept, unless
+    # the bounds straddle an edge of dt's bracket, as at both doublings
+    n_steps, n_settles = _adaptive_run_matches_per_step_loop(monkeypatch, record_stride=7)
+    assert n_settles < n_steps
+
+
+_BOUND_GRIDS = {1: Grid(1, "cartesian", n=128, L=8.0), 2: Grid(2, "cartesian", n=32, L=8.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+       owed=st.floats(1e-6, 1.0), amplitude=st.floats(0.1, 10.0))
+def test_sup_bounds_contain_the_settled_maximum(d, seed, owed, amplitude):
+    g = _BOUND_GRIDS[d]
+    spec = EquationSpec(d=d, c=1.0, sigma=0.5, alpha=2.0, sign="focusing")
+    stepper = SplitStepper(g, spec, merge_halves=True)
+    u = stepper.step(random_band_limited_field(g, seed, amplitude).values[None], 2.0 * owed)
+    exact = float(np.max(np.abs(g.free_propagator(owed)(u))))
+    lo, hi = stepper.sup_bounds(u)
+    settled = float(np.max(np.abs(stepper.settle(u))))
+    assert lo <= settled <= hi
+    assert lo <= exact <= hi
+    # nothing owed: both bounds are the settled maximum
+    assert stepper.sup_bounds(u) == (settled, settled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1e300), b=st.floats(0.0, 1e300),
+       alpha=st.sampled_from([1e-3, 2.0, 4.0, 6.0]),
+       cfl=st.floats(1e-6, 1e3), dt0=st.floats(1e-9, 1.0))
+def test_cfl_dt_falls_as_the_maximum_grows(a, b, alpha, cfl, dt0):
+    # an adaptive step trusts two bounds on max|u| only because the CFL dt
+    # falls as max|u| grows, also where max|u|^alpha leaves the float range
+    cfg = EvolveConfig(dt0=dt0, cfl_constant=cfl, adaptivity="cfl-nonlinear")
+    lo, hi = sorted((a, b))
+    assert _cfl_dt(cfg, alpha, 0.0) == dt0
+    assert 0.0 <= _cfl_dt(cfg, alpha, hi) <= _cfl_dt(cfg, alpha, lo) <= dt0
+
+
+def test_adaptive_run_of_data_whose_power_underflows_takes_dt0():
+    # max|u|^alpha = 1e-400 is 0.0 in floats: the CFL dt is dt0, not a
+    # division by zero
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="focusing")
+    g = Grid(1, "cartesian", n=64, L=8.0)
+    u0 = Field(g, (1e-200 * np.exp(-g.axis**2)).astype(complex))
+    out = evolve(u0, spec, EvolveConfig(dt0=1e-3, t_end=1e-2, adaptivity="cfl-nonlinear",
+                                        record_stride=1))
+    assert out.status == "completed" and not out.warnings
+    assert np.diff([r.t for r in out.records]) == pytest.approx([1e-3] * 10, abs=1e-15)
+
+
+def _logged_transforms(monkeypatch, g):
+    """The events of the runs on g that follow, in order: T a step, S a
+    settle of an owed half, F a forward and I an inverse transform."""
+    log = []
+    fft, ifft = g._fft, g._ifft
+    step, settle = SplitStepper.step, SplitStepper.settle
+
+    def logged_step(self, *args, **kwargs):
+        log.append("T")
+        return step(self, *args, **kwargs)
+
+    def logged_settle(self, u):
+        if self._owed is not None:
+            log.append("S")
+        return settle(self, u)
+
+    monkeypatch.setattr(g, "_fft", lambda u: log.append("F") or fft(u))
+    monkeypatch.setattr(g, "_ifft", lambda u: log.append("I") or ifft(u))
+    monkeypatch.setattr(SplitStepper, "step", logged_step)
+    monkeypatch.setattr(SplitStepper, "settle", logged_settle)
+    return log
+
+
+def test_certified_unread_adaptive_step_makes_one_transform_each_way(monkeypatch):
+    # max|u| stays near 3.8, inside (sqrt(10), sqrt(20)], where the CFL dt
+    # is dt0/2: both bounds give it, and only the end reads the field
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(1, "cartesian", n=128, L=8.0)
+    u0 = Field(g, (3.8 * np.exp(-g.axis**2 / 2.0)).astype(complex))
+    log = _logged_transforms(monkeypatch, g)
+    out = evolve(u0, spec, EvolveConfig(dt0=1e-2, t_end=0.1, adaptivity="cfl-nonlinear",
+                                        record_stride=1000))
+    assert out.status == "completed" and [r.t for r in out.records][0] == 0.0
+    events = "".join(log)
+    assert events.count("T") == 20
+    # the first step transforms u0; each later one starts from the spectrum
+    # its bounds kept, and the end settles
+    assert events == "TFI" + "FTI" * 19 + "SFI"
+
+
+def test_adaptive_step_whose_bounds_straddle_an_edge_settles_from_the_kept_spectrum(
+        monkeypatch):
+    # cfl_constant puts the edge between dt0 and dt0/2 exactly at max|u| of
+    # the true field after the first step, which is dt0/2 long (max|u0| is
+    # above the edge): the bounds around it give two dts, and it settles
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(1, "cartesian", n=128, L=8.0)
+    u0 = Field(g, (3.8 * np.exp(-g.axis**2 / 2.0)).astype(complex))
+    dt0 = 1e-2
+    probe = SplitStepper(g, spec, merge_halves=True)
+    edge = float(np.max(np.abs(probe.settle(probe.step(u0.values[None], dt0 / 2)))))
+    assert edge < float(np.max(np.abs(u0.values)))
+    log = _logged_transforms(monkeypatch, g)
+    out = evolve(u0, spec, EvolveConfig(dt0=dt0, t_end=0.05, adaptivity="cfl-nonlinear",
+                                        cfl_constant=dt0 * edge**2, record_stride=1000))
+    assert out.status == "completed"
+    events = "".join(log)
+    # step, bound (F), settle from the kept spectrum (I alone), step from the
+    # settled spectrum; no settle but the last makes a forward transform
+    assert events.startswith("TFI" + "F" + "SI" + "TI")
+    assert events.endswith("SFI") and "SF" not in events[:-3]
 
 
 @pytest.mark.parametrize("adaptivity, d", [("fixed", 2), ("cfl-nonlinear", 1)])
