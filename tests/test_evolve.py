@@ -584,7 +584,7 @@ def test_certified_unread_adaptive_step_makes_one_transform_each_way(monkeypatch
     log = _logged_transforms(monkeypatch, g)
     out = evolve(u0, spec, EvolveConfig(dt0=1e-2, t_end=0.1, adaptivity="cfl-nonlinear",
                                         record_stride=1000))
-    assert out.status == "completed" and [r.t for r in out.records][0] == 0.0
+    assert out.status == "completed"
     events = "".join(log)
     assert events.count("T") == 20
     # the first step transforms u0; each later one starts from the spectrum
