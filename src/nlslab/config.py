@@ -82,11 +82,10 @@ class OutputConfig:
 
 @dataclass
 class GroundStateSolverConfig:
-    # artifact grid; d = 1 uses the Cartesian pair, d >= 2 the radial pair
-    n: int = 1024
-    L: float = 20.0
-    n_r: int = 32768
-    r_max: float = 20.0
+    n: int = declared(1024, doc="ground-state points per axis (power of two), d = 1")
+    L: float = declared(20.0, doc="ground-state box half-width, d = 1")
+    n_r: int = declared(32768, doc="ground-state radial cells, d >= 2")
+    r_max: float = declared(20.0, doc="ground-state outer radius, d >= 2")
     tol: float = declared(1e-10, above(0.0))
     max_iter: int = declared(500, at_least(1))
     directory: str = declared("", PATH, "empty: <output.directory>/groundstates")

@@ -16,6 +16,7 @@ Laplacian and (1 - Lap)^(-1) do the same.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -69,6 +70,7 @@ def _check_float_range(sizes, *powers):
 def _memoized(method):
     """Per-grid memo of method(*args), keyed by the method name and args.
 
+    Arrays it stores, alone or as tuple members, are made read-only.
     Threads may race to build one entry; setdefault keeps the first value
     stored, so every caller receives the same object.
     """
@@ -79,8 +81,9 @@ def _memoized(method):
         value = self._memo.get(key)
         if value is None:
             value = method(self, *args)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
             value = self._memo.setdefault(key, value)
         return value
 
@@ -91,9 +94,9 @@ class Grid:
     """Cell-centered spatial grid; Grid(d, mode, ...) builds the mode's kind.
 
     Grid(d, "cartesian", n=..., L=...) returns a CartesianGrid and
-    Grid(d, "radial", n_r=..., r_max=...) a RadialGrid.  Grids are
-    immutable after construction (derived arrays are memoized read-only)
-    and shared freely between operations and workers.
+    Grid(d, "radial", n_r=..., r_max=...) a RadialGrid.  A grid keeps only
+    its checked parameters and shape: every array is memoized on first use,
+    read-only, so grids are immutable and shared freely between workers.
 
     Each kind states free_flow_composes: whether free_propagator(a) then
     free_propagator(b) equals free_propagator(a + b) up to roundoff, so
@@ -161,21 +164,28 @@ class CartesianGrid(Grid):
         # dx^d weighs every quadrature; |k|^2 runs from (pi/L)^2 to d (pi/dx)^2
         _check_float_range(f"L={L}, n={n}", (self.dx, d), (np.pi / self.L, 2),
                            (d**0.5 * np.pi / self.dx, 2))
-        # nodes at -L + (i + 1/2) dx; none at the origin
-        self.axis = -self.L + (np.arange(n) + 0.5) * self.dx
-        # wavenumbers (pi/L) * {-n/2, ..., n/2 - 1} in FFT order
-        self.k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
         self.shape = (n,) * d
         self.cell_volume = self.dx**d
-        k2_max = d * float(np.max(self.k**2))  # the largest entry of k_squared()
-        # a max-norm residual involving the Laplacian cannot beat this
-        self.residual_floor = 100.0 * np.finfo(float).eps * k2_max
+        k_max = 2.0 * np.pi * ((n // 2) * (1.0 / (n * self.dx)))  # |k[n // 2]|
+        # no max-norm residual involving the Laplacian beats this; max |k|^2 = d k_max^2
+        self.residual_floor = 100.0 * np.finfo(float).eps * (d * (k_max * k_max))
+
+    @property
+    @_memoized
+    def axis(self):  # nodes -L + (i + 1/2) dx along one axis; none at the origin
+        return -self.L + (np.arange(self.n) + 0.5) * self.dx
+
+    @property
+    @_memoized
+    def k(self):  # wavenumbers (pi/L) * {-n/2, ..., n/2 - 1} in FFT order
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def _along(self, values, axis):
         shape = [1] * self.d
         shape[axis] = self.n
         return values.reshape(shape)
 
+    @_memoized
     def coords(self, axis):
         """Coordinate array along one axis, broadcastable to self.shape."""
         return self._along(self.axis, axis)
@@ -301,6 +311,7 @@ class RadialGrid(Grid):
 
     mode = "radial"
     free_flow_composes = False  # Crank-Nicolson: CN(h/2) CN(h/2) != CN(h)
+    Stencil = collections.namedtuple("Stencil", "face_coef quad_weight lower diag upper")
 
     def __init__(self, d, mode=None, n_r=0, r_max=0.0):
         super().__init__(d)
@@ -317,38 +328,41 @@ class RadialGrid(Grid):
         # the stencil divides by r^(d-1) dr^2, between (dr/2)^(d+1) and r_max^(d+1)
         _check_float_range(f"r_max={r_max}, n_r={n_r}", (0.5 * self.dr, d + 1),
                            (self.r_max, d + 1))
-        self.r = (np.arange(n_r) + 0.5) * self.dr
         self.shape = (n_r,)
-        # conservative flux form of u'' + (d-1)/r u' on cell faces j*dr;
-        # zero flux through the origin, homogeneous Dirichlet at r_max
-        faces = np.arange(n_r + 1) * self.dr
-        a = faces ** (self.d - 1)
-        a[0] = 0.0
-        w = self.r ** (self.d - 1)
-        self._face_coef = a
-        self._quad_weight = SURFACE_MEASURE[self.d] * w * self.dr
-        # the three bands of the tridiagonal Laplacian
-        self.lap_lower = a[1:-1] / (w[1:] * self.dr**2)
-        self.lap_upper = a[1:-1] / (w[:-1] * self.dr**2)
-        diag = -(a[:-1] + a[1:]) / (w * self.dr**2)
-        diag[-1] = -(a[-2] + 2.0 * a[-1]) / (w[-1] * self.dr**2)
-        self.lap_diag = diag
         # a max-norm residual involving the Laplacian cannot beat this
         self.residual_floor = 100.0 * np.finfo(float).eps / self.dr**2
 
+    @_memoized
     def radius(self):
         """|x| sampled at every node (strictly positive by cell-centering)."""
-        return self.r
+        return (np.arange(self.n_r) + 0.5) * self.dr
+
+    r = property(radius)
+
+    @_memoized
+    def stencil(self):
+        """Face coefficients r^(d-1), quadrature weights and Laplacian bands of
+        the conservative flux form of u'' + (d-1)/r u' on cell faces j*dr, with
+        zero flux through the origin and homogeneous Dirichlet at r_max."""
+        a = (np.arange(self.n_r + 1) * self.dr) ** (self.d - 1)
+        a[0] = 0.0
+        w = self.r ** (self.d - 1)
+        diag = -(a[:-1] + a[1:]) / (w * self.dr**2)
+        diag[-1] = -(a[-2] + 2.0 * a[-1]) / (w[-1] * self.dr**2)
+        return self.Stencil(a, SURFACE_MEASURE[self.d] * w * self.dr,
+                            a[1:-1] / (w[1:] * self.dr**2), diag,
+                            a[1:-1] / (w[:-1] * self.dr**2))
 
     def integrate(self, values):
         """Quadrature of a scalar sample: midpoint rule in r on the shells."""
-        return float(np.sum(values * self._quad_weight).real)
+        return float(np.sum(values * self.stencil().quad_weight).real)
 
     def laplacian(self, u):
         """Conservative three-point stencil."""
-        out = self.lap_diag * u
-        out[1:] = out[1:] + self.lap_lower * u[:-1]
-        out[:-1] = out[:-1] + self.lap_upper * u[1:]
+        s = self.stencil()
+        out = s.diag * u
+        out[1:] = out[1:] + s.lower * u[:-1]
+        out[:-1] = out[:-1] + s.upper * u[1:]
         return out
 
     def factor_shifted_laplacian(self, z):
@@ -357,9 +371,8 @@ class RadialGrid(Grid):
         The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf);
         each call of the returned solver is one ?gttrs back-substitution.
         """
-        lower = -z * self.lap_lower
-        diag = 1.0 - z * self.lap_diag
-        upper = -z * self.lap_upper
+        s = self.stencil()
+        lower, diag, upper = -z * s.lower, 1.0 - z * s.diag, -z * s.upper
         gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, diag, upper))
         *factors, info = gttrf(lower, diag, upper)
         if info != 0:
@@ -399,7 +412,7 @@ class RadialGrid(Grid):
         """(||grad u||^2, int a'(r) Im(conj(u) du/dr)) for a = |x| ("abs") or
         |x|^2.  ||grad u||^2 comes from face differences and equals
         <-Lap u, u> exactly; du/dr is second order, even at 0, Dirichlet at r_max."""
-        a = self._face_coef
+        a = self.stencil().face_coef
         kin = np.sum(a[1:-1] * np.abs(u[1:] - u[:-1]) ** 2) / self.dr
         kin += 2.0 * a[-1] * np.abs(u[-1]) ** 2 / self.dr
         du = np.empty_like(u)

@@ -231,9 +231,9 @@ def _bubble_norms(grid: Grid, values, r_cut):
     r = grid.r[:n_cut]
     w = values[:n_cut]
     # open face-difference gradient: W does not vanish at the cut radius
-    faces = np.arange(1, n_cut) * grid.dr
+    r2_faces = grid.stencil().face_coef[1:n_cut]  # r^2 at the faces j*dr, 0 < j < n_cut
     dw = (w[1:] - w[:-1]) / grid.dr
-    kin = 4.0 * np.pi * float(np.sum(faces**2 * dw**2)) * grid.dr
+    kin = 4.0 * np.pi * float(np.sum(r2_faces * dw**2)) * grid.dr
     kin += 12.0 * np.pi / r_cut
     crit = 4.0 * np.pi * float(np.sum(r**2 * w**6)) * grid.dr
     crit += 36.0 * np.pi / r_cut**3

@@ -1,11 +1,14 @@
 import contextlib
 import dataclasses
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nlslab
 from nlslab.cli import main
 from nlslab.config import (
     DEFAULT_CONFIG_TEMPLATE,
@@ -91,6 +94,40 @@ def test_grids_over_the_node_cap_are_rejected_before_any_array():
                         (3, "mode = cartesian\nn = 256", "mode = radial\nn_r = 16777217")):
         with pytest.raises(ConfigError, match="exceed"):
             with_grid(d, old, new)
+
+
+# in a fresh interpreter: parse stdin's config, then override one key, and
+# print each call's wall time (s) and growth of peak RSS (MiB; ru_maxrss
+# counts KiB on Linux)
+_PARSE_COST = """
+import resource, sys, time
+from nlslab.config import override, parse_config
+
+def cost(call):
+    rss, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, time.perf_counter()
+    out = call()
+    t = time.perf_counter() - t0
+    print(t, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss) / 1024)
+    return out
+
+cfg = cost(lambda: parse_config(sys.stdin.read()))
+cost(lambda: override(cfg, "initial.amplitude", 2.0))
+"""
+
+
+@pytest.mark.parametrize("d, grid", [(3, "mode = radial\nn_r = 16777216"),
+                                     (1, "mode = cartesian\nn = 16777216")],
+                         ids=["radial3d", "cartesian1d"])
+def test_parse_and_override_at_the_node_cap_build_no_arrays(d, grid):
+    # validating builds the grids, which keep their parameters and build
+    # arrays only on first use: an array of 2**24 nodes would take 128 MiB
+    text = MINIMAL.replace("d = 1", f"d = {d}").replace("mode = cartesian\nn = 256", grid)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlslab.__file__)))
+    out = subprocess.run([sys.executable, "-c", _PARSE_COST], input=text, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    for call, line in zip(("parse_config", "override"), out.splitlines(), strict=True):
+        seconds, mib = map(float, line.split())
+        assert seconds < 0.02 and mib < 5.0, (call, seconds, mib)
 
 
 def test_radial_gaussian_constraints():
@@ -209,7 +246,8 @@ _SECTION_NAMES = sorted({section for section, _ in _KEYS}) + ["DEFAULT", "misc"]
 _KEY_NAMES = sorted({key for _, key in _KEYS}) + ["L", "strid"]
 _WORDS = ["cartesian", "radial", "focusing", "defocusing", "fixed",
           "cfl-nonlinear", "groundstate-scaled", "checkpoint", "csv json", ""]
-# integers stay small: each parse builds its grids, at O(n) memory
+# integers stay small: the evolve property below runs these values, and
+# its grids take O(n) memory
 _VALUES = st.one_of(
     st.integers(-(2**12), 2**12).map(str),
     st.sampled_from([8, 16, 64, 256, 1024]).map(str),

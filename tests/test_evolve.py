@@ -139,10 +139,11 @@ def test_cayley_half_step_matches_two_sided_solve():
     u = random_radial_field(g, 7).values
     dt = 4e-3
     z = 0.25j * dt  # half-step tau = dt/2, z = i tau/2
+    bands = g.stencil()
     ab = np.zeros((3, g.n_r), dtype=complex)
-    ab[0, 1:] = -z * g.lap_upper
-    ab[1, :] = 1.0 - z * g.lap_diag
-    ab[2, :-1] = -z * g.lap_lower
+    ab[0, 1:] = -z * bands.upper
+    ab[1, :] = 1.0 - z * bands.diag
+    ab[2, :-1] = -z * bands.lower
     ref = solve_banded((1, 1), ab, u + z * g.laplacian(u))
     got = g.free_propagator(0.5 * dt)(u)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -102,6 +102,45 @@ def test_memo_hands_one_object_to_racing_threads():
     assert g.radius_power(-1.0, 0.0) is got[0]
 
 
+def _handed_out_arrays(grid):
+    """name -> a call returning one of the arrays grid hands out."""
+    calls = {"radius()": grid.radius, "radius_power": lambda: grid.radius_power(-1.0, 0.5),
+             "phi_weight": lambda: grid.phi_weight(2.0), "shell_mask": grid.shell_mask}
+    if grid.mode == "radial":
+        calls["r"] = lambda: grid.r
+        for i, name in enumerate(grid.Stencil._fields):
+            calls[f"stencil().{name}"] = lambda i=i: grid.stencil()[i]
+        return calls
+    calls.update({"axis": lambda: grid.axis, "k": lambda: grid.k,
+                  "k_squared()": grid.k_squared})
+    for ax in range(grid.d):
+        calls.update({f"coords({ax})": lambda ax=ax: grid.coords(ax),
+                      f"unit_vector({ax})": lambda ax=ax: grid.unit_vector(ax),
+                      f"_ik({ax})": lambda ax=ax: grid._ik(ax)})
+    return calls
+
+
+@pytest.mark.parametrize("sizes", [dict(d=1, mode="cartesian", n=16, L=4.0),
+                                   dict(d=2, mode="cartesian", n=16, L=4.0),
+                                   dict(d=3, mode="radial", n_r=64, r_max=8.0)],
+                         ids=["cartesian1d", "cartesian2d", "radial3d"])
+def test_every_array_a_grid_hands_out_is_read_only_and_kept(sizes):
+    # the constructor keeps scalars and shape; each array is built on first
+    # use, and every later access returns that same read-only object
+    grid = Grid(**sizes)
+    assert all(np.isscalar(v) or k in ("shape", "_memo") for k, v in vars(grid).items())
+    assert grid._memo == {}
+    for name, call in _handed_out_arrays(grid).items():
+        first = call()
+        assert isinstance(first, np.ndarray), name
+        assert not first.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            first[...] = 0
+        assert call() is first, name
+    if grid.mode == "radial":
+        assert grid.r is grid.radius()
+
+
 def test_gradient_norm_constant_is_zero():
     g = Grid(1, "cartesian", n=64, L=5.0)
     f = Field(g, np.full(g.shape, 2.0 + 1.0j))
