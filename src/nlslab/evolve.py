@@ -12,7 +12,7 @@ for any a and b, so `evolve` merges the trailing half-step of one step
 with the leading half-step of the next: n steps between two reads of the
 field run as A(dt/2) B A(dt) B ... A(dt) B A(dt/2), one FFT round trip
 per step instead of two.  Where it reads the field (a record, a
-checkpoint, the end, max_steps) `evolve` settles the owed half.
+checkpoint, the end) `evolve` settles the owed half.
 Settling takes the true field's spectrum on the way, and the stepper
 keeps it: the next step starts from it with A(dt'/2) and no forward
 transform, so a step that is read costs one forward and two inverse
@@ -32,12 +32,13 @@ field), and wherever a fixed-dt run settles.
 
 `evolve` steps a (K, *shape) stack of fields that share a grid, spec
 and fixed dt in one loop, so a sweep over initial data pays numpy's
-per-call overhead once per step instead of K times.  Each member keeps
-its own records, checkpoints, warnings and stop; a member that goes
-non-finite stops at the step where its solo run would stop, and its row
-stays in the stack, stepped but never read, until the stack ends.  A
-solo run is the stack of one.  The grid operators act on the trailing
-axes, so every row of the stack is bit-identical to its solo run.
+per-call overhead once per step instead of K times.  Each member is a
+TrajectoryOutcome, with its own records, checkpoints, warnings and stop,
+and evolve returns the objects it stepped; a member that goes non-finite
+stops at the step where its solo run would stop, and its row stays in
+the stack, stepped but never read, until the stack ends.  A solo run is
+the stack of one.  The grid operators act on the trailing axes, so
+every row of the stack is bit-identical to its solo run.
 
 The free propagator for -tau is the exact inverse of the one for tau,
 and the phase for -dt likewise inverts the phase for dt.  A linear
@@ -95,18 +96,6 @@ class EvolveConfig:
 
     def __post_init__(self):
         check_domains(self)
-
-
-@dataclass
-class TrajectoryOutcome:
-    status: str  # "completed" | "blowup-detected" | "invalid"
-    t_reached: float
-    tstar_estimate: float | None
-    glassey_bound: float | None
-    records: list
-    final_field: Field | None
-    warnings: list
-    max_boundary_mass_fraction: float
 
 
 class SplitStepper:
@@ -261,76 +250,90 @@ class Member:
     checkpoint_cb: Callable[[Field], None] | None = None
 
 
-class _Trajectory:
-    """The bookkeeping of one Member in a stepped stack."""
+class TrajectoryOutcome:
+    """One Member's trajectory: evolve builds it when the stack starts,
+    steps it, and returns it.  status is None while it runs, then
+    "completed", "blowup-detected" or "invalid"; stop sets it with
+    t_reached, tstar_estimate (blow-up only) and final_field (an invalid
+    run's last good record).  The other public attributes are records,
+    warnings, glassey_bound and max_boundary_mass_fraction."""
 
     def __init__(self, member: Member, spec, cfg):
         u0, glassey_delta = member.u0, member.glassey_delta
         u0.require_finite()
-        self.spec, self.cfg, self.checkpoint_cb = spec, cfg, member.checkpoint_cb
-        self.records, self.shell_max = [], 0.0
-        self.add_record(u0, member.record0)
+        self._spec, self._cfg, self._checkpoint_cb = spec, cfg, member.checkpoint_cb
+        self.status = self.t_reached = self.tstar_estimate = self.final_field = None
+        self.records, self.warnings, self.max_boundary_mass_fraction = [], [], 0.0
+        self._add_record(u0, member.record0)
         rec0 = self.records[0]
-        self.grad0 = np.sqrt(rec0.kinetic)
-        self.warnings = []
-        self.warned_grad = self.warned_dt = False
+        self._grad0 = np.sqrt(rec0.kinetic)
+        self._warned_grad = self._warned_dt = False
         if glassey_delta is None:
             glassey_delta = glassey_delta_negative_energy(spec, rec0.energy)
-        self.bound = None
+        self.glassey_bound = None
         if glassey_delta is not None and glassey_delta > 0 and rec0.virial > 0:
             vdot0 = observables.morawetz_action(u0, "quadratic")
-            self.bound = float(glassey_upper_bound(rec0.virial, vdot0, glassey_delta))
-        self.last_good = u0.copy()
-        self.outcome = None
+            self.glassey_bound = float(glassey_upper_bound(rec0.virial, vdot0, glassey_delta))
+        self._last_good = u0.copy()
 
-    def add_record(self, f, rec=None):
+    def _add_record(self, f, rec=None):
         self.records.append(rec if rec is not None else observables.record(
-            f, self.spec, phi_r=tuple(self.cfg.phi_r_list),
-            epsilon_reg=self.cfg.epsilon_reg))
-        self.shell_max = max(self.shell_max, boundary_shell_mass_fraction(f))
+            f, self._spec, phi_r=tuple(self._cfg.phi_r_list),
+            epsilon_reg=self._cfg.epsilon_reg))
+        self.max_boundary_mass_fraction = max(self.max_boundary_mass_fraction,
+                                              boundary_shell_mass_fraction(f))
 
-    def grew(self, kinetic):
+    def _grew(self, kinetic):
         """Whether sqrt(kinetic) reached blowup_grad_factor times ||grad u0||."""
-        return self.grad0 > 0 and np.sqrt(kinetic) >= self.cfg.blowup_grad_factor * self.grad0
+        return self._grad0 > 0 and np.sqrt(kinetic) >= self._cfg.blowup_grad_factor * self._grad0
 
-    def read(self, f, record, checkpoint):
+    def _read(self, f, record, checkpoint):
         """Record and checkpoint f as due; a record that fails stops the member."""
         if record:
             try:
-                self.add_record(f)
+                self._add_record(f)
             except InvalidFieldError as exc:
-                self.stop("invalid", f.time, str(exc))
+                self._stop("invalid", f.time, str(exc))
                 return
             kinetic = self.records[-1].kinetic
-            if self.grew(kinetic) and not self.warned_grad:
+            if self._grew(kinetic) and not self._warned_grad:
                 self.warnings.append(
-                    f"gradient grew {np.sqrt(kinetic) / self.grad0:.1f}x at "
+                    f"gradient grew {np.sqrt(kinetic) / self._grad0:.1f}x at "
                     f"t={f.time:.6g} without dt collapse"
                 )
-                self.warned_grad = True
-            self.last_good.values[...] = f.values  # reuses the buffer
-            self.last_good.time = f.time
-        if checkpoint and self.checkpoint_cb is not None:
-            self.checkpoint_cb(f.copy())
+                self._warned_grad = True
+            self._last_good.values[...] = f.values  # reuses the buffer
+            self._last_good.time = f.time
+        if checkpoint and self._checkpoint_cb is not None:
+            self._checkpoint_cb(f.copy())
 
-    def stop(self, status, t, warning=None, field=None):
+    def _stop(self, status, t, warning=None, field=None):
         """End the trajectory at t; an invalid one keeps its last good record."""
         if warning is not None:
             self.warnings.append(warning)
-        tstar = t if status == "blowup-detected" else None
-        if tstar is not None and self.bound is not None and tstar > 1.2 * self.bound:
-            self.warnings.append(f"Tstar estimate {tstar:.6g} exceeds the "
-                                 f"Glassey bound {self.bound:.6g} by >20%")
-        self.outcome = TrajectoryOutcome(
-            status=status,
-            t_reached=t,
-            tstar_estimate=tstar,
-            glassey_bound=self.bound,
-            records=self.records,
-            final_field=self.last_good if status == "invalid" else field,
-            warnings=self.warnings,
-            max_boundary_mass_fraction=self.shell_max,
-        )
+        self.status, self.t_reached = status, t
+        if status == "blowup-detected":
+            self.tstar_estimate = t
+            if self.glassey_bound is not None and t > 1.2 * self.glassey_bound:
+                self.warnings.append(f"Tstar estimate {t:.6g} exceeds the "
+                                     f"Glassey bound {self.glassey_bound:.6g} by >20%")
+        self.final_field = self._last_good if status == "invalid" else field
+        self._last_good = self._checkpoint_cb = None
+
+
+def _cfl_dt(cfg, alpha, sup):
+    """dt0, or the power-of-two subdivision of dt0 (which keeps the cached
+    free flow valid across consecutive steps) that brings dt sup^alpha to
+    cfl_constant or below; 0 where that needs a dt below the float range."""
+    try:
+        raw = cfg.cfl_constant / sup**alpha
+    except ZeroDivisionError:  # sup^alpha is 0: sup is 0, or nearly
+        return cfg.dt0
+    except OverflowError:  # sup^alpha is past the float range
+        return 0.0
+    if raw >= cfg.dt0:
+        return cfg.dt0
+    return cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw))) if raw > 0.0 else 0.0
 
 
 def evolve(
@@ -352,27 +355,8 @@ def evolve(
     bit.  The field is read at every checkpoint step of a positive
     checkpoint_stride, whether or not a member has a callback.
     """
-    if isinstance(u0, Field):
-        return _evolve_stack([Member(u0, checkpoint_cb=checkpoint_cb)], spec, cfg)[0]
-    return _evolve_stack(u0, spec, cfg)
-
-
-def _cfl_dt(cfg, alpha, sup):
-    """dt0, or the power-of-two subdivision of dt0 (which keeps the cached
-    free flow valid across consecutive steps) that brings dt sup^alpha to
-    cfl_constant or below; 0 where that needs a dt below the float range."""
-    try:
-        raw = cfg.cfl_constant / sup**alpha
-    except ZeroDivisionError:  # sup^alpha is 0: sup is 0, or nearly
-        return cfg.dt0
-    except OverflowError:  # sup^alpha is past the float range
-        return 0.0
-    if raw >= cfg.dt0:
-        return cfg.dt0
-    return cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw))) if raw > 0.0 else 0.0
-
-
-def _evolve_stack(members, spec, cfg):
+    solo = isinstance(u0, Field)
+    members = [Member(u0, checkpoint_cb=checkpoint_cb)] if solo else u0
     grid = members[0].u0.grid
     if any(m.u0.grid.describe() != grid.describe() for m in members):
         raise ValueError("the fields of a stack must share one grid")
@@ -380,7 +364,7 @@ def _evolve_stack(members, spec, cfg):
     if not fixed and len(members) > 1:
         raise ValueError("adaptive dt advances one field at a time")
     stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=True)
-    runs = [_Trajectory(m, spec, cfg) for m in members]
+    runs = [TrajectoryOutcome(m, spec, cfg) for m in members]
     # row i of u is runs[i]'s field; a stopped member's row is stepped on
     # but never read again
     u = np.stack([m.u0.values for m in members])
@@ -392,7 +376,7 @@ def _evolve_stack(members, spec, cfg):
         dt = dt_fixed = cfg.t_end / n_steps
 
     step, at_end = 0, False
-    while not at_end and any(m.outcome is None for m in runs):
+    while not at_end and any(m.status is None for m in runs):
         if not fixed:
             m = runs[0]  # adaptive dt follows its one field
             lo, hi = stepper.sup_bounds(u)
@@ -403,17 +387,17 @@ def _evolve_stack(members, spec, cfg):
                 dt = _cfl_dt(cfg, spec.alpha, stepper.sup_bounds(u)[1])
             if dt < cfg.blowup_dt_floor:
                 f = Field(grid, u[0], t)
-                if m.grew(gradient_norm_sq(f)):
+                if m._grew(gradient_norm_sq(f)):
                     if m.records[-1].t != t:  # the trajectory up to detection
-                        m.add_record(f)
-                    m.stop("blowup-detected", t, field=f.copy())
+                        m._add_record(f)
+                    m._stop("blowup-detected", t, field=f.copy())
                     break
-                if not m.warned_dt:
+                if not m._warned_dt:
                     m.warnings.append(
                         f"adaptive dt {dt:.3e} fell below the floor at t={t:.6g} "
                         "without gradient growth; clamped"
                     )
-                    m.warned_dt = True
+                    m._warned_dt = True
                 dt = cfg.blowup_dt_floor
             dt = min(dt, cfg.t_end - t)
 
@@ -424,32 +408,31 @@ def _evolve_stack(members, spec, cfg):
 
         finite = np.isfinite(u.view(np.float64)).reshape(len(runs), -1).all(axis=1)
         for m, ok in zip(runs, finite):
-            if not ok and m.outcome is None:
-                m.stop("invalid", t, f"non-finite field after step {step} (t={t:.6g})")
+            if not ok and m.status is None:
+                m._stop("invalid", t, f"non-finite field after step {step} (t={t:.6g})")
 
         at_end = step == n_steps if fixed else t >= cfg.t_end * (1.0 - 1e-12)
         record_now = step % cfg.record_stride == 0 or at_end
         checkpoint_now = cfg.checkpoint_stride > 0 and (
             step % cfg.checkpoint_stride == 0 or at_end)
-        # a run that reaches t_end on its max_steps-th step completes
-        out_of_steps = step >= cfg.max_steps and not at_end
-        if record_now or checkpoint_now or out_of_steps:
-            u = stepper.settle(u)
         if record_now or checkpoint_now:
+            u = stepper.settle(u)
             # by index: no loop variable keeps a row of u alive
             for i, m in enumerate(runs):
-                if m.outcome is None:
-                    m.read(Field(grid, u[i], t), record_now, checkpoint_now)
-        if out_of_steps:
+                if m.status is None:
+                    m._read(Field(grid, u[i], t), record_now, checkpoint_now)
+        # a run that reaches t_end on its max_steps-th step completes; one
+        # that does not stops on its last good record, so nothing settles
+        if step >= cfg.max_steps and not at_end:
             for m in runs:
-                if m.outcome is None:
-                    m.stop("invalid", t, f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
+                if m.status is None:
+                    m._stop("invalid", t, f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
             break
 
     for m, row in zip(runs, u):
-        if m.outcome is None:
-            m.stop("completed", t, field=Field(grid, row.copy(), t))
-    return [m.outcome for m in runs]
+        if m.status is None:
+            m._stop("completed", t, field=Field(grid, row.copy(), t))
+    return runs[0] if solo else runs
 
 
 def evolve_linear(u0: Field, spec: EquationSpec, duration: float, dt: float) -> Field:

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .weights import eval_localized_weight
+from .weights import chi, verify_bridge
 
 __all__ = [
     "Grid",
@@ -132,8 +132,11 @@ class Grid:
 
     @_memoized
     def phi_weight(self, R):
-        """Localized virial weight phi_R sampled on every node."""
-        return eval_localized_weight(R, self.radius(), self.d).phi.reshape(self.shape)
+        """Localized virial weight phi_R = R^2 chi(|x|/R) sampled on every node."""
+        if R <= 0:
+            raise ValueError("scale R must be positive")
+        verify_bridge()
+        return R * R * chi(self.radius() / R)
 
     def __repr__(self):
         p = self.describe()

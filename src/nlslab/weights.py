@@ -135,7 +135,6 @@ class LocalizedWeights:
 
     R: float
     d: int
-    radii: np.ndarray
     phi: np.ndarray        # phi_R = R^2 chi(r/R)
     dphi: np.ndarray       # phi_R' = R zeta(r/R)
     d2phi: np.ndarray      # phi_R'' = zeta'(r/R)
@@ -173,7 +172,6 @@ def eval_localized_weight(R, radii, d) -> LocalizedWeights:
     return LocalizedWeights(
         R=float(R),
         d=int(d),
-        radii=radii,
         phi=R * R * chi_rho,
         dphi=R * z,
         d2phi=zp,

@@ -265,8 +265,10 @@ def test_edited_checkpoint_header_exits_0_or_2(edit):
             fields[key] = value
         with open(header, "w", encoding="utf-8") as fh:
             json.dump(fields, fh)
-        code = main(["classify", path])
-        assert code in ((2,) if refused else (0, 2))
+        # a restart from the header is refused where classify's read is
+        for command in ("classify", "evolve"):
+            code = main([command, path])
+            assert code in ((2,) if refused else (0, 2)), command
         # only an edited config_hash differs from the config's
         check = main(["check", path])
         assert check == (4 if key == "config_hash" and value is not _DELETED else 0)

@@ -285,6 +285,43 @@ def test_invalid_status_keeps_last_good_field():
     assert out.final_field is not None and out.final_field.is_finite()
 
 
+def test_max_steps_stop_settles_nothing(monkeypatch):
+    # records at steps 2, 4 and 6 settle; the stop at step 7 keeps the
+    # record of step 6, so it leaves its owed half unsettled
+    spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=2.0, sign="focusing")
+    g = Grid(1, "cartesian", n=64, L=5.0)
+    u0 = Field(g, np.exp(-g.axis**2).astype(complex))
+    n_settles, settle = 0, SplitStepper.settle
+
+    def counted_settle(self, u):
+        nonlocal n_settles
+        n_settles += self._owed is not None
+        return settle(self, u)
+
+    monkeypatch.setattr(SplitStepper, "settle", counted_settle)
+    out = evolve(u0, spec, EvolveConfig(dt0=1e-3, t_end=1.0, record_stride=2, max_steps=7))
+    assert out.status == "invalid" and n_settles == 3
+    assert out.final_field.time == out.records[-1].t == 0.006
+
+
+_OUTCOME_ATTRIBUTES = {"status", "t_reached", "tstar_estimate", "glassey_bound", "records",
+                       "final_field", "warnings", "max_boundary_mass_fraction"}
+
+
+def test_completed_outcome_is_the_trajectory_with_one_field():
+    spec = EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    g = Grid(1, "cartesian", n=64, L=8.0)
+    u0 = Field(g, np.exp(-g.axis**2).astype(complex))
+    checkpoints = []
+    out = evolve(u0, spec, EvolveConfig(dt0=1e-2, t_end=0.1, checkpoint_stride=5),
+                 checkpoint_cb=checkpoints.append)
+    assert out.status == "completed" and len(checkpoints) == 2
+    assert {name for name in dir(out) if not name.startswith("_")} == _OUTCOME_ATTRIBUTES
+    held = [name for name, value in vars(out).items()
+            if isinstance(value, (Field, np.ndarray)) or callable(value)]
+    assert held == ["final_field"]
+
+
 @pytest.mark.parametrize("adaptivity", ["fixed", "cfl-nonlinear"])
 def test_max_steps_equal_to_the_step_count_completes(adaptivity):
     # dt0 = 1e-2 reaches t_end = 0.1 in exactly 10 steps; max|u| = 1 keeps

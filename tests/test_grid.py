@@ -18,6 +18,7 @@ from nlslab.grid import (
     mass_fourier,
     weighted_norm,
 )
+from nlslab.weights import eval_localized_weight
 
 
 def test_cell_centered_1d_nodes():
@@ -139,6 +140,24 @@ def test_every_array_a_grid_hands_out_is_read_only_and_kept(sizes):
         assert call() is first, name
     if grid.mode == "radial":
         assert grid.r is grid.radius()
+
+
+@pytest.mark.parametrize("sizes", [dict(d=1, mode="cartesian", n=64, L=6.0),
+                                   dict(d=2, mode="cartesian", n=32, L=6.0),
+                                   dict(d=3, mode="cartesian", n=16, L=6.0),
+                                   dict(d=3, mode="radial", n_r=128, r_max=12.0)],
+                         ids=["cartesian1d", "cartesian2d", "cartesian3d", "radial3d"])
+def test_phi_weight_is_the_sampled_localized_weight(sizes):
+    # scales whose rho = |x|/R spans the core, the cubic, the bridge and zero
+    grid = Grid(**sizes)
+    for R in (0.5, 1.5, 4.0, 32.0):
+        want = eval_localized_weight(R, grid.radius(), grid.d).phi.reshape(grid.shape)
+        got = grid.phi_weight(R)
+        assert got.shape == grid.shape
+        assert got.tobytes() == want.tobytes(), R
+    for R in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            grid.phi_weight(R)
 
 
 def test_gradient_norm_constant_is_zero():
