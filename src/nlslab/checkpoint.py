@@ -81,8 +81,7 @@ def read_field(header_path, grid=None) -> Field:
         header = json.load(fh)
     try:
         if grid is None:
-            sizes = {k: header[k] for k in ("n", "L", "n_r", "r_max") if k in header}
-            grid = Grid(header["d"], header["mode"], **sizes)
+            grid = Grid.from_sizes(header["d"], header["mode"], header)
         expected = _header(grid, float(header["time"]), header["payload"],
                            header.get("config_hash"))
     except (KeyError, TypeError, OverflowError) as exc:  # a key absent or mistyped

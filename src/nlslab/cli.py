@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -65,14 +66,6 @@ def _csv_text(config_hash, header, rows):
     lines = [f"# config_hash={config_hash}", ",".join(header)]
     lines += [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def records_to_csv(records, cfg_hash):
-    """series.csv text; the columns are those of the first record, and an
-    outcome always holds the record of u0."""
-    header = [name for name, _ in records[0].columns()]
-    rows = ([v for _, v in rec.columns()] for rec in records)
-    return _csv_text(cfg_hash, header, rows)
 
 
 def _groundstate_dir(cfg: ExperimentConfig):
@@ -153,25 +146,37 @@ def _identity_checks(outcome, cfg):
     return checks
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_summary(path, payload):
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """Strict JSON: a NaN or infinite value is written as null."""
+    text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=1, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def _prepare_run(cfg: ExperimentConfig):
     """The pre-step part of a run: its Member (u0, the one record of u0,
-    its Glassey delta and the checkpoint writer) and its threshold verdict
-    (None outside the covered regimes)."""
+    its Glassey delta and the checkpoint writer), its threshold verdict
+    (None outside the covered regimes, or where the reference solve fails)
+    and its warnings (the failed solve's message)."""
     run_dir = cfg.output.directory
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
     u0 = build_initial_field(cfg)
     rec0 = record(u0, cfg.equation, phi_r=tuple(cfg.evolve.phi_r_list),
                   epsilon_reg=cfg.evolve.epsilon_reg)
-    verdict, glassey_delta = None, None
+    verdict, glassey_delta, warnings = None, None, []
     try:
         verdict, glassey_delta = _threshold(cfg, rec0)
-    except GroundStateError:
-        pass
+    except GroundStateError as exc:
+        warnings.append(f"threshold: {exc}")
 
     checkpoint_index = [0]
 
@@ -180,18 +185,19 @@ def _prepare_run(cfg: ExperimentConfig):
         write_field(base, f, config_hash=chash)
         checkpoint_index[0] += 1
 
-    return Member(u0, rec0, glassey_delta, checkpoint_cb), verdict
+    return Member(u0, rec0, glassey_delta, checkpoint_cb), verdict, warnings
 
 
-def _finish_run(cfg: ExperimentConfig, verdict, outcome, started):
-    """The post-step part of a run: series.csv, the final state and
-    summary.json; returns the summary."""
+def _finish_run(cfg: ExperimentConfig, verdict, warnings, outcome, started):
+    """The post-step part of a run: series.csv (in the columns of the first
+    record, u0's), the final state and summary.json, whose warnings are
+    _prepare_run's, then the outcome's; returns the summary."""
     run_dir, chash = cfg.output.directory, config_hash(cfg)
     if "csv" in cfg.output.formats:
-        atomic_write_text(
-            os.path.join(run_dir, "series.csv"),
-            records_to_csv(outcome.records, chash),
-        )
+        header = [name for name, _ in outcome.records[0].columns()]
+        rows = ([v for _, v in rec.columns()] for rec in outcome.records)
+        atomic_write_text(os.path.join(run_dir, "series.csv"),
+                          _csv_text(chash, header, rows))
     if outcome.final_field is not None:
         write_field(os.path.join(run_dir, "final_state"), outcome.final_field,
                     config_hash=chash)
@@ -204,7 +210,7 @@ def _finish_run(cfg: ExperimentConfig, verdict, outcome, started):
         "tstar_estimate": outcome.tstar_estimate,
         "glassey_bound": outcome.glassey_bound,
         "max_boundary_mass_fraction": outcome.max_boundary_mass_fraction,
-        "warnings": outcome.warnings,
+        "warnings": warnings + outcome.warnings,
         "n_records": len(outcome.records),
         "threshold": _verdict_dict(verdict),
         "identity_checks": [dataclasses.asdict(c) for c in _identity_checks(outcome, cfg)],
@@ -223,10 +229,10 @@ def _run_stack(cfgs):
     summary, so it counts the whole shared stepping loop.
     """
     started = time.perf_counter()
-    members, verdicts = zip(*(_prepare_run(cfg) for cfg in cfgs))
+    members, verdicts, warnings = zip(*(_prepare_run(cfg) for cfg in cfgs))
     outcomes = evolve(list(members), cfgs[0].equation, cfgs[0].evolve)
-    return [_finish_run(cfg, verdict, outcome, started)
-            for cfg, verdict, outcome in zip(cfgs, verdicts, outcomes)]
+    return [_finish_run(cfg, verdict, notes, outcome, started)
+            for cfg, verdict, notes, outcome in zip(cfgs, verdicts, warnings, outcomes)]
 
 
 def cmd_groundstate(cfg: ExperimentConfig) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import read_field
 from .equation import (
     FINITE, PATH, DomainError, EquationSpec, above, at_least, check_domains,
     declared, each, one_of,
@@ -275,19 +276,14 @@ def _sha256_lines(lines) -> str:
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
-    g = cfg.grid
-    if g.mode == "radial":
-        return Grid(cfg.equation.d, "radial", n_r=g.n_r, r_max=g.r_max)
-    return Grid(cfg.equation.d, g.mode, n=g.n, L=g.L)
+    return Grid.from_sizes(cfg.equation.d, cfg.grid.mode, vars(cfg.grid))
 
 
 def build_groundstate_grid(cfg: ExperimentConfig) -> Grid:
     """Grid of the (d, alpha) ground-state artifact: Cartesian for d = 1,
     radial for d >= 2."""
-    g, d = cfg.groundstate, cfg.equation.d
-    if d == 1:
-        return Grid(1, "cartesian", n=g.n, L=g.L)
-    return Grid(d, "radial", n_r=g.n_r, r_max=g.r_max)
+    d = cfg.equation.d
+    return Grid.from_sizes(d, "cartesian" if d == 1 else "radial", vars(cfg.groundstate))
 
 
 def build_initial_field(cfg: ExperimentConfig) -> Field:
@@ -296,12 +292,7 @@ def build_initial_field(cfg: ExperimentConfig) -> Field:
     ini, grid = cfg.initial, build_grid(cfg)
     if ini.kind == "gaussian":
         two_var = 2.0 * np.float64(ini.width) ** 2  # inf, not OverflowError
-        if grid.mode == "radial":
-            values = ini.amplitude * np.exp(-grid.r**2 / two_var)
-            return Field(grid, values.astype(np.complex128))
-        r2 = np.zeros(grid.shape)
-        for ax in range(grid.d):
-            r2 = r2 + (grid.coords(ax) - ini.center) ** 2
+        r2 = grid.sum_over_axes(lambda ax: (grid.coords(ax) - ini.center) ** 2)
         values = ini.amplitude * np.exp(-r2 / two_var)
         if ini.phase_k != 0.0:
             values = values * np.exp(1j * ini.phase_k * grid.coords(0))
@@ -311,8 +302,6 @@ def build_initial_field(cfg: ExperimentConfig) -> Field:
         gs = solve_ground_state(cfg.equation.d, cfg.equation.alpha, grid, tol=gc.tol,
                                 max_iter=gc.max_iter)
         return Field(grid, ini.scale * gs.field.values)
-    from .checkpoint import read_field
-
     try:  # the run's clock starts at 0, whatever time the checkpoint holds
         return Field(grid, read_field(ini.path, grid).values)
     except (OSError, ValueError) as exc:  # absent, unreadable or not of this grid

@@ -98,12 +98,13 @@ class Grid:
     its checked parameters and shape: every array is memoized on first use,
     read-only, so grids are immutable and shared freely between workers.
 
-    Each kind states free_flow_composes: whether free_propagator(a) then
-    free_propagator(b) equals free_propagator(a + b) up to roundoff, so
-    that a stepper may merge adjacent half-steps.
+    Each kind names its sizes and states free_flow_composes: whether
+    free_propagator(a) then free_propagator(b) equals free_propagator(a + b)
+    up to roundoff, so that a stepper may merge adjacent half-steps.
     """
 
     mode = None
+    sizes = ()
 
     def __new__(cls, d=None, mode=None, **sizes):
         # the kind's __init__ then receives the same arguments, mode included
@@ -117,6 +118,22 @@ class Grid:
             raise GridError(f"invalid-dimension: d={d} not in {{1,2,3}}")
         self.d = int(d)
         self._memo = {}
+
+    @classmethod
+    def from_sizes(cls, d, mode, mapping):
+        """Grid(d, mode, ...) with the mode's sizes read from mapping's keys."""
+        sizes = getattr(_KINDS.get(mode), "sizes", ())  # an unknown mode raises below
+        return cls(d, mode, **{name: mapping[name] for name in sizes})
+
+    def describe(self):
+        return {"mode": self.mode, "d": self.d, **{k: getattr(self, k) for k in self.sizes}}
+
+    def sum_over_axes(self, term):
+        """term(0) + term(1) + ... added to zeros in axis order, over the axes of shape."""
+        total = np.zeros(self.shape)
+        for ax in range(len(self.shape)):
+            total = total + term(ax)
+        return total
 
     @_memoized
     def radius_power(self, power, floor):
@@ -148,6 +165,7 @@ class CartesianGrid(Grid):
     """Box [-L, L)^d with n nodes per axis (a power of two); spectral operators."""
 
     mode = "cartesian"
+    sizes = ("n", "L")
     free_flow_composes = True  # e^{-i a k^2} e^{-i b k^2} = e^{-i (a + b) k^2}
 
     def __init__(self, d, mode=None, n=0, L=0.0):
@@ -196,10 +214,7 @@ class CartesianGrid(Grid):
     @_memoized
     def radius(self):
         """|x| sampled at every node (strictly positive by cell-centering)."""
-        r2 = np.zeros(self.shape)
-        for ax in range(self.d):
-            r2 = r2 + self.coords(ax) ** 2
-        return np.sqrt(r2)
+        return np.sqrt(self.sum_over_axes(lambda ax: self.coords(ax) ** 2))
 
     @_memoized
     def unit_vector(self, axis):
@@ -209,10 +224,7 @@ class CartesianGrid(Grid):
     @_memoized
     def k_squared(self):
         """|k|^2 multiplier array for the spectral Laplacian."""
-        k2 = np.zeros(self.shape)
-        for ax in range(self.d):
-            k2 = k2 + self._along(self.k, ax) ** 2
-        return k2
+        return self.sum_over_axes(lambda ax: self._along(self.k, ax) ** 2)
 
     def integrate(self, values):
         """Quadrature of a scalar sample: midpoint rule on the uniform grid."""
@@ -221,23 +233,16 @@ class CartesianGrid(Grid):
     def _fourier_multiplier(self, mult):
         """u -> the multiplier mult applied over u's trailing d axes.
 
-        A complex product's rounding depends on the order of its
-        operands.  numpy evaluates one field's `mult * fftn(u)` as
-        `fftn(u) * mult` once the spectrum reaches 256 KiB (it computes
-        into the temporary), so the order is fixed per grid to match:
-        stack rows and solo fields keep the bits solo runs always had.
+        A complex product's rounding depends on the order of its operands,
+        so it has one order at every size, mult first: a field gets the bits
+        of `ifftn(np.multiply(mult, fftn(u)))`, and so does each stack row.
 
         The returned map's on_spectrum(s) is its product alone: it
         multiplies the spectrum s = _fft(u) in place and returns it.
         """
-        spectrum_first = 16 * math.prod(self.shape) >= 256 * 1024
 
         def on_spectrum(s):
-            if spectrum_first:
-                s *= mult
-            else:
-                np.multiply(mult, s, out=s)
-            return s
+            return np.multiply(mult, s, out=s)
 
         def apply(u):
             return self._ifft(on_spectrum(self._fft(u)))
@@ -293,10 +298,7 @@ class CartesianGrid(Grid):
     @_memoized
     def shell_mask(self):
         """Nodes with some |x_i| >= 0.9 L (the boundary reflection monitor)."""
-        edge = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.d):
-            edge = edge | (np.abs(self.coords(ax)) >= 0.9 * self.L)
-        return edge
+        return self.sum_over_axes(lambda ax: np.abs(self.coords(ax)) >= 0.9 * self.L) > 0
 
     def shell_mass_fraction(self, u):
         """Share of u's mass on shell_mask(): the uniform cell volume
@@ -305,14 +307,12 @@ class CartesianGrid(Grid):
         total = np.vdot(u, u).real
         return float(np.vdot(shell, shell).real / total) if total else 0.0
 
-    def describe(self):
-        return {"mode": self.mode, "d": self.d, "n": self.n, "L": self.L}
-
 
 class RadialGrid(Grid):
     """Shells (0, r_max) in n_r cells; conservative flux-form stencil."""
 
     mode = "radial"
+    sizes = ("n_r", "r_max")
     free_flow_composes = False  # Crank-Nicolson: CN(h/2) CN(h/2) != CN(h)
     Stencil = collections.namedtuple("Stencil", "face_coef quad_weight lower diag upper")
 
@@ -341,6 +341,12 @@ class RadialGrid(Grid):
         return (np.arange(self.n_r) + 0.5) * self.dr
 
     r = property(radius)
+
+    def coords(self, axis):
+        """r, the coordinate along the one axis of shape."""
+        if axis != 0:
+            raise IndexError(f"a radial grid has one axis, not axis {axis}")
+        return self.r
 
     @_memoized
     def stencil(self):
@@ -439,9 +445,6 @@ class RadialGrid(Grid):
         if total == 0.0:
             return 0.0
         return self.integrate(dens * self.shell_mask()) / total
-
-    def describe(self):
-        return {"mode": self.mode, "d": self.d, "n_r": self.n_r, "r_max": self.r_max}
 
 
 _KINDS = {kind.mode: kind for kind in (CartesianGrid, RadialGrid)}

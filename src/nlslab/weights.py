@@ -25,6 +25,7 @@ and the bridge reads its left-end data off the cubic piece.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,25 +109,19 @@ def chi(r):
     return _chi_derivatives(r, [0])[0]
 
 
-_BRIDGE_VERIFIED = False
-
-
+@functools.cache
 def verify_bridge():
     """Certify zeta' < 0 strictly inside the bridge and chi'' <= 2 globally.
 
     Impossible to fail for the constructed quintic; checked anyway so a
     bad edit cannot silently break the weight inequalities.
     """
-    global _BRIDGE_VERIFIED
-    if _BRIDGE_VERIFIED:
-        return
     inner = np.linspace(BRIDGE_LEFT, BRIDGE_RIGHT, 20001)[1:-1]
     if not np.all(zeta_prime(inner) < 0.0):
         raise BridgeConstructionError("bridge-construction-failure: zeta' >= 0 inside")
     dense = np.linspace(0.0, 3.0, 20001)
     if not np.all(zeta_prime(dense) <= 2.0 + 1e-12):
         raise BridgeConstructionError("bridge-construction-failure: chi'' > 2")
-    _BRIDGE_VERIFIED = True
 
 
 @dataclass

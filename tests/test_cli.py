@@ -287,6 +287,68 @@ def test_evolve_just_above_the_mass_critical_power(tmp_path):
     assert threshold["verdict"] == "global-branch"  # M < M_Q, as at alpha = 4
 
 
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_non_finite_summary_values_are_written_as_null(tmp_path):
+    # at alpha = 4.0000001 the threshold quantities overflow to +-inf; the
+    # verdict stands, and classify.json stays strict JSON
+    outdir = os.path.join(tmp_path, "cls")
+    text = BASE.format(outdir=outdir).replace(
+        "alpha = 2.0\nsign = defocusing", "alpha = 4.0000001\nsign = focusing").replace(
+        "amplitude = 1.0", "amplitude = 3.0").replace("L = 15.0", "L = 12.0")
+    path = write_cfg(tmp_path, text)
+    assert main(["classify", path]) == 0
+    threshold = _strict_json(os.path.join(outdir, "classify.json"))["threshold"]
+    assert threshold["verdict"] == "blowup-branch"
+    assert [threshold[k] for k in ("bound_em", "bound_gm", "quantity_em", "quantity_gm")] \
+        == [None] * 4
+    assert main(["check", path]) == 0
+    # nested in lists and dicts, and finite values unchanged
+    summary = os.path.join(tmp_path, "s.json")
+    payload = {"a": [1.5, math.nan, {"b": -math.inf}], "c": (math.inf, 2), "d": "x"}
+    nlslab.cli._write_summary(summary, payload)
+    assert _strict_json(summary) == {"a": [1.5, None, {"b": None}], "c": [None, 2], "d": "x"}
+    finite = {"a": [1.5, {"b": -2.0}], "c": (3, 4.25)}
+    nlslab.cli._write_summary(summary, finite)
+    with open(summary, encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(finite, sort_keys=True, indent=1) + "\n"
+
+
+def test_failed_reference_solve_is_a_warning_of_the_run(tmp_path, capsys):
+    # one Petviashvili step cannot converge: evolve still runs and says why
+    # it has no verdict, and classify, which needs the verdict, exits 4
+    outdir = os.path.join(tmp_path, "run")
+    text = _focusing_alpha6(outdir).replace("[groundstate]\n", "[groundstate]\nmax_iter = 1\n")
+    path = write_cfg(tmp_path, text.replace("t_end = 0.2", "t_end = 0.01"))
+    assert main(["evolve", path]) == 0
+    summary = _strict_json(os.path.join(outdir, "summary.json"))
+    assert summary["status"] == "completed"
+    assert summary["threshold"] == {"verdict": "not-applicable"}
+    [warning] = summary["warnings"]
+    assert warning.startswith("threshold: no-convergence: ")
+    assert f"warning: {warning}" in capsys.readouterr().out
+    assert main(["classify", path]) == 4
+    assert capsys.readouterr().err.startswith("numerical-failure: no-convergence: ")
+    assert main(["check", path]) == 0
+
+
+def test_main_exit_codes_without_config_and_below_a_file(tmp_path, capsys):
+    assert main(["evolve"]) == 2
+    assert capsys.readouterr().err == "error: config path required\n"
+    blocker = os.path.join(tmp_path, "file")
+    with open(blocker, "w", encoding="utf-8") as fh:
+        fh.write("a regular file\n")
+    path = write_cfg(tmp_path, BASE.format(outdir=os.path.join(blocker, "run")))
+    for command in ("evolve", "classify"):
+        assert main([command, path]) == 3, command
+        assert capsys.readouterr().err.startswith("resource: "), command
+
+
 def test_evolve_writes_artifacts(tmp_path):
     outdir = os.path.join(tmp_path, "run")
     path = write_cfg(tmp_path, BASE.format(outdir=outdir))

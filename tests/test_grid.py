@@ -108,7 +108,7 @@ def _handed_out_arrays(grid):
     calls = {"radius()": grid.radius, "radius_power": lambda: grid.radius_power(-1.0, 0.5),
              "phi_weight": lambda: grid.phi_weight(2.0), "shell_mask": grid.shell_mask}
     if grid.mode == "radial":
-        calls["r"] = lambda: grid.r
+        calls.update({"r": lambda: grid.r, "coords(0)": lambda: grid.coords(0)})
         for i, name in enumerate(grid.Stencil._fields):
             calls[f"stencil().{name}"] = lambda i=i: grid.stencil()[i]
         return calls
@@ -140,6 +140,46 @@ def test_every_array_a_grid_hands_out_is_read_only_and_kept(sizes):
         assert call() is first, name
     if grid.mode == "radial":
         assert grid.r is grid.radius()
+
+
+def test_radial_grid_has_one_axis():
+    g = Grid(3, "radial", n_r=64, r_max=8.0)
+    assert g.coords(0) is g.r
+    for axis in (1, 2, -1):
+        with pytest.raises(IndexError):
+            g.coords(axis)
+    # the sum over axes is the one term over the one axis
+    assert g.sum_over_axes(lambda ax: g.coords(ax) ** 2).tobytes() == (g.r**2).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [dict(d=1, mode="cartesian", n=16, L=4.0),
+                                   dict(d=3, mode="cartesian", n=8, L=2.5),
+                                   dict(d=2, mode="radial", n_r=64, r_max=8.0)],
+                         ids=["cartesian1d", "cartesian3d", "radial2d"])
+def test_describe_round_trips_through_from_sizes(sizes):
+    grid = Grid(**sizes)
+    assert grid.describe() == sizes
+    assert list(grid.describe()) == ["mode", "d", *grid.sizes]
+    # a mapping with other keys too, like a config section or a header
+    again = Grid.from_sizes(sizes["d"], sizes["mode"], dict(grid.describe(), time=1.0))
+    assert type(again) is type(grid) and again.describe() == grid.describe()
+
+
+def test_sum_over_axes_adds_the_terms_in_axis_order():
+    g = Grid(3, "cartesian", n=8, L=2.5)
+    want = np.zeros(g.shape)
+    for ax in range(3):
+        want = want + (ax + 1.5) * g.coords(ax) ** 2
+    got = g.sum_over_axes(lambda ax: (ax + 1.5) * g.coords(ax) ** 2)
+    assert got.shape == g.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["spherical", None, ""])
+def test_unknown_mode_raises_grid_error(mode):
+    with pytest.raises(GridError, match="unknown grid mode"):
+        Grid.from_sizes(2, mode, {"n": 16, "L": 4.0, "n_r": 64, "r_max": 8.0})
+    with pytest.raises(GridError, match="unknown grid mode"):
+        Grid(2, mode, n=16, L=4.0)
 
 
 @pytest.mark.parametrize("sizes", [dict(d=1, mode="cartesian", n=64, L=6.0),
@@ -305,7 +345,7 @@ STACK_GRIDS = [
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
 def test_operators_on_a_stack_equal_the_per_member_calls(grid):
-    # fields above and below 256 KiB, where the multiplier's operand order flips
+    # fields above and below 256 KiB, where numpy's `mult * s` would flip its operands
     stack = np.stack([random_band_limited_field(grid, seed).values for seed in range(4)])
     ops = {
         "free": grid.free_propagator(0.05),
@@ -323,11 +363,12 @@ def test_operators_on_a_stack_equal_the_per_member_calls(grid):
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
 def test_free_propagator_keeps_the_bits_of_the_plain_product(grid):
-    # a solo field gets exactly what numpy gives `ifftn(mult * fftn(u))`
+    # a solo field gets exactly what numpy gives `ifftn(np.multiply(mult, fftn(u)))`,
+    # mult the first operand at every size
     u = random_band_limited_field(grid, 1).values
     arg = 0.05 * grid.k_squared()
     mult = np.cos(arg) - 1j * np.sin(arg)
-    want = np.fft.ifftn(mult * np.fft.fftn(u))
+    want = np.fft.ifftn(np.multiply(mult, np.fft.fftn(u)))
     assert grid.free_propagator(0.05)(u).tobytes() == want.tobytes()
     # and grad_sq, the sum over axes of ||ifft_j(i k_j fft_j(u))||^2
     kin = 0.0

@@ -6,6 +6,7 @@ from nlslab.grid import Field, Grid
 from nlslab.groundstate import (
     GroundStateError,
     Bubble,
+    _petviashvili,
     gn_constant_closed_form,
     gn_inequality_oracle,
     hardy_oracle,
@@ -71,6 +72,29 @@ def test_invalid_regime_rejected():
         solve_ground_state(3, 4.0, grid)
     with pytest.raises(GroundStateError):
         solve_ground_state(2, 2.0, grid)  # dimension mismatch
+
+
+def test_undamped_stall_converges_in_the_damped_retry():
+    # at alpha = 0.2 the undamped iteration creeps: 500 steps do not bring its
+    # change below 1e-12, and the damped retry then converges
+    grid = Grid(3, "radial", n_r=16384, r_max=20.0)
+    assert _petviashvili(grid, 0.2, 1.0, 1e-10, 500)[0] is None
+    gs = solve_ground_state(3, 0.2, grid)
+    assert 500 < gs.iterations <= 1000 and gs.monotone_residual
+    assert gs.residual <= grid.residual_floor
+    e1, e2 = gs.pohozaev_errors()
+    assert e1 <= 1e-7 and e2 <= 1e-7
+
+
+def test_residual_growth_aborts_both_attempts():
+    # a ball of radius 3 is too small for the alpha = 0.2 profile: past the
+    # burn-in the residual grows six times, in each attempt, and the solve fails
+    grid = Grid(3, "radial", n_r=4096, r_max=3.0)
+    for damping, max_iter in ((1.0, 500), (0.5, 1000)):
+        q, _, _, growths = _petviashvili(grid, 0.2, damping, 1e-10, max_iter)
+        assert q is None and growths == 6
+    with pytest.raises(GroundStateError, match="after damped retry"):
+        solve_ground_state(3, 0.2, grid)
 
 
 def test_gn_oracle_saturates_on_q(gs_1d_cubic):
