@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -161,15 +162,16 @@ def _write_summary(path, payload):
     atomic_write_text(path, text + "\n")
 
 
-def _prepare_run(cfg: ExperimentConfig):
+def _prepare_run(cfg: ExperimentConfig, profiles=None):
     """The pre-step part of a run: its Member (u0, the one record of u0,
     its Glassey delta and the checkpoint writer), its threshold verdict
     (None outside the covered regimes, or where the reference solve fails)
-    and its warnings (the failed solve's message)."""
+    and its warnings (the failed solve's message).  profiles is
+    build_initial_field's."""
     run_dir = cfg.output.directory
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
-    u0 = build_initial_field(cfg)
+    u0 = build_initial_field(cfg, profiles)
     rec0 = record(u0, cfg.equation, phi_r=tuple(cfg.evolve.phi_r_list),
                   epsilon_reg=cfg.evolve.epsilon_reg)
     verdict, glassey_delta, warnings = None, None, []
@@ -221,7 +223,7 @@ def _finish_run(cfg: ExperimentConfig, verdict, warnings, outcome, started):
     return summary
 
 
-def _run_stack(cfgs):
+def _run_stack(cfgs, profiles=None):
     """Run configs that share [equation], [grid] and [evolve] as one
     stepped stack (one config: a solo run); their summaries.
 
@@ -229,7 +231,7 @@ def _run_stack(cfgs):
     summary, so it counts the whole shared stepping loop.
     """
     started = time.perf_counter()
-    members, verdicts, warnings = zip(*(_prepare_run(cfg) for cfg in cfgs))
+    members, verdicts, warnings = zip(*(_prepare_run(cfg, profiles) for cfg in cfgs))
     outcomes = evolve(list(members), cfgs[0].equation, cfgs[0].evolve)
     return [_finish_run(cfg, verdict, notes, outcome, started)
             for cfg, verdict, notes, outcome in zip(cfgs, verdicts, warnings, outcomes)]
@@ -318,15 +320,21 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     # every member is validated before the first run starts
     members = [_sweep_member(cfg, v, i) for i, v in enumerate(sw.values)]
     os.makedirs(cfg.output.directory, exist_ok=True)
+    # groundstate-scaled members share Q: one solve per key, before dispatch
+    profiles = {}
+    for m in members:
+        if m.initial.kind == "groundstate-scaled":
+            build_initial_field(m, profiles)
+    run_stack = functools.partial(_run_stack, profiles=profiles)
     stacks = _sweep_stacks(members, sw.workers)
     if sw.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(sw.workers, len(stacks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_stack = list(pool.map(_run_stack, stacks))
+            per_stack = list(pool.map(run_stack, stacks))
     else:
-        per_stack = [_run_stack(stack) for stack in stacks]
+        per_stack = [run_stack(stack) for stack in stacks]
     results = list(zip(sw.values, (s for stack in per_stack for s in stack)))
 
     chash = config_hash(cfg)

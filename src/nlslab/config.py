@@ -286,9 +286,10 @@ def build_groundstate_grid(cfg: ExperimentConfig) -> Grid:
     return Grid.from_sizes(d, "cartesian" if d == 1 else "radial", vars(cfg.groundstate))
 
 
-def build_initial_field(cfg: ExperimentConfig) -> Field:
+def build_initial_field(cfg: ExperimentConfig, profiles=None) -> Field:
     """u0 on the run grid, from the [initial] section; groundstate-scaled
-    data solves Q on that grid with the [groundstate] tol and max_iter."""
+    data solves Q on that grid with the [groundstate] tol and max_iter,
+    unless profiles, a dict that keeps Q by what determines it, holds it."""
     ini, grid = cfg.initial, build_grid(cfg)
     if ini.kind == "gaussian":
         two_var = 2.0 * np.float64(ini.width) ** 2  # inf, not OverflowError
@@ -298,10 +299,12 @@ def build_initial_field(cfg: ExperimentConfig) -> Field:
             values = values * np.exp(1j * ini.phase_k * grid.coords(0))
         return Field(grid, values.astype(np.complex128))
     if ini.kind == "groundstate-scaled":
-        gc = cfg.groundstate
-        gs = solve_ground_state(cfg.equation.d, cfg.equation.alpha, grid, tol=gc.tol,
-                                max_iter=gc.max_iter)
-        return Field(grid, ini.scale * gs.field.values)
+        gc, profiles = cfg.groundstate, {} if profiles is None else profiles
+        key = (*grid.describe().items(), cfg.equation.alpha, gc.tol, gc.max_iter)
+        if key not in profiles:
+            profiles[key] = solve_ground_state(cfg.equation.d, cfg.equation.alpha, grid,
+                                               tol=gc.tol, max_iter=gc.max_iter).field.values
+        return Field(grid, ini.scale * profiles[key])
     try:  # the run's clock starts at 0, whatever time the checkpoint holds
         return Field(grid, read_field(ini.path, grid).values)
     except (OSError, ValueError) as exc:  # absent, unreadable or not of this grid

@@ -1,34 +1,38 @@
 """Time integration of the equation and of its linear flow.
 
-One Strang step is A(dt/2) B(dt) A(dt/2): A is the grid's free
-propagator (the exact Fourier multiplier on Cartesian grids,
-Crank-Nicolson in Cayley form on radial ones) and B is the exact
-pointwise phase rotation by the potential plus the nonlinearity, which
-commute pointwise and are applied in one exponential.  Both sub-flows
-are unitary, so discrete mass is conserved to roundoff.
+One Strang step composes A, the grid's free propagator (the exact
+Fourier multiplier on Cartesian grids, Crank-Nicolson in Cayley form on
+radial ones), and B, the exact pointwise phase rotation by the potential
+plus the nonlinearity, which commute pointwise and are applied in one
+exponential.  A Cartesian step is A(dt/2) B(dt) A(dt/2); a radial step is
+B(dt/2) A(dt) B(dt/2), one Crank-Nicolson solve.  Both sub-flows are
+unitary, so discrete mass is conserved to roundoff.
 
-On Cartesian grids the Fourier multiplier composes, A(a) A(b) = A(a + b)
-for any a and b, so `evolve` merges the trailing half-step of one step
-with the leading half-step of the next: n steps between two reads of the
-field run as A(dt/2) B A(dt) B ... A(dt) B A(dt/2), one FFT round trip
-per step instead of two.  Where it reads the field (a record, a
-checkpoint, the end) `evolve` settles the owed half.
-Settling takes the true field's spectrum on the way, and the stepper
-keeps it: the next step starts from it with A(dt'/2) and no forward
-transform, so a step that is read costs one forward and two inverse
-transforms instead of two and two.  `evolve_linear` settles at the
-end.  The finiteness check runs on every step's shifted field, which is
-finite exactly when the true one is.  Radial grids never merge, because
-Crank-Nicolson halves do not compose.
+`evolve` merges the trailing half of one step with the leading half of
+the next, and settles the owed half where it reads the field (a record,
+a checkpoint, the end); `evolve_linear` settles at the end.  The Fourier
+multiplier composes, A(a) A(b) = A(a + b), so a Cartesian step makes one
+FFT round trip instead of two.  Settling takes the true field's spectrum
+on the way, and the next step starts from it, so a step that is read
+costs one forward and two inverse transforms instead of two and two.
+Crank-Nicolson halves do not compose, but phase halves do: B keeps |u|,
+and with it the argument V + s|u|^alpha, so B(a) B(b) = B(a + b) to
+roundoff, and a radial step makes one solve and one rotation.  The
+finiteness check runs on every step's shifted field.  A radial step
+takes the owed rotation's argument where it ends and makes the field
+non-finite wherever that argument is, so an overflow of |u|^alpha stops
+a merged run at the step where the per-step loop stops.
 
-An adaptive dt follows max|u| of the true field, but reads it through
-bounds that the shifted field's spectrum gives, and the stepper keeps
-that spectrum for the next step.  Where both bounds give the same
-power-of-two subdivision of dt0, so does max|u|, and the step runs
-unsettled: one forward and one inverse transform.  It settles, from the
-kept spectrum, only where the bounds straddle a subdivision edge, where
-dt would fall below blowup_dt_floor (the gradient check reads the true
-field), and wherever a fixed-dt run settles.
+An adaptive dt follows max|u| of the true field.  An owed phase half
+keeps |u|, so a radial run reads max|u| unsettled.  A Cartesian run reads
+it through bounds that the shifted field's spectrum gives, and the
+stepper keeps that spectrum for the next step.  Where both bounds give
+the same power-of-two subdivision of dt0, so does max|u|, and the step
+runs unsettled: one forward and one inverse transform.  It settles, from
+the kept spectrum, only where the bounds straddle a subdivision edge.
+Either kind settles where dt would fall below blowup_dt_floor (the
+gradient check reads the true field), and wherever a fixed-dt run
+settles.
 
 `evolve` steps a (K, *shape) stack of fields that share a grid, spec
 and fixed dt in one loop, so a sweep over initial data pays numpy's
@@ -103,18 +107,20 @@ class SplitStepper:
 
     step(u, dt) is one Strang step and returns the field at t + dt; u may
     be one field's values or a (K, *shape) stack of them.  With
-    merge_halves on a grid whose free flow composes, step instead leaves
-    its trailing A(dt/2) owed and returns the field shifted by it; the
-    next step applies the owed half together with its own leading half as
-    one A(owed + dt/2), whatever its dt.  settle(u) writes the true field
-    over u and returns it, so a caller that merges settles wherever it
-    reads the field.  sup_bounds(u) bounds max|u| of the true field
-    without settling.  Both keep a spectrum, settle the true field's and
-    sup_bounds the shifted field's, and the next step (or settle) starts
-    from it: a read step costs one forward and two inverse transforms,
-    against two and two unmerged, and a step that is only bounded one and
-    one.  Until then the stepper holds one field's worth more memory, and
-    step must be given the u that settle returned or sup_bounds was given.
+    merge_halves, step leaves its trailing half owed and returns the field
+    short of it; the next step applies the owed half together with its own
+    leading half, whatever its dt: as one A(owed + dt/2) on a grid whose
+    free flow composes, else as one B(owed + dt/2).  settle(u) writes the
+    true field over u and returns it, so a caller that merges settles
+    wherever it reads the field.  sup_bounds(u) bounds max|u| of the true
+    field without settling.  An owed free half is settled from a kept
+    spectrum, settle's of the true field or sup_bounds' of the shifted
+    one, from which the next step (or settle) starts: a read step costs
+    one forward and two inverse transforms, against two and two unmerged,
+    and a step that is only bounded one and one.  An owed phase half keeps
+    its rotation's argument.  Until the next step the stepper holds one
+    field's worth more memory, and step must be given the u that it
+    returned, settle returned or sup_bounds was given.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
@@ -123,13 +129,15 @@ class SplitStepper:
         self.spec = spec
         # V = c max(|x|, epsilon_reg)^(-sigma), shared with observables.record
         self.potential = spec.c * grid.radius_power(-spec.sigma, epsilon_reg)
-        self._merge = merge_halves and grid.free_flow_composes
-        self._owed = None  # free-flow time that step's output still owes
+        self._merge = merge_halves
+        self._phase_halves = not grid.free_flow_composes  # B(dt/2) A(dt) B(dt/2)
+        self._owed = None  # the time of the half that step's output still owes
         self._spectrum = None  # the spectrum of the u that step is given next
+        self._arg = None  # the phase argument of that u, where phase halves merge
         self._free_ops = {}
         self._drift = (None, None)  # (tau, min(2, tau |k|^2)) for sup_bounds
-        # once sup_bounds is in use, a nonlinear step notes max|u|^2 of its
-        # rotation's input, which is max|u|^2 of its output: B keeps |u|
+        # once sup_bounds is in use, a nonlinear step notes max|u|^2 where it
+        # takes a phase argument: B keeps |u|
         self._note_peak, self._peak_sq = False, None
         self._linear_phase_cache = (None, None)
 
@@ -137,8 +145,9 @@ class SplitStepper:
 
     def _free(self, tau):
         """The free-flow map over tau, u -> A(tau) u."""
-        # keyed by tau, which adaptive dt halving changes; a merging run
-        # holds dt/2, and dt once it merges across a step it does not read
+        # keyed by tau, which adaptive dt halving changes; a merging
+        # Cartesian run holds dt/2, and dt once it merges across a step it
+        # does not read; a radial run holds dt
         op = self._free_ops.get(tau)
         if op is None:
             if len(self._free_ops) == 2:
@@ -148,14 +157,10 @@ class SplitStepper:
 
     # -- B: exact phase rotation (potential and nonlinearity commute) --
 
-    def _phase(self, u, dt, nonlinear):
-        # u is the fresh output of a linear step and is rotated in place
+    def _phase_arg(self, u, nonlinear):
+        """V + s|u|^alpha on every node, or V itself for the linear flow."""
         if not nonlinear:
-            if self._linear_phase_cache[0] != dt:
-                arg = dt * self.potential
-                self._linear_phase_cache = (dt, np.cos(arg) - 1j * np.sin(arg))
-            u *= self._linear_phase_cache[1]
-            return u
+            return self.potential
         arg = u.real * u.real
         arg += u.imag * u.imag  # |u|^2 without a square root
         if self._note_peak:
@@ -164,33 +169,69 @@ class SplitStepper:
             arg **= 0.5 * self.spec.alpha
         arg *= self.spec.nonlinearity_sign
         arg += self.potential
-        arg *= dt
-        rotation = np.empty_like(u)  # cos(arg) - i sin(arg)
+        return arg
+
+    def _rotation(self, tau, arg, keep=False):
+        """e^(-i tau arg), built in arg's memory unless keep; the linear
+        flow's (arg is V) is cached by tau."""
+        if arg is self.potential:
+            if self._linear_phase_cache[0] != tau:
+                arg = tau * arg
+                self._linear_phase_cache = (tau, np.cos(arg) - 1j * np.sin(arg))
+            return self._linear_phase_cache[1]
+        arg = tau * arg if keep else np.multiply(arg, tau, out=arg)
+        rotation = np.empty(arg.shape, complex)  # cos(arg) - i sin(arg)
         np.cos(arg, out=rotation.real)
         np.sin(arg, out=rotation.imag)
         np.negative(rotation.imag, out=rotation.imag)
-        u *= rotation
-        return u
+        return rotation
 
     def step(self, u, dt, nonlinear=True):
         half = 0.5 * dt
-        tau = half if self._owed is None else self._owed + half
         self._peak_sq = None
+        if self._phase_halves:
+            return self._step_phase_halves(u, dt, half, nonlinear)
+        tau = half if self._owed is None else self._owed + half
         if self._spectrum is not None:  # u's, kept by settle or sup_bounds
             u = self.grid._ifft(self._free(tau).on_spectrum(self._spectrum))
             self._spectrum = None
         else:
             u = self._free(tau)(u)
-        u = self._phase(u, dt, nonlinear)
+        # u is the fresh output of a linear step and is rotated in place
+        u *= self._rotation(dt, self._phase_arg(u, nonlinear))
         if self._merge:
             self._owed = half
             return u
         return self._free(half)(u)
 
+    def _step_phase_halves(self, u, dt, half, nonlinear):
+        arg = self._arg
+        if arg is None or (arg is self.potential) == nonlinear:  # none kept for this flow
+            u = self.settle(u)
+            arg = self._phase_arg(u, nonlinear)
+        tau = half if self._owed is None else self._owed + half
+        u = u * self._rotation(tau, arg)  # a new array: u may be the caller's
+        u = self._free(dt)(u)
+        arg = self._phase_arg(u, nonlinear)
+        if not self._merge:
+            u *= self._rotation(half, arg)
+            return u
+        if arg is not self.potential:
+            # the owed rotation would turn these nodes non-finite a step late
+            finite = np.isfinite(arg)
+            if not finite.all():
+                u[~finite] = np.nan
+        self._owed, self._arg = half, arg
+        return u
+
     def settle(self, u):
-        """The true field of step's output u, written over u; its spectrum
-        is kept for the next step."""
+        """The true field of step's output u, written over u; the spectrum
+        or phase argument the next step starts from is kept."""
         if self._owed is None:
+            return u
+        if self._phase_halves:
+            u *= self._rotation(self._owed, self._arg, keep=True)
+            self._owed = None
             return u
         spectrum = self.grid._fft(u) if self._spectrum is None else self._spectrum
         spectrum = self._free(self._owed).on_spectrum(spectrum)
@@ -201,18 +242,22 @@ class SplitStepper:
     def sup_bounds(self, u):
         """(lo, hi) around max|u| of the true field of step's output u.
 
-        A(tau) moves no node of u by more than (1/N) sum_k min(2, tau |k|^2)
-        |u_k| over the N nodes, a bound on |e^(-i tau |k|^2) - 1| summed
-        against u's spectrum, which is kept for the next step; a 1e-9
-        relative margin covers the roundoff of settling and of taking max|u|
-        from the phase rotation's input.  Owing nothing, both are max|u|.
+        An owed phase half keeps |u|, so both are max|u|, as they are where
+        nothing is owed.  A(tau) moves no node of u by more than
+        (1/N) sum_k min(2, tau |k|^2) |u_k| over the N nodes, a bound on
+        |e^(-i tau |k|^2) - 1| summed against u's spectrum, which is kept
+        for the next step; a 1e-9 relative margin covers the roundoff of
+        settling and of taking max|u| from the phase rotation's input.
         """
         self._note_peak = True
-        if self._owed is None:
+        # the last nonlinear step noted max|u|^2 of the field it returned:
+        # a radial one, settled or not, and a Cartesian one short of A(owed)
+        if self._peak_sq is not None and (self._phase_halves or self._owed is not None):
+            top = self._peak_sq**0.5
+        else:
             top = float(np.abs(u).max())
+        if self._owed is None or self._phase_halves:
             return top, top
-        # a linear last step noted no peak
-        top = float(np.abs(u).max()) if self._peak_sq is None else self._peak_sq**0.5
         if self._spectrum is None:
             self._spectrum = self.grid._fft(u)
         tau, weight = self._drift

@@ -100,7 +100,9 @@ class Grid:
 
     Each kind names its sizes and states free_flow_composes: whether
     free_propagator(a) then free_propagator(b) equals free_propagator(a + b)
-    up to roundoff, so that a stepper may merge adjacent half-steps.
+    up to roundoff.  Where it does, a stepper runs A(dt/2) B(dt) A(dt/2) and
+    merges adjacent free half-steps; where it does not, B(dt/2) A(dt)
+    B(dt/2), one free-flow call per step, and merges the phase halves.
     """
 
     mode = None
@@ -313,7 +315,8 @@ class RadialGrid(Grid):
 
     mode = "radial"
     sizes = ("n_r", "r_max")
-    free_flow_composes = False  # Crank-Nicolson: CN(h/2) CN(h/2) != CN(h)
+    # Crank-Nicolson: CN(h/2) CN(h/2) != CN(h), so a step is B(dt/2) CN(dt) B(dt/2)
+    free_flow_composes = False
     Stencil = collections.namedtuple("Stencil", "face_coef quad_weight lower diag upper")
 
     def __init__(self, d, mode=None, n_r=0, r_max=0.0):

@@ -1000,11 +1000,10 @@ def test_stacks_split_contiguously_over_workers(tmp_path):
         assert [m for s in stacks for m in s] == members
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the alpha = 1e5 Q solve fails
 def test_member_leaving_the_stack_stops_at_its_solo_step(tmp_path, monkeypatch):
     # the chirped Gaussian of test_overflow_inside_merged_stretch_stops_at_the_same_step:
     # at amplitude 1 |u|^alpha overflows at step 9, at amplitude 0.5 it never does
-    def chirped(cfg):
+    def chirped(cfg, profiles=None):
         grid = build_grid(cfg)
         z = 1.0 - 2.0j
         return Field(grid, cfg.initial.amplitude * 1.25
@@ -1016,7 +1015,7 @@ def test_member_leaving_the_stack_stops_at_its_solo_step(tmp_path, monkeypatch):
         "c = 1.0", "c = 0.0").replace("alpha = 2.0", "alpha = 1e5").replace(
         "n = 256\nL = 12.0", "n = 256\nL = 20.0", 1).replace(
         "dt0 = 1e-3\nt_end = 0.2", "dt0 = 0.05\nt_end = 1.0\ncheckpoint_stride = 3").replace(
-        "stride = 20", "stride = 5").replace("[groundstate]\n", "[groundstate]\nmax_iter = 1\n")
+        "stride = 20", "stride = 5")
     text += "\n[sweep]\nparameter = initial.amplitude\nvalues = 1.0 0.5\n"
     path = write_cfg(tmp_path, text)
     assert main(["sweep", path]) == 0
@@ -1027,6 +1026,27 @@ def test_member_leaving_the_stack_stops_at_its_solo_step(tmp_path, monkeypatch):
     assert overflowed["warnings"] == ["non-finite field after step 9 (t=0.45)"]
     assert overflowed["n_records"] == 2  # t = 0 and step 5
     assert completed["status"] == "completed" and completed["n_records"] == 5
+
+
+def test_groundstate_scaled_sweep_solves_q_once(tmp_path, monkeypatch):
+    # three scales of one Q on one run grid: one solve, and each member's
+    # artifacts are those of its solo run, which solves Q itself
+    solved = []
+
+    def counting_solve(*args, **kw):
+        solved.append(args)
+        return solve_ground_state(*args, **kw)
+
+    monkeypatch.setattr(nlslab.config, "solve_ground_state", counting_solve)
+    outdir = os.path.join(tmp_path, "sweep")
+    text = _focusing_alpha6(outdir).replace("t_end = 0.2", "t_end = 0.05").replace(
+        "kind = gaussian", "kind = groundstate-scaled")
+    text += "\n[sweep]\nparameter = initial.scale\nvalues = 0.5 0.9 1.1\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["sweep", path]) == 0
+    assert len(solved) == 1
+    _assert_members_equal_solo_runs(path, outdir)
+    assert len(solved) == 4
 
 
 def test_stacked_members_keep_their_own_glassey_margins(tmp_path, evolve_calls):

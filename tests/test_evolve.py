@@ -65,17 +65,23 @@ def test_mass_conserved_each_step():
 
 
 def test_time_reversibility():
+    # five steps of dt, then five of -dt, return to f0 on either grid kind,
+    # in closed steps or in merged ones settled at both turns
     spec = EquationSpec(d=1, c=0.5, sigma=0.5, alpha=3.0, sign="focusing")
-    g = Grid(1, "cartesian", n=256, L=10.0)
-    f0 = random_band_limited_field(g, 3)
-    stepper = SplitStepper(g, spec)
-    f1 = Field(g, stepper.step(f0.values, 2e-3))
-    f2 = Field(g, stepper.step(f1.values, -2e-3))
-    err = np.sqrt(
-        g.integrate(np.abs(f2.values - f0.values) ** 2)
-        / g.integrate(np.abs(f0.values) ** 2)
-    )
-    assert err <= 1e-10
+    fields = [random_band_limited_field(Grid(1, "cartesian", n=256, L=10.0), 3),
+              random_radial_field(Grid(1, "radial", n_r=256, r_max=10.0), 3)]
+    for f0 in fields:
+        g = f0.grid
+        for merge in (False, True):
+            stepper = SplitStepper(g, spec, merge_halves=merge)
+            u = f0.values
+            for dt in (2e-3, -2e-3):
+                for _ in range(5):
+                    u = stepper.step(u, dt)
+                u = stepper.settle(u)
+            err = np.sqrt(g.integrate(np.abs(u - f0.values) ** 2)
+                          / g.integrate(np.abs(f0.values) ** 2))
+            assert err <= 1e-10
 
 
 def test_linear_energy_drift_second_order():
@@ -123,6 +129,8 @@ def test_linear_pullback_inverts():
     fwd = evolve_linear(u0, spec, 0.5, 1e-3)
     back = evolve_linear(fwd, spec, -0.5, 1e-3)
     assert np.max(np.abs(back.values - u0.values)) <= 1e-10
+    # the first phase half rotates a copy of the caller's field
+    assert np.array_equal(u0.values, np.exp(-g.r**2))
 
 
 def c9_problem():
@@ -408,13 +416,21 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
-def test_merged_half_steps_match_per_step_loop(d, n):
-    # reads at strides 7 and 5 split the run into merged stretches of 1-5 steps
+def cartesian_problem(d, n):
     spec = EquationSpec(d=d, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
     g = Grid(d, "cartesian", n=n, L=8.0)
-    u0 = random_band_limited_field(g, 11)
-    dt, n_steps = 1e-3, 53
+    return spec, g, random_band_limited_field(g, 11)
+
+
+@pytest.mark.parametrize("problem, dt, n_steps", [
+    pytest.param(lambda: cartesian_problem(1, 256), 1e-3, 53, id="1-256"),
+    pytest.param(lambda: cartesian_problem(2, 64), 1e-3, 53, id="2-64"),
+    pytest.param(c9_problem, 4e-3, 23, id="radial-c9"),
+])
+def test_merged_half_steps_match_per_step_loop(problem, dt, n_steps):
+    # reads at strides 7 and 5 split the run into merged stretches of 1-5
+    # steps: free halves merge on Cartesian grids, phase halves on radial ones
+    spec, g, u0 = problem()
     checkpoints = []
     out = evolve(u0, spec, EvolveConfig(dt0=dt, t_end=n_steps * dt, record_stride=7,
                                         checkpoint_stride=5),
@@ -432,29 +448,28 @@ def test_merged_half_steps_match_per_step_loop(d, n):
     assert rel_err(out.final_field.values, ref_records[n_steps]) <= 1e-12
 
 
-def test_radial_evolve_is_the_per_step_loop():
-    # Crank-Nicolson halves do not compose: radial runs never merge
+def test_merged_radial_steps_of_both_flows_match_per_step_loop():
+    # a phase half owed by a nonlinear step is settled before a linear step
     spec, g, u0 = c9_problem()
-    dt, n_steps = 4e-3, 23
-    checkpoints = []
-    out = evolve(u0, spec, EvolveConfig(dt0=dt, t_end=n_steps * dt, record_stride=7,
-                                        checkpoint_stride=5),
-                 checkpoint_cb=checkpoints.append)
-    ref_records, ref_checkpoints, _ = per_step_run(u0, spec, dt, n_steps, 7, 5)
-    assert [f.time for f in checkpoints] == [k * dt for k in ref_checkpoints]
-    for f, u in zip(checkpoints, ref_checkpoints.values()):
-        assert np.array_equal(f.values, u)
-    assert np.array_equal(out.final_field.values, ref_records[n_steps])
+    merged, per_step = SplitStepper(g, spec, merge_halves=True), SplitStepper(g, spec)
+    u, ref = u0.values, u0.values
+    for nonlinear in (True, True, False, False, True):
+        u = merged.step(u, 4e-3, nonlinear=nonlinear)
+        ref = per_step.step(ref, 4e-3, nonlinear=nonlinear)
+    assert rel_err(merged.settle(u), ref) <= 1e-12
 
 
-def test_overflow_inside_merged_stretch_stops_at_the_same_step():
+@pytest.mark.parametrize("g", [Grid(1, "cartesian", n=256, L=20.0),
+                               Grid(1, "radial", n_r=256, r_max=20.0)],
+                         ids=["cartesian", "radial"])
+def test_overflow_inside_merged_stretch_stops_at_the_same_step(g):
     # below |u| = 1 the power 1e5 leaves the flow free; a chirped Gaussian
     # focuses past |u| = e^(709.8/alpha) = 1.0071 at step 9, and |u|^alpha
-    # overflows there, after the record at step 5 and inside merged steps 6-9
+    # overflows there, after the record at step 5 and inside merged steps
+    # 6-9; on the radial grid the overflow is in the phase half step 9 owes
     spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=1e5, sign="defocusing")
-    g = Grid(1, "cartesian", n=256, L=20.0)
     z = 1.0 - 2.0j
-    u0 = Field(g, 1.25 * np.exp(-g.axis**2 / (2.0 * z)) / np.sqrt(z))
+    u0 = Field(g, 1.25 * np.exp(-g.coords(0)**2 / (2.0 * z)) / np.sqrt(z))
     dt = 0.05
     out = evolve(u0, spec, EvolveConfig(dt0=dt, t_end=1.0, record_stride=5))
     ref_records, _, bad_step = per_step_run(u0, spec, dt, 20, 5, 20)
@@ -543,6 +558,36 @@ def test_adaptive_unread_steps_match_per_step_loop(monkeypatch):
     # the bounds straddle an edge of dt's bracket, as at both doublings
     n_steps, n_settles = _adaptive_run_matches_per_step_loop(monkeypatch, record_stride=7)
     assert n_settles < n_steps
+
+
+def test_adaptive_radial_run_settles_only_where_it_reads(monkeypatch):
+    # a chirped Gaussian focuses, and dt halves five times; an owed phase
+    # half keeps |u|, so every dt comes from max|u| of the unsettled field
+    spec = EquationSpec(d=3, c=1.0, sigma=0.5, alpha=2.0, sign="focusing")
+    g = Grid(3, "radial", n_r=512, r_max=16.0)
+    u0 = Field(g, 3.0 * np.exp(-g.r**2 / 2.0 - 0.1j * g.r**2))
+    cfg = EvolveConfig(dt0=0.01, t_end=0.19, adaptivity="cfl-nonlinear", record_stride=7)
+    n_settles = 0
+    settle = SplitStepper.settle
+
+    def counted_settle(self, u):
+        nonlocal n_settles
+        n_settles += self._owed is not None
+        return settle(self, u)
+
+    monkeypatch.setattr(SplitStepper, "settle", counted_settle)
+    out = evolve(u0, spec, cfg)
+    times, fields = adaptive_per_step_run(u0, spec, cfg)
+    assert out.status == "completed" and not out.warnings
+    assert np.diff(times).min() == pytest.approx(0.01 / 32)
+    read = sorted({*range(0, len(times), 7), len(times) - 1})
+    assert [r.t for r in out.records] == [times[k] for k in read]
+    assert n_settles == len(read) - 1
+    for rec, k in zip(out.records, read):
+        want = observables.record(Field(g, fields[k], rec.t), spec)
+        for name in ("mass", "energy", "kinetic", "virial", "linfty"):
+            assert getattr(rec, name) == pytest.approx(getattr(want, name), rel=1e-12)
+    assert rel_err(out.final_field.values, fields[-1]) <= 1e-12
 
 
 _BOUND_GRIDS = {1: Grid(1, "cartesian", n=128, L=8.0), 2: Grid(2, "cartesian", n=32, L=8.0)}
