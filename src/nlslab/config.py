@@ -26,7 +26,7 @@ from .equation import (
 )
 from .evolve import EvolveConfig
 from .grid import Field, Grid, GridError
-from .groundstate import solve_ground_state
+from .groundstate import SOLVER_REVISION, solve_ground_state
 
 __all__ = [
     "ConfigError",
@@ -262,10 +262,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def groundstate_solver_hash(cfg: ExperimentConfig) -> str:
     """sha256 over what determines the (d, alpha) ground-state artifact:
-    alpha, the artifact grid and the solver's tol and max_iter."""
+    alpha, the artifact grid, the solver's tol and max_iter, and its
+    revision."""
     gc = cfg.groundstate
     settings = dict(build_groundstate_grid(cfg).describe(), alpha=cfg.equation.alpha,
-                    tol=gc.tol, max_iter=gc.max_iter)
+                    tol=gc.tol, max_iter=gc.max_iter, revision=SOLVER_REVISION)
     return _sha256_lines(
         f"{k} = {_canonical_scalar(v)}" for k, v in sorted(settings.items())
     )

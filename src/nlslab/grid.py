@@ -21,8 +21,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import factor_tridiagonal
 from .weights import chi, verify_bridge
 
 __all__ = [
@@ -378,18 +378,15 @@ class RadialGrid(Grid):
         return out
 
     def factor_shifted_laplacian(self, z):
-        """Solver b -> (I - z Lap)^(-1) b (z may be complex).
+        """Solver b -> (I - z Lap)^(-1) b along b's last axis (z may be complex).
 
-        The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf);
-        each call of the returned solver is one ?gttrs back-substitution.
+        The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf, from
+        the OpenBLAS numpy loads, or scipy's where that is missing); each call
+        of the returned solver is one ?gttrs back-substitution.  LinAlgError
+        if I - z Lap is singular.
         """
         s = self.stencil()
-        lower, diag, upper = -z * s.lower, 1.0 - z * s.diag, -z * s.upper
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, diag, upper))
-        *factors, info = gttrf(lower, diag, upper)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"I - z Lap is singular for z={z!r}")
-        return lambda b: gttrs(*factors, b)[0]
+        return factor_tridiagonal(-z * s.lower, 1.0 - z * s.diag, -z * s.upper)
 
     def free_propagator(self, tau):
         """Crank-Nicolson free flow in Cayley form u+ = 2 (I - zL)^(-1) u - u.
@@ -401,7 +398,7 @@ class RadialGrid(Grid):
         solve = self.factor_shifted_laplacian(0.5j * tau)
 
         def step(u):
-            out = solve(u.T).T
+            out = solve(u)
             out *= 2.0
             out -= u
             return out

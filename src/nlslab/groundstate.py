@@ -85,6 +85,12 @@ class GroundState:
         )
 
 
+# the revision of _petviashvili's iteration and stopping rule (2: the stop is
+# relative to ||q||_2).  It is part of the artifacts' solver hash: raising it
+# with any change that can move a profile makes saved profiles be solved again
+SOLVER_REVISION = 2
+
+
 def _petviashvili(grid, alpha, damping, tol, max_iter):
     r2 = grid.radius() ** 2
     q = np.exp(-r2 / 2.0)
@@ -114,7 +120,7 @@ def _petviashvili(grid, alpha, damping, tol, max_iter):
             monotone_failures += 1
             if monotone_failures > 5:
                 break
-        if change <= 1e-12 and res <= eff_tol:
+        if res <= eff_tol and change <= 1e-12 * math.sqrt(grid.integrate(q * q)):
             return q, res, it, monotone_failures
         if not np.all(np.isfinite(q)):
             break
@@ -133,9 +139,10 @@ def solve_ground_state(
     Requires alpha < 4/(d-2) for d = 3 (any alpha > 0 for d = 1, 2).  The
     iteration rescales each step with the standard stabilized power
     gamma = (alpha+1)/alpha and falls back to a damped retry if the
-    residual fails to decrease monotonically past the burn-in.  The
-    effective residual tolerance is max(tol, roundoff floor of the
-    discrete Laplacian), which on fine radial grids is eps/dr^2-limited.
+    residual fails to decrease monotonically past the burn-in.  An attempt
+    stops once the step change is at most 1e-12 of ||Q||_2 and the max-norm
+    residual at most the effective tolerance, max(tol, roundoff floor of
+    the discrete Laplacian), which on fine radial grids is eps/dr^2-limited.
     """
     if grid.d != d:
         raise GroundStateError(f"grid dimension {grid.d} does not match d={d}")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nlslab._lapack
 import nlslab.cli
 import nlslab.config
 from nlslab.checkpoint import load_ground_state, save_ground_state, write_field
@@ -565,6 +566,29 @@ def test_loaded_ground_state_of_another_alpha_or_grid_is_solved_again(tmp_path):
     assert load_ground_state(base, 6.0, grid, solver_hash).mass == gs.mass
 
 
+def test_ground_state_of_an_older_solver_revision_is_solved_again(tmp_path, monkeypatch):
+    # the solver hash a sidecar of this config carried before the hash
+    # covered the solver's revision
+    older_hash = "192df3da10420a3fa9953b29df361d5ded134a7c01dcdfa80596bbaf87e3ff26"
+    cfg = load_config(write_cfg(tmp_path, _focusing_alpha6(os.path.join(tmp_path, "cls"))))
+    grid, solver_hash = build_groundstate_grid(cfg), groundstate_solver_hash(cfg)
+    assert solver_hash != older_hash
+    base = save_ground_state(nlslab.cli._groundstate_dir(cfg),
+                             solve_ground_state(1, 6.0, grid), older_hash)
+    solved = []
+
+    def counting_solve(d, alpha, grid, **kw):
+        solved.append(alpha)
+        return solve_ground_state(d, alpha, grid, **kw)
+
+    monkeypatch.setattr(nlslab.cli, "solve_ground_state", counting_solve)
+    for _ in range(2):  # solved again once, then reused
+        gs = nlslab.cli._solve_artifact_groundstate(cfg)
+    assert solved == [6.0]
+    assert load_ground_state(base, 6.0, grid, older_hash) is None
+    assert load_ground_state(base, 6.0, grid, solver_hash).mass == gs.mass
+
+
 def _defocused(amplitude):
     return lambda text: text.replace("sign = focusing", "sign = defocusing").replace(
         "amplitude = 1.0", f"amplitude = {amplitude}")
@@ -637,6 +661,27 @@ def test_restart_clock_starts_at_0(tmp_path):
         with open(os.path.join(run, "summary.json"), encoding="utf-8") as fh:
             checks.append([c["name"] for c in json.load(fh)["identity_checks"]])
     assert checks[0] == checks[1]
+
+
+@pytest.mark.skipif(nlslab._lapack._openblas() is None,
+                    reason="numpy ships no scipy-openblas64 library here")
+def test_radial_work_in_a_fresh_interpreter_imports_no_scipy(tmp_path):
+    # the radial solves bind LAPACK from numpy's OpenBLAS, not scipy.linalg
+    text = BASE.format(outdir=os.path.join(tmp_path, "run")).replace(
+        "d = 1\nc = 1.0", "d = 3\nc = 1.0").replace(
+        "mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 12.0")
+    code = ("import sys, nlslab.cli\n"
+            "from nlslab.grid import Grid\n"
+            "from nlslab.groundstate import solve_ground_state\n"
+            "assert nlslab.cli.main(['evolve', sys.argv[1]]) == 0\n"
+            "solve_ground_state(3, 2.0, Grid(3, 'radial', n_r=1024, r_max=20.0))\n"
+            "sys.exit(sorted(m for m in sys.modules if m.startswith('scipy')) or None)")
+    src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, write_cfg(tmp_path, text)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert os.path.exists(os.path.join(tmp_path, "run", "final_state.bin"))
 
 
 def test_cli_import_leaves_scipy_fft_out():
