@@ -38,8 +38,10 @@ def _openblas():
         for gttrf, gttrs in routines.values():
             # gttrf(n, dl, d, du, du2, ipiv, info)
             gttrf.argtypes, gttrf.restype = [_PTR] * 7, None
-            # gttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans))
-            gttrs.argtypes, gttrs.restype = [_PTR] * 11 + [ctypes.c_size_t], None
+            # gttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans)),
+            # undeclared: the solver hands it ctypes objects only, and a declared
+            # conversion of its 12 arguments costs about 1 us per solve
+            gttrs.restype = None
         return routines
     return None
 
@@ -80,16 +82,18 @@ def _ctypes_solver(gttrf, gttrs, dl, d, du):
     gttrf(ctypes.byref(size), *pointers, ctypes.byref(info))
     _check(info.value, "gttrf")
     n_ref = ctypes.byref(size)  # N, and LDB of every right-hand side
-    trans = ctypes.create_string_buffer(b"N")
+    one_ref = ctypes.byref(_INT(1))  # NRHS of a single right-hand side
+    trans, trans_len = ctypes.create_string_buffer(b"N"), ctypes.c_size_t(1)
 
     def solve(b):
         x = np.array(b, factors[1].dtype, order="C")  # the one copy; gttrs overwrites it
         if x.ndim not in (1, 2) or x.shape[-1] != n:
             raise ValueError(f"right-hand side of shape {x.shape} for a system of {n}")
-        status = _INT()
+        status = _INT()  # one per call, so that threads may share the solver
         # a C-ordered (K, n) stack is the column-major n x K matrix B of LAPACK
-        gttrs(trans, n_ref, ctypes.byref(_INT(x.size // n)), *pointers,
-              ctypes.byref(ctypes.c_char.from_buffer(x)), n_ref, ctypes.byref(status), 1)
+        nrhs = one_ref if x.size == n else ctypes.byref(_INT(x.size // n))
+        gttrs(trans, n_ref, nrhs, *pointers, ctypes.byref(ctypes.c_char.from_buffer(x)),
+              n_ref, ctypes.byref(status), trans_len)
         _check(status.value, "gttrs")
         return x
 

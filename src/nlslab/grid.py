@@ -47,6 +47,14 @@ SURFACE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 MAX_NODES = 4096**2
 
 
+def _real_dot(a, b):
+    """Re sum(conj(a) b) over complex arrays of one shape, summed by
+    numpy's einsum over their (re, im) floats: a BLAS dot splits a long
+    sum across its threads, and its last bits with them."""
+    a, b = (np.ascontiguousarray(x).view(np.float64).ravel() for x in (a, b))
+    return float(np.einsum("i,i->", a, b))
+
+
 class GridError(ValueError):
     """Invalid grid construction parameters."""
 
@@ -279,23 +287,21 @@ class CartesianGrid(Grid):
     def _elliptic_solver(self):
         return self._fourier_multiplier(1.0 / (1.0 + self.k_squared()))
 
-    @_memoized
-    def _ik(self, axis):
-        return 1j * self._along(self.k, axis)
-
     def grad_sq_and_flux(self, u, weight="abs"):
         """(||grad u||^2, int grad(a) . Im(conj(u) grad u)) for a = |x| ("abs")
-        or |x|^2, from one spectral derivative per axis,
-        du_j = ifft_j(i k_j fft_j(u)), held one at a time."""
+        or |x|^2, from one spectral derivative per axis, held one at a time.
+        It takes -i du_j = ifft_j(k_j fft_j(u)), which has the bits of du_j
+        times -i, so Im(conj(u) du_j) = Re(conj(u) (-i du_j)); the sums are
+        _real_dot's, whatever the BLAS thread count."""
         kin = flux = 0.0
         for ax in range(self.d):
             du = np.fft.fft(u, axis=ax)
-            du *= self._ik(ax)
+            du *= self._along(self.k, ax)
             np.fft.ifft(du, axis=ax, out=du)
-            kin += np.vdot(du, du).real
+            kin += _real_dot(du, du)
             du *= self.unit_vector(ax) if weight == "abs" else 2.0 * self.coords(ax)
-            flux += np.vdot(u, du).imag
-        return float(kin) * self.cell_volume, float(flux) * self.cell_volume
+            flux += _real_dot(u, du)
+        return kin * self.cell_volume, flux * self.cell_volume
 
     @_memoized
     def shell_mask(self):
@@ -306,8 +312,8 @@ class CartesianGrid(Grid):
         """Share of u's mass on shell_mask(): the uniform cell volume
         cancels, so both sums are plain sums of |u|^2."""
         shell = u[self.shell_mask()]
-        total = np.vdot(u, u).real
-        return float(np.vdot(shell, shell).real / total) if total else 0.0
+        total = _real_dot(u, u)
+        return _real_dot(shell, shell) / total if total else 0.0
 
 
 class RadialGrid(Grid):

@@ -735,3 +735,29 @@ def test_member_invalid_at_a_record_leaves_the_rest_as_solo_runs():
         assert stacked.status == solo.status == "completed"
         assert stacked.records == solo.records
         assert stacked.final_field.values.tobytes() == solo.final_field.values.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+@pytest.mark.parametrize("grid", [Grid(2, "cartesian", n=32, L=6.0),
+                                  Grid(3, "radial", n_r=256, r_max=10.0)],
+                         ids=["cartesian2d", "radial3d"])
+def test_rotation_keeps_the_bits_of_cos_minus_i_sin(grid, sign, alpha):
+    # the stepper folds the sign into the potential add and rotates by -tau;
+    # the rotation keeps the bytes of cos(tau arg) - 1j sin(tau arg), with
+    # arg = s|u|^alpha + V formed as a sign times the power, plus V
+    spec = EquationSpec(d=grid.d, c=1.0, sigma=0.5, alpha=alpha, sign=sign)
+    field = random_band_limited_field if grid.mode == "cartesian" else random_radial_field
+    u = 2.0 * field(grid, 7).values
+    stepper = SplitStepper(grid, spec)
+    arg = u.real * u.real + u.imag * u.imag
+    arg **= 0.5 * alpha
+    arg *= spec.nonlinearity_sign
+    arg += stepper.potential
+    for tau in (1e-3, -2.5e-4, 0.7):
+        want = np.cos(tau * arg) - 1j * np.sin(tau * arg)
+        kept = stepper._phase_arg(u, True)
+        assert kept.tobytes() == arg.tobytes()
+        assert stepper._rotation(tau, kept, keep=True).tobytes() == want.tobytes()
+        assert kept.tobytes() == arg.tobytes()
+        assert stepper._rotation(tau, kept).tobytes() == want.tobytes()

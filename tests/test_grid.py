@@ -1,9 +1,12 @@
+import os
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import nlslab.grid
 from nlslab.checks import random_band_limited_field, random_radial_field
 from nlslab.equation import EquationSpec
 from nlslab.evolve import SplitStepper
@@ -116,8 +119,7 @@ def _handed_out_arrays(grid):
                   "k_squared()": grid.k_squared})
     for ax in range(grid.d):
         calls.update({f"coords({ax})": lambda ax=ax: grid.coords(ax),
-                      f"unit_vector({ax})": lambda ax=ax: grid.unit_vector(ax),
-                      f"_ik({ax})": lambda ax=ax: grid._ik(ax)})
+                      f"unit_vector({ax})": lambda ax=ax: grid.unit_vector(ax)})
     return calls
 
 
@@ -370,13 +372,53 @@ def test_free_propagator_keeps_the_bits_of_the_plain_product(grid):
     mult = np.cos(arg) - 1j * np.sin(arg)
     want = np.fft.ifftn(np.multiply(mult, np.fft.fftn(u)))
     assert grid.free_propagator(0.05)(u).tobytes() == want.tobytes()
-    # and grad_sq, the sum over axes of ||ifft_j(i k_j fft_j(u))||^2
+    # and grad_sq, the sum over axes of ||ifft_j(i k_j fft_j(u))||^2, each
+    # summed by einsum over the floats of the derivative
     kin = 0.0
     for ax in range(grid.d):
         ik = 1j * grid.k.reshape([-1 if a == ax else 1 for a in range(grid.d)])
-        du = np.fft.ifft(np.fft.fft(u, axis=ax) * ik, axis=ax)
-        kin += np.vdot(du, du).real
+        du = np.fft.ifft(np.fft.fft(u, axis=ax) * ik, axis=ax).view(np.float64).ravel()
+        kin += np.einsum("i,i->", du, du)
     assert grid.grad_sq_and_flux(u)[0] == float(kin) * grid.cell_volume
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
+def test_flux_is_the_sum_of_im_conj_u_times_the_weighted_derivative(grid):
+    # Im(conj(u) du_j a_j) = Re(conj(u) (-i du_j) a_j), and -i du_j is exact
+    u = random_band_limited_field(grid, 4).values
+    for weight in ("abs", "sq"):
+        flux = 0.0
+        for ax in range(grid.d):
+            ik = 1j * grid.k.reshape([-1 if a == ax else 1 for a in range(grid.d)])
+            du = np.fft.ifft(np.fft.fft(u, axis=ax) * ik, axis=ax)
+            a = grid.unit_vector(ax) if weight == "abs" else 2.0 * grid.coords(ax)
+            flow = (-1j * du * a).view(np.float64).ravel()
+            flux += np.einsum("i,i->", u.view(np.float64).ravel(), flow)
+        assert grid.grad_sq_and_flux(u, weight)[1] == float(flux) * grid.cell_volume
+
+
+_REDUCTIONS = """
+import numpy as np
+from nlslab.checks import random_band_limited_field
+from nlslab.grid import Grid
+g = Grid(2, "cartesian", n=128, L=10.0)
+u = random_band_limited_field(g, 5).values
+kin, flux = g.grad_sq_and_flux(u)
+print(kin.hex(), flux.hex(), g.shell_mass_fraction(u).hex())
+"""
+
+
+def test_cartesian_reductions_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than about 1e4 elements across
+    # its threads; 128^2 is past that
+    src = os.path.dirname(os.path.dirname(nlslab.grid.__file__))
+    got = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        got.append(subprocess.run([sys.executable, "-c", _REDUCTIONS], env=env,
+                                  capture_output=True, text=True, check=True).stdout)
+    assert got[0] == got[1] and len(got[0].split()) == 3
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")
