@@ -18,10 +18,12 @@ costs one forward and two inverse transforms instead of two and two.
 Crank-Nicolson halves do not compose, but phase halves do: B keeps |u|,
 and with it the argument V + s|u|^alpha, so B(a) B(b) = B(a + b) to
 roundoff, and a radial step makes one solve and one rotation.  The
-finiteness check runs on every step's shifted field.  A radial step
-takes the owed rotation's argument where it ends and makes the field
-non-finite wherever that argument is, so an overflow of |u|^alpha stops
-a merged run at the step where the per-step loop stops.
+finiteness check reads every step's phase argument, which is finite on
+a row exactly where the shifted field is, over one float per node
+instead of two.  A radial step takes the owed rotation's argument where
+it ends and makes the field non-finite wherever that argument is, so an
+overflow of |u|^alpha stops a merged run at the step where the per-step
+loop stops.
 
 An adaptive dt follows max|u| of the true field.  An owed phase half
 keeps |u|, so a radial run reads max|u| unsettled.  A Cartesian run reads
@@ -126,6 +128,13 @@ class SplitStepper:
     its rotation's argument.  Until the next step the stepper holds one
     field's worth more memory, and step must be given the u that it
     returned, settle returned or sup_bounds was given.
+
+    A merging nonlinear step leaves in finite_rows, per row of its output,
+    whether the phase argument it formed is finite on every node, which is
+    whether that row is: an inf or NaN in u, or an overflow of |u|^alpha,
+    makes the argument non-finite, and a finite argument is a unit
+    rotation.  The argument read is the one scaled by the step's dt on a
+    Cartesian grid, and the one of the owed half on a radial grid.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
@@ -145,6 +154,13 @@ class SplitStepper:
         # takes a phase argument: B keeps |u|
         self._note_peak, self._peak_sq = False, None
         self._linear_phase_cache = (None, None)
+        self.finite_rows = None
+
+    def _note_finite(self, arg):
+        """np.isfinite(arg), whose per-row conjunction goes to finite_rows."""
+        finite = np.isfinite(arg)
+        self.finite_rows = finite.reshape(-1, self.potential.size).all(axis=1)
+        return finite
 
     # -- A: the grid's free flow over tau -------------------------------
 
@@ -204,8 +220,11 @@ class SplitStepper:
         else:
             u = self._free(tau)(u)
         # u is the fresh output of a linear step and is rotated in place
-        u *= self._rotation(dt, self._phase_arg(u, nonlinear))
+        arg = self._phase_arg(u, nonlinear)
+        u *= self._rotation(dt, arg)
         if self._merge:
+            if arg is not self.potential:
+                self._note_finite(arg)  # the rotation left -dt arg in arg's memory
             self._owed = half
             return u
         return self._free(half)(u)
@@ -224,7 +243,7 @@ class SplitStepper:
             return u
         if arg is not self.potential:
             # the owed rotation would turn these nodes non-finite a step late
-            finite = np.isfinite(arg)
+            finite = self._note_finite(arg)
             if not finite.all():
                 u[~finite] = np.nan
         self._owed, self._arg = half, arg
@@ -270,8 +289,10 @@ class SplitStepper:
         if tau != self._owed:
             weight = np.minimum(2.0, self._owed * self.grid.k_squared())
             self._drift = (self._owed, weight)
-        # one sum per row of a stack; the widest bounds every row
-        rows = np.abs(self._spectrum).reshape(-1, weight.size) @ weight.ravel()
+        # one sum per row of a stack, the widest bounding every row; einsum's,
+        # not BLAS dgemv's, whose bits depend on the BLAS thread count
+        rows = np.einsum("ki,i->k", np.abs(self._spectrum).reshape(-1, weight.size),
+                         weight.ravel())
         drift = float(rows.max()) / weight.size
         slack = drift + 1e-9 * (top + drift)
         return max(top - slack, 0.0), top + slack
@@ -463,8 +484,7 @@ def evolve(
             step += 1
             t = step * dt_fixed if fixed else t + dt
 
-            finite = np.isfinite(u.view(np.float64)).reshape(len(runs), -1).all(axis=1)
-            for m, ok in zip(runs, finite):
+            for m, ok in zip(runs, stepper.finite_rows):
                 if not ok and m.status is None:
                     m._stop("invalid", t, f"non-finite field after step {step} (t={t:.6g})")
 

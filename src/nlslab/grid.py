@@ -383,29 +383,35 @@ class RadialGrid(Grid):
         out[:-1] = out[:-1] + s.upper * u[1:]
         return out
 
-    def factor_shifted_laplacian(self, z):
-        """Solver b -> (I - z Lap)^(-1) b along b's last axis (z may be complex).
+    def factor_shifted_laplacian(self, z, scale=1.0):
+        """Solver b -> (scale (I - z Lap))^(-1) b along b's last axis (z may
+        be complex).
 
         The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf, from
-        the OpenBLAS numpy loads, or scipy's where that is missing); each call
-        of the returned solver is one ?gttrs back-substitution.  LinAlgError
+        the OpenBLAS numpy loads, or scipy's where that is missing).  For
+        Re z >= 0 elimination needs no row swap, and where ?gttrf makes none
+        (on every grid tried) each call of the returned solver is a
+        unit-lower and a unit-upper bidiagonal sweep with a product by the
+        reciprocal pivots between them (`_lapack`).  A power-of-two scale
+        leaves the multipliers as they are and scales the pivots exactly, so
+        the solve is exactly the unscaled one divided by scale.  LinAlgError
         if I - z Lap is singular.
         """
-        s = self.stencil()
-        return factor_tridiagonal(-z * s.lower, 1.0 - z * s.diag, -z * s.upper)
+        s, z = self.stencil(), scale * z
+        return factor_tridiagonal(-z * s.lower, scale - z * s.diag, -z * s.upper)
 
     def free_propagator(self, tau):
         """Crank-Nicolson free flow in Cayley form u+ = 2 (I - zL)^(-1) u - u.
 
         z = i tau/2; unitary in the weighted inner product in which L is
-        symmetric, and exactly inverted by the map for -tau.  A (K, n_r)
-        stack is solved as K right-hand sides of one back-substitution.
+        symmetric, and exactly inverted by the map for -tau.  The factored
+        matrix is (I - zL)/2, whose solve is 2 (I - zL)^(-1) u with no
+        product by 2.  A (K, n_r) stack is solved row by row.
         """
-        solve = self.factor_shifted_laplacian(0.5j * tau)
+        solve = self.factor_shifted_laplacian(0.5j * tau, 0.5)
 
         def step(u):
             out = solve(u)
-            out *= 2.0
             out -= u
             return out
 

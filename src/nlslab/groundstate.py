@@ -86,9 +86,11 @@ class GroundState:
 
 
 # the revision of _petviashvili's iteration and stopping rule (2: the stop is
-# relative to ||q||_2).  It is part of the artifacts' solver hash: raising it
-# with any change that can move a profile makes saved profiles be solved again
-SOLVER_REVISION = 2
+# relative to ||q||_2; 3: radial (1 - Lap)^(-1) solves by unit-bidiagonal
+# sweeps, which move d >= 2 profiles at roundoff).  It is part of the
+# artifacts' solver hash: raising it with any change that can move a profile
+# makes saved profiles be solved again
+SOLVER_REVISION = 3
 
 
 def _petviashvili(grid, alpha, damping, tol, max_iter):

@@ -482,6 +482,46 @@ def test_overflow_inside_merged_stretch_stops_at_the_same_step(g):
     assert rel_err(out.final_field.values, ref_records[5]) <= 1e-12
 
 
+@pytest.mark.parametrize("g", [Grid(1, "cartesian", n=256, L=20.0),
+                               Grid(1, "radial", n_r=256, r_max=20.0)],
+                         ids=["cartesian", "radial"])
+def test_finite_rows_are_the_rows_a_rescan_finds_finite(g):
+    # the chirped Gaussian above at amplitude 1 overflows |u|^alpha at step 9,
+    # at amplitude 0.5 never; each merged step's flags are its output's rows
+    spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=1e5, sign="defocusing")
+    z = 1.0 - 2.0j
+    chirped = 1.25 * np.exp(-g.coords(0)**2 / (2.0 * z)) / np.sqrt(z)
+    stepper = SplitStepper(g, spec, merge_halves=True)
+    u, seen = np.stack([chirped, 0.5 * chirped]), []
+    with np.errstate(all="ignore"):
+        for _ in range(12):
+            u = stepper.step(u, 0.05)
+            rescan = np.isfinite(u.view(np.float64)).reshape(2, -1).all(axis=1)
+            assert stepper.finite_rows.tolist() == rescan.tolist()
+            seen.append(rescan.tolist())
+    assert seen == [[True, True]] * 8 + [[False, True]] * 4
+
+
+def test_radial_member_overflowing_in_a_stack_stops_at_its_solo_step():
+    # the radial stack of the overflowing and the quiet chirped Gaussian:
+    # the first stops at step 9 as its solo run does, the second completes,
+    # each with its solo run's records and final field
+    spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=1e5, sign="defocusing")
+    g = Grid(1, "radial", n_r=256, r_max=20.0)
+    z = 1.0 - 2.0j
+    chirped = 1.25 * np.exp(-g.r**2 / (2.0 * z)) / np.sqrt(z)
+    fields = [Field(g, chirped), Field(g, 0.5 * chirped)]
+    cfg = EvolveConfig(dt0=0.05, t_end=1.0, record_stride=5)
+    stacked = evolve([Member(f) for f in fields], spec, cfg)
+    assert [m.status for m in stacked] == ["invalid", "completed"]
+    assert stacked[0].warnings == ["non-finite field after step 9 (t=0.45)"]
+    for f, member in zip(fields, stacked):
+        solo = evolve(f, spec, cfg)
+        assert (member.status, member.t_reached) == (solo.status, solo.t_reached)
+        assert member.warnings == solo.warnings and member.records == solo.records
+        assert member.final_field.values.tobytes() == solo.final_field.values.tobytes()
+
+
 def test_cartesian_linear_flow_forward_then_back():
     spec = EquationSpec(d=2, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
     g = Grid(2, "cartesian", n=64, L=8.0)

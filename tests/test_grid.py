@@ -408,17 +408,48 @@ print(kin.hex(), flux.hex(), g.shell_mass_fraction(u).hex())
 """
 
 
-def test_cartesian_reductions_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a dot product of more than about 1e4 elements across
-    # its threads; 128^2 is past that
+_SUP_BOUNDS = """
+import numpy as np
+from nlslab.checks import random_band_limited_field
+from nlslab.equation import EquationSpec
+from nlslab.evolve import SplitStepper
+from nlslab.grid import Grid
+g = Grid(2, "cartesian", n=128, L=10.0)
+spec = EquationSpec(d=2, c=1.0, sigma=0.5, alpha=2.0, sign="focusing")
+for seed in range(6):
+    for dt in (1e-2, 1e-3):
+        u0 = random_band_limited_field(g, seed).values
+        for u in (u0, np.stack([u0, 0.5 * u0])):
+            stepper = SplitStepper(g, spec, merge_halves=True)
+            u = stepper.step(u, dt)
+            print(*(bound.hex() for bound in stepper.sup_bounds(u)))
+"""
+
+
+def _on_one_and_two_blas_threads(script):
+    """script's output in two fresh interpreters, on one and two BLAS threads."""
     src = os.path.dirname(os.path.dirname(nlslab.grid.__file__))
     got = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        got.append(subprocess.run([sys.executable, "-c", _REDUCTIONS], env=env,
+        got.append(subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, check=True).stdout)
+    return got
+
+
+def test_cartesian_reductions_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than about 1e4 elements across
+    # its threads; 128^2 is past that
+    got = _on_one_and_two_blas_threads(_REDUCTIONS)
     assert got[0] == got[1] and len(got[0].split()) == 3
+
+
+def test_sup_bounds_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dgemv over a stack of two 128^2 spectra moved the drift bound's
+    # last bits with the thread count (seeds 2-4 at dt = 1e-2)
+    got = _on_one_and_two_blas_threads(_SUP_BOUNDS)
+    assert got[0] == got[1] and len(got[0].split()) == 48
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"d{g.d}-n{g.n}")

@@ -26,6 +26,36 @@ def _both_routes(bands):
     return ctypes_route, scipy_route
 
 
+def _swapping_bands(n, complex_):
+    """Bands whose tiny leading pivot makes ?gttrf swap rows 1 and 2."""
+    diag = np.full(n, 4.0)
+    diag[0] = 1e-8
+    lower, upper = np.ones(n - 1), np.full(n - 1, 0.5)
+    if not complex_:
+        return lower, diag, upper
+    return lower + 0j, diag + 1j * np.linspace(0.0, 1.0, n), upper + 0j
+
+
+def _residual(bands, x, b):
+    """max|A x - b| / max|b| for the tridiagonal A with these bands."""
+    lower, diag, upper = bands
+    ax = diag * x
+    ax[..., 1:] += lower * x[..., :-1]
+    ax[..., :-1] += upper * x[..., 1:]
+    return np.max(np.abs(ax - b)) / np.max(np.abs(b))
+
+
+def _gttrs_reference(bands, b):
+    """b solved by scipy's ?gttrf and ?gttrs, whatever the pivots."""
+    from scipy.linalg import get_lapack_funcs
+
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+    *factors, info = gttrf(*bands)
+    x, status = gttrs(*factors, b)
+    assert info == status == 0
+    return x
+
+
 def _right_hand_sides(n, complex_):
     rng = np.random.default_rng(n)
     one = rng.standard_normal(n)
@@ -49,6 +79,101 @@ def test_ctypes_and_scipy_routes_give_the_same_bytes(d, z):
         assert got.dtype == want.dtype and got.shape == want.shape == b.shape
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
         assert b.tobytes() == before
+
+
+@needs_openblas
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_row_swapping_factorization_solves_through_gttrs_on_both_routes(
+        complex_, monkeypatch):
+    import scipy.linalg
+
+    bands = _swapping_bands(64, complex_)
+    prefix = "z" if complex_ else "d"
+    gttrf, gttrs, tbsv = _lapack._openblas()[prefix]
+    calls = []
+
+    def counted(name, routine):
+        def call(*args, **kw):
+            calls.append(name)
+            return routine(*args, **kw)
+        return call
+
+    real_lapack = scipy.linalg.get_lapack_funcs
+
+    def counting_lapack(names, arrays):
+        scipy_gttrf, scipy_gttrs = real_lapack(names, arrays)
+        return scipy_gttrf, counted("scipy gttrs", scipy_gttrs)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lapack)
+    ctypes_route = _lapack._ctypes_solver(gttrf, counted("gttrs", gttrs),
+                                          counted("tbsv", tbsv),
+                                          *[np.array(b) for b in bands])
+    scipy_route = _lapack._scipy_solver(*[np.array(b) for b in bands])
+    for b in _right_hand_sides(64, complex_):
+        got, want = ctypes_route(b), scipy_route(b)
+        assert got.tobytes() == want.tobytes()
+        assert _residual(bands, got, b) <= 1e-14
+    assert calls == ["gttrs", "scipy gttrs"] * 3
+
+
+def _scatter_and_ground_state_matrices():
+    scatter = Grid(3, "radial", n_r=3072, r_max=96.0)
+    ground_state = Grid(3, "radial", n_r=32768, r_max=20.0)
+    return [(scatter, 2e-3j), (scatter, -2e-3j), (ground_state, 1.0)]
+
+
+@needs_openblas
+@pytest.mark.parametrize("grid, z", _scatter_and_ground_state_matrices(),
+                         ids=["scatter+", "scatter-", "ground-state"])
+def test_unit_sweeps_agree_with_gttrs(grid, z):
+    # the scatter-radial3d matrix I - z Lap, z = i tau/2 with tau = +-4e-3, and
+    # the elliptic 1 - Lap of a d = 3 ground-state solve
+    bands = _shifted_bands(grid, z)
+    ctypes_route, scipy_route = _both_routes(bands)
+    for b in _right_hand_sides(grid.n_r, isinstance(z, complex)):
+        got, want = ctypes_route(b), _gttrs_reference(bands, b.T).T
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got.tobytes() == scipy_route(b).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_r, r_max", [(8, 1.0), (512, 20.0), (3072, 96.0),
+                                        (32768, 1000.0)])
+def test_shifted_laplacians_factor_without_row_swaps(d, n_r, r_max, monkeypatch):
+    # Re z >= 0 gives W (I - z Lap) a positive-definite Hermitian part, and
+    # ?gttrf swaps no row: every solver takes the unit sweeps
+    pivots_swapped = []
+    real_swapped = _lapack._swapped
+
+    def noting_swapped(ipiv):
+        pivots_swapped.append(real_swapped(ipiv))
+        return pivots_swapped[-1]
+
+    monkeypatch.setattr(_lapack, "_swapped", noting_swapped)
+    grid = Grid(d, "radial", n_r=n_r, r_max=r_max)
+    for tau in (1e-6, 1e-3, 4e-3, 0.1, 10.0, 1e4):
+        for z in (0.5j * tau, -0.5j * tau, tau):
+            grid.factor_shifted_laplacian(z)
+    assert pivots_swapped == [False] * 18
+
+
+@pytest.mark.parametrize("z", [2e-3j, -2e-3j, 1.0])
+def test_halved_matrix_solves_to_twice_the_solution(z, monkeypatch):
+    # (I - z Lap)/2 keeps the multipliers and halves the pivots exactly, so
+    # free_propagator's solve is the unscaled solve times 2 to the bit
+    grid = Grid(3, "radial", n_r=512, r_max=20.0)
+    one, stack, _ = _right_hand_sides(grid.n_r, isinstance(z, complex))
+    routes = [lambda: None]  # the scipy fallback
+    if _lapack._openblas() is not None:
+        routes.append(_lapack._openblas)
+    for route in routes:
+        monkeypatch.setattr(_lapack, "_openblas", route)
+        halved, whole = (grid.factor_shifted_laplacian(z, s) for s in (0.5, 1.0))
+        for b in (one, stack):
+            assert halved(b).tobytes() == (2.0 * whole(b)).tobytes()
+    u = one + 0j
+    assert (grid.free_propagator(4e-3)(u).tobytes()
+            == (2.0 * grid.factor_shifted_laplacian(2e-3j)(u) - u).tobytes())
 
 
 def test_fallback_route_gives_the_same_bytes(monkeypatch):
@@ -82,7 +207,7 @@ def test_singular_shifted_laplacian_raises_on_both_routes(monkeypatch):
 def test_nonzero_info_from_gttrs_raises_on_both_routes(monkeypatch):
     import scipy.linalg
 
-    bands = _shifted_bands(Grid(3, "radial", n_r=64, r_max=10.0), 1e-3j)
+    bands = _swapping_bands(64, True)  # only a factorization that swapped reaches gttrs
     real_funcs = scipy.linalg.get_lapack_funcs
 
     def reporting_minus_3(names, arrays):
@@ -93,12 +218,12 @@ def test_nonzero_info_from_gttrs_raises_on_both_routes(monkeypatch):
     solvers = [_lapack._scipy_solver(*[np.array(b) for b in bands])]
     if _lapack._openblas() is not None:
         # the real zgttrs, handed NRHS = -1, reports argument 3 as illegal
-        gttrf, gttrs = _lapack._openblas()["z"]
+        gttrf, gttrs, tbsv = _lapack._openblas()["z"]
 
         def negative_nrhs(trans, n, nrhs, *rest):
             gttrs(trans, n, ctypes.byref(ctypes.c_int64(-1)), *rest)
 
-        solvers.append(_lapack._ctypes_solver(gttrf, negative_nrhs,
+        solvers.append(_lapack._ctypes_solver(gttrf, negative_nrhs, tbsv,
                                               *[np.array(b) for b in bands]))
     for solve in solvers:
         with pytest.raises(np.linalg.LinAlgError, match="gttrs: argument 3 has an illegal"):
