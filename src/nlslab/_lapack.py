@@ -12,14 +12,16 @@ row swaps is stable for such matrices (Golub and Van Loan, Linear Algebra
 Appl. 28 (1979) 85-97).  Whether ?gttrf swapped is read from its pivots,
 not assumed, and a factorization that swapped rows is solved by ?gttrs.
 
-The routines are bound with ctypes from the OpenBLAS that numpy's wheel
-ships and has already loaded (numpy.libs/libscipy_openblas64_*.so, whose
-symbols scipy_{d,z}gttr{f,s}_64_ and scipy_{d,z}tbsv_64_ take 64-bit
-integers), so a solve needs no scipy import.  Where that library or a
-symbol is missing, scipy.linalg.get_{lapack,blas}_funcs supply the same
-routines, imported on first use.  Both routes give the same solver with
-the same bytes: b -> A^(-1) b, one copy of b per call, LinAlgError on a
-nonzero LAPACK info.
+One solver serves two symbol tables, each called through ctypes.  The
+first is the OpenBLAS that numpy's wheel ships and has already loaded
+(numpy.libs/libscipy_openblas64_*.so, whose symbols scipy_{d,z}gttr{f,s}_64_
+and scipy_{d,z}tbsv_64_ take 64-bit integers), so a solve needs no scipy
+import.  Where that library or a symbol is missing, the second is scipy's
+Cython LAPACK and BLAS API (scipy.linalg.cython_lapack and cython_blas,
+32-bit integers), whose function pointers are read from the modules'
+__pyx_capi__ capsules on first use.  The swap test, the sweeps and the
+checks are the same lines on both: b -> A^(-1) b, one copy of b per call,
+LinAlgError on a nonzero LAPACK info.
 """
 
 from __future__ import annotations
@@ -33,31 +35,52 @@ import numpy as np
 
 __all__ = ["factor_tridiagonal"]
 
-_INT = ctypes.c_int64
+# Every routine returns void.  gttrf(n, dl, d, du, du2, ipiv, info) takes
+# seven pointers.  gttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info)
+# and tbsv(uplo, trans, diag, n, k, a, lda, x, incx) are undeclared: the
+# solver hands them ctypes objects only, and a declared conversion of 12
+# arguments costs about 1 us per call.  The OpenBLAS symbols then take the
+# hidden length of each character argument; the Cython pointers take none,
+# and a C call, whose caller pops the arguments, ignores the extra ones.
+_GTTRF = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 7)
+_UNDECLARED = ctypes.CFUNCTYPE(None)
+
+
+def _table(int_, source):
+    """{"d": (int_, gttrf, gttrs, tbsv), "z": (...)}, where source(prefix,
+    name) is a (symbol, library) pair or an address."""
+    return {p: (int_, _GTTRF(source(p, "gttrf")), _UNDECLARED(source(p, "gttrs")),
+                _UNDECLARED(source(p, "tbsv"))) for p in "dz"}
 
 
 @functools.cache
 def _openblas():
-    """{"d": (gttrf, gttrs, tbsv), "z": (...)} bound from numpy's OpenBLAS, or None."""
+    """The symbol table of numpy's OpenBLAS (64-bit integers), or None."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
             lib = ctypes.CDLL(path)
-            routines = {p: tuple(getattr(lib, f"scipy_{p}{name}_64_")
-                                 for name in ("gttrf", "gttrs", "tbsv")) for p in "dz"}
+            return _table(ctypes.c_int64, lambda p, name: (f"scipy_{p}{name}_64_", lib))
         except (OSError, AttributeError):
             continue
-        for gttrf, gttrs, tbsv in routines.values():
-            # gttrf(n, dl, d, du, du2, ipiv, info)
-            gttrf.argtypes, gttrf.restype = [ctypes.c_void_p] * 7, None
-            # gttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans))
-            # and tbsv(uplo, trans, diag, n, k, a, lda, x, incx, len(uplo),
-            # len(trans), len(diag)), undeclared: the solvers hand them ctypes
-            # objects only, and a declared conversion of 12 arguments costs
-            # about 1 us per call
-            gttrs.restype = tbsv.restype = None
-        return routines
     return None
+
+
+@functools.cache
+def _scipy_cython():
+    """The symbol table of scipy's Cython LAPACK and BLAS API (C ints)."""
+    from scipy.linalg import cython_blas, cython_lapack
+
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+
+    def address(p, name):
+        capsule = (cython_blas if name == "tbsv" else cython_lapack).__pyx_capi__[p + name]
+        return pointer(capsule, name_of(capsule))
+
+    return _table(ctypes.c_int, address)
 
 
 def _check(info, routine):
@@ -73,11 +96,13 @@ def factor_tridiagonal(lower, diag, upper):
     its solver b -> A^(-1) b along b's last axis, where b is one right-hand
     side of len(diag) or a (K, len(diag)) stack of them.
 
-    Where the factorization swapped no row, as on every shifted radial
-    Laplacian tried (see above), each right-hand side is two
+    The routines are numpy's OpenBLAS's, or scipy's where that is missing
+    (see above).  Where the factorization swapped no row, as on every
+    shifted radial Laplacian tried, each right-hand side is two
     unit-bidiagonal ?tbsv sweeps with a product by the reciprocal pivots
-    between them; otherwise it is one ?gttrs back-substitution.  The bands are real or complex; a real matrix solves
-    real right-hand sides only.  LinAlgError if A is singular.
+    between them; otherwise it is one ?gttrs back-substitution.  The bands
+    are real or complex; a real matrix solves real right-hand sides only.
+    LinAlgError if A is singular.
     """
     complex_ = any(np.iscomplexobj(band) for band in (lower, diag, upper))
     dtype = np.dtype(np.complex128 if complex_ else np.float64)
@@ -86,22 +111,8 @@ def factor_tridiagonal(lower, diag, upper):
     if not bands[0].shape == bands[2].shape == (n - 1,):
         raise ValueError(f"bands of lengths {bands[0].size}, {n}, {bands[2].size} "
                          "are not tridiagonal")
-    routines = _openblas()
-    if routines is None:
-        return _scipy_solver(*bands)
-    return _ctypes_solver(*routines["z" if complex_ else "d"], *bands)
-
-
-def _unit_factors(dl, d, du):
-    """(band, 1/d) of a factorization that swapped no row: the C-ordered
-    (n, 2) array band is, read column-major, the LDA = 2 band storage of
-    both unit factors, since a unit sweep reads only its own off-diagonal
-    row: band[j, 0] = du[j-1] / d[j-1] is V's superdiagonal, band[j, 1] =
-    dl[j] L's subdiagonal."""
-    band = np.zeros((d.size, 2), d.dtype)
-    np.divide(du, d[:-1], out=band[1:, 0])
-    band[:-1, 1] = dl
-    return band, 1.0 / d
+    table = _openblas() or _scipy_cython()
+    return _solver(*table["z" if complex_ else "d"], *bands)
 
 
 def _ref(a):
@@ -121,33 +132,39 @@ def _checked_copy(b, n, dtype):
     return x
 
 
-def _ctypes_solver(gttrf, gttrs, tbsv, dl, d, du):
+def _solver(int_, gttrf, gttrs, tbsv, dl, d, du):
     n, dtype = d.size, d.dtype
     # gttrf overwrites the bands with the factors; each reference keeps its array alive
-    factors = (dl, d, du, np.empty(max(n - 2, 1), dtype), np.empty(n, np.int64))
+    factors = (dl, d, du, np.empty(max(n - 2, 1), dtype), np.empty(n, int_))
     refs = tuple(_ref(a) for a in factors)
-    size, info = _INT(n), _INT()
+    size, info = int_(n), int_()
     gttrf(ctypes.byref(size), *refs, ctypes.byref(info))
     _check(info.value, "gttrf")
     n_ref = ctypes.byref(size)  # N, and LDB of every right-hand side
-    one_ref = ctypes.byref(_INT(1))  # K, INCX, and NRHS of a single right-hand side
+    one_ref = ctypes.byref(int_(1))  # K, INCX, and NRHS of a single right-hand side
     no, up, low = (ctypes.create_string_buffer(c) for c in (b"N", b"U", b"L"))
-    length = ctypes.c_size_t(1)  # the hidden length of every character argument
+    length = ctypes.c_size_t(1)  # OpenBLAS's hidden length of each character argument
 
     if _swapped(factors[4]):
         def solve(b):
             x = _checked_copy(b, n, dtype)
-            status = _INT()  # one per call, so that threads may share the solver
+            status = int_()  # one per call, so that threads may share the solver
             # a C-ordered (K, n) stack is the column-major n x K matrix B of LAPACK
-            nrhs = one_ref if x.size == n else ctypes.byref(_INT(x.size // n))
+            nrhs = one_ref if x.size == n else ctypes.byref(int_(x.size // n))
             gttrs(no, n_ref, nrhs, *refs, _ref(x), n_ref, ctypes.byref(status), length)
             _check(status.value, "gttrs")
             return x
 
         return solve
 
-    band, rinv = _unit_factors(dl, d, du)  # the solver keeps no array of gttrf's
-    band_ref, two_ref = _ref(band), ctypes.byref(_INT(2))  # A and LDA
+    # the solver keeps no array of gttrf's: read column-major, the C-ordered
+    # (n, 2) band is the LDA = 2 storage of both unit factors, since a unit
+    # sweep reads only its own off-diagonal row: band[j, 0] = du[j-1] / d[j-1]
+    # is V's superdiagonal, band[j, 1] = dl[j] L's subdiagonal
+    band, rinv = np.zeros((n, 2), dtype), 1.0 / d
+    np.divide(du, d[:-1], out=band[1:, 0])
+    band[:-1, 1] = dl
+    band_ref, two_ref = _ref(band), ctypes.byref(int_(2))  # A and LDA
 
     def solve(b):
         x = _checked_copy(b, n, dtype)
@@ -159,36 +176,6 @@ def _ctypes_solver(gttrf, gttrs, tbsv, dl, d, du):
             row *= rinv
             tbsv(up, no, up, n_ref, one_ref, band_ref, two_ref, row_ref, one_ref,
                  length, length, length)
-        return x
-
-    return solve
-
-
-def _scipy_solver(dl, d, du):
-    from scipy.linalg import get_blas_funcs, get_lapack_funcs
-
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
-    *factors, info = gttrf(dl, d, du)
-    _check(info, "gttrf")
-
-    if _swapped(factors[4]):
-        def solve(b):
-            x, status = gttrs(*factors, b.T)  # f2py's column-major copy of b.T is x.T
-            _check(status, "gttrs")
-            return x.T
-
-        return solve
-
-    tbsv = get_blas_funcs("tbsv", (d,))
-    band, rinv = _unit_factors(*factors[:3])
-    band_f = band.T  # the Fortran-ordered (2, n) storage, no copy
-
-    def solve(b):
-        x = _checked_copy(b, rinv.size, rinv.dtype)
-        for row in (x,) if x.ndim == 1 else x:
-            y = tbsv(1, band_f, row, lower=1, diag=1, overwrite_x=1)
-            y *= rinv
-            row[...] = tbsv(1, band_f, y, lower=0, diag=1, overwrite_x=1)
         return x
 
     return solve

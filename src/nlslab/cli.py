@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import (
+    _json_text,
     atomic_write_text,
     ground_state_basename,
     load_ground_state,
@@ -158,8 +159,7 @@ def _finite_or_null(value):
 
 def _write_summary(path, payload):
     """Strict JSON: a NaN or infinite value is written as null."""
-    text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=1, allow_nan=False)
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, _json_text(_finite_or_null(payload)) + "\n")
 
 
 def _prepare_run(cfg: ExperimentConfig, profiles=None):

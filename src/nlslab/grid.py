@@ -388,7 +388,8 @@ class RadialGrid(Grid):
         be complex).
 
         The tridiagonal matrix is LU-factored once here (LAPACK ?gttrf, from
-        the OpenBLAS numpy loads, or scipy's where that is missing).  For
+        the OpenBLAS numpy loads, or through scipy's Cython LAPACK where that
+        is missing; one solver serves both).  For
         Re z >= 0 elimination needs no row swap, and where ?gttrf makes none
         (on every grid tried) each call of the returned solver is a
         unit-lower and a unit-upper bidiagonal sweep with a product by the

@@ -684,6 +684,42 @@ def test_radial_work_in_a_fresh_interpreter_imports_no_scipy(tmp_path):
     assert os.path.exists(os.path.join(tmp_path, "run", "final_state.bin"))
 
 
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_radial_evolve_on_scipy_routines_writes_the_default_bytes(tmp_path):
+    # with numpy's library lookup patched out, the solves bind scipy's Cython
+    # LAPACK and BLAS pointers and write the bytes of the default route
+    run_dir = os.path.join(tmp_path, "run")
+    text = BASE.format(outdir=run_dir).replace(
+        "d = 1\nc = 1.0", "d = 3\nc = 1.0").replace(
+        "mode = cartesian\nn = 256\nL = 12.0", "mode = radial\nn_r = 256\nr_max = 12.0").replace(
+        "t_end = 0.2", "t_end = 0.2\ncheckpoint_stride = 50")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["evolve", cfg]) == 0
+    os.rename(run_dir, run_dir + "-default")
+    code = ("import sys, nlslab._lapack, nlslab.cli\n"
+            "nlslab._lapack._openblas = lambda: None\n"
+            "assert nlslab.cli.main(['evolve', sys.argv[1]]) == 0\n"
+            "sys.exit('scipy.linalg.cython_lapack' not in sys.modules)")
+    src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, cfg], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names = sorted(os.listdir(run_dir))
+    assert names == sorted(os.listdir(run_dir + "-default"))
+    assert sum(name.startswith("checkpoint_") and name.endswith(".bin") for name in names) == 4
+    for name in names:
+        got, want = (_read_bytes(os.path.join(d, name)) for d in (run_dir, run_dir + "-default"))
+        if name == "summary.json":  # equal apart from the wall time
+            got, want = ({k: v for k, v in json.loads(t).items() if k != "wall_time_s"}
+                         for t in (got, want))
+        assert got == want, name
+
+
 def test_cli_import_leaves_scipy_fft_out():
     # importing scipy.fft pulls in scipy.special, a cost every CLI start would pay
     code = "import sys, nlslab.cli; sys.exit('scipy.fft' in sys.modules)"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlslab import groundstate
 from nlslab.checks import random_band_limited_field, random_radial_field
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import (
@@ -96,6 +97,41 @@ def test_residual_growth_aborts_both_attempts():
         assert q is None and growths == 6
     with pytest.raises(GroundStateError, match="after damped retry"):
         solve_ground_state(3, 0.2, grid)
+
+
+class _DoublingGrid:
+    """A grid whose (1 - Lap)^(-1) adds 1e-10 * 2^k times the node-to-node
+    alternating vector on its k-th call.  The residual then holds Lap of
+    that term, about 4/dx^2 times its size, so past the first iterations it
+    doubles on every step and never falls to the tolerance."""
+
+    def __init__(self, grid):
+        self.grid, self.calls = grid, 0
+
+    def __getattr__(self, name):
+        return getattr(self.grid, name)
+
+    def inv_one_minus_lap(self, u):
+        self.calls += 1
+        alternating = (-1.0) ** np.arange(u.shape[-1])
+        return self.grid.inv_one_minus_lap(u) + 1e-10 * 2.0 ** self.calls * alternating
+
+
+def test_residual_that_doubles_aborts_both_attempts_after_six_growths(monkeypatch):
+    # unlike the case above, the growth does not hinge on roundoff: each
+    # attempt grows on every step past the burn-in and stops at step 26
+    grid = _DoublingGrid(Grid(1, "cartesian", n=256, L=20.0))
+    attempts = []
+
+    def each_attempt_from_its_first_call(grid, *args):
+        grid.calls = 0
+        attempts.append((*_petviashvili(grid, *args), grid.calls))
+        return attempts[-1][:4]
+
+    monkeypatch.setattr(groundstate, "_petviashvili", each_attempt_from_its_first_call)
+    with pytest.raises(GroundStateError, match="after damped retry"):
+        solve_ground_state(1, 2.0, grid)
+    assert [(q, growths, calls) for q, _, _, growths, calls in attempts] == [(None, 6, 26)] * 2
 
 
 def test_gn_oracle_saturates_on_q(gs_1d_cubic):

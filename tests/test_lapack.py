@@ -17,13 +17,13 @@ def _shifted_bands(grid, z):
 
 
 def _both_routes(bands):
-    """(ctypes solver, scipy solver) of the same bands, each on its own copy."""
+    """(numpy OpenBLAS solver, scipy Cython solver) of the same bands, each
+    on its own copy."""
     complex_ = np.iscomplexobj(bands[1])
     dtype = np.complex128 if complex_ else np.float64
-    ctypes_route = _lapack._ctypes_solver(*_lapack._openblas()["z" if complex_ else "d"],
-                                          *[np.array(b, dtype=dtype) for b in bands])
-    scipy_route = _lapack._scipy_solver(*[np.array(b, dtype=dtype) for b in bands])
-    return ctypes_route, scipy_route
+    return tuple(_lapack._solver(*table["z" if complex_ else "d"],
+                                 *[np.array(b, dtype=dtype) for b in bands])
+                 for table in (_lapack._openblas(), _lapack._scipy_cython()))
 
 
 def _swapping_bands(n, complex_):
@@ -83,13 +83,8 @@ def test_ctypes_and_scipy_routes_give_the_same_bytes(d, z):
 
 @needs_openblas
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_row_swapping_factorization_solves_through_gttrs_on_both_routes(
-        complex_, monkeypatch):
-    import scipy.linalg
-
+def test_row_swapping_factorization_solves_through_gttrs_on_both_routes(complex_):
     bands = _swapping_bands(64, complex_)
-    prefix = "z" if complex_ else "d"
-    gttrf, gttrs, tbsv = _lapack._openblas()[prefix]
     calls = []
 
     def counted(name, routine):
@@ -98,22 +93,17 @@ def test_row_swapping_factorization_solves_through_gttrs_on_both_routes(
             return routine(*args, **kw)
         return call
 
-    real_lapack = scipy.linalg.get_lapack_funcs
-
-    def counting_lapack(names, arrays):
-        scipy_gttrf, scipy_gttrs = real_lapack(names, arrays)
-        return scipy_gttrf, counted("scipy gttrs", scipy_gttrs)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lapack)
-    ctypes_route = _lapack._ctypes_solver(gttrf, counted("gttrs", gttrs),
-                                          counted("tbsv", tbsv),
-                                          *[np.array(b) for b in bands])
-    scipy_route = _lapack._scipy_solver(*[np.array(b) for b in bands])
+    solvers = []
+    for route, table in (("numpy", _lapack._openblas()), ("scipy", _lapack._scipy_cython())):
+        int_, gttrf, gttrs, tbsv = table["z" if complex_ else "d"]
+        solvers.append(_lapack._solver(int_, gttrf, counted(f"{route} gttrs", gttrs),
+                                       counted(f"{route} tbsv", tbsv),
+                                       *[np.array(b) for b in bands]))
     for b in _right_hand_sides(64, complex_):
-        got, want = ctypes_route(b), scipy_route(b)
+        got, want = (solve(b) for solve in solvers)
         assert got.tobytes() == want.tobytes()
         assert _residual(bands, got, b) <= 1e-14
-    assert calls == ["gttrs", "scipy gttrs"] * 3
+    assert calls == ["numpy gttrs", "scipy gttrs"] * 3
 
 
 def _scatter_and_ground_state_matrices():
@@ -204,27 +194,21 @@ def test_singular_shifted_laplacian_raises_on_both_routes(monkeypatch):
                 grid.factor_shifted_laplacian(z)
 
 
-def test_nonzero_info_from_gttrs_raises_on_both_routes(monkeypatch):
-    import scipy.linalg
-
+def test_nonzero_info_from_gttrs_raises_on_both_routes():
     bands = _swapping_bands(64, True)  # only a factorization that swapped reaches gttrs
-    real_funcs = scipy.linalg.get_lapack_funcs
-
-    def reporting_minus_3(names, arrays):
-        gttrf, gttrs = real_funcs(names, arrays)
-        return gttrf, lambda *args: (gttrs(*args)[0], -3)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", reporting_minus_3)
-    solvers = [_lapack._scipy_solver(*[np.array(b) for b in bands])]
+    tables = [_lapack._scipy_cython()]
     if _lapack._openblas() is not None:
+        tables.append(_lapack._openblas())
+    solvers = []
+    for table in tables:
         # the real zgttrs, handed NRHS = -1, reports argument 3 as illegal
-        gttrf, gttrs, tbsv = _lapack._openblas()["z"]
+        int_, gttrf, gttrs, tbsv = table["z"]
 
-        def negative_nrhs(trans, n, nrhs, *rest):
-            gttrs(trans, n, ctypes.byref(ctypes.c_int64(-1)), *rest)
+        def negative_nrhs(trans, n, nrhs, *rest, int_=int_, gttrs=gttrs):
+            gttrs(trans, n, ctypes.byref(int_(-1)), *rest)
 
-        solvers.append(_lapack._ctypes_solver(gttrf, negative_nrhs, tbsv,
-                                              *[np.array(b) for b in bands]))
+        solvers.append(_lapack._solver(int_, gttrf, negative_nrhs, tbsv,
+                                       *[np.array(b) for b in bands]))
     for solve in solvers:
         with pytest.raises(np.linalg.LinAlgError, match="gttrs: argument 3 has an illegal"):
             solve(np.ones(64, dtype=complex))
