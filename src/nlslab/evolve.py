@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -100,8 +101,10 @@ class EvolveConfig:
         0, at_least(0), "steps between field checkpoints (0: final only)")
     record_stride: int = declared(10, at_least(1), "steps between records")
     cfl_constant: float = declared(0.1, above(0.0))
+    # normal floats: under the loop's flush to zero a subnormal R reads as 0
     phi_r_list: tuple[float, ...] = declared(
-        (), each(above(0.0)), 'localized-virial scales, e.g. "8 16 32"')
+        (), each(at_least(sys.float_info.min)),
+        'localized-virial scales, e.g. "8 16 32"')
     epsilon_reg: float = declared(0.0, at_least(0.0), "floor of |x| in the potential")
     max_steps: int = declared(10_000_000, at_least(1), "steps allowed to reach t_end")
 

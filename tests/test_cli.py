@@ -91,6 +91,7 @@ def test_config_invalid_exit_code(tmp_path):
         ("c = 1.0", "c = nan"),
         ("stride = 20", "stride = 20\nr_list = -1"),
         ("stride = 20", "stride = 20\nr_list = 0"),
+        ("stride = 20", "stride = 20\nr_list = 8 1e-310"),
         ("c = 1.0", "c = 1.0\nepsilon_reg = -1"),
         ("c = 1.0", "c = 1.0\nepsilon_reg = nan"),
         ("width = 1.0", "width = 0"),
@@ -151,7 +152,7 @@ def test_config_invalid_exit_code(tmp_path):
     ids=["n-not-power-of-two", "stride-zero", "dt0-nan", "t_end-inf", "L-nan",
          "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
          "sweep-n-not-power-of-two", "alpha-nan", "c-nan", "r_list-negative",
-         "r_list-zero", "epsilon_reg-negative", "epsilon_reg-nan", "width-zero",
+         "r_list-zero", "r_list-subnormal", "epsilon_reg-negative", "epsilon_reg-nan", "width-zero",
          "width-negative", "amplitude-nan", "center-nan", "phase_k-inf", "scale-nan",
          "cfl_constant-negative", "cfl_constant-nan", "blowup_grad_factor-nan",
          "blowup_dt_floor-nan", "blowup_dt_floor-negative", "tolerance-nan",
