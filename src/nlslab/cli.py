@@ -30,7 +30,6 @@ from .checkpoint import (
     save_ground_state,
     write_field,
 )
-from .checks import run_invariant_suite
 from .config import (
     ConfigError,
     DEFAULT_CONFIG_TEMPLATE,
@@ -172,8 +171,7 @@ def _prepare_run(cfg: ExperimentConfig, profiles=None):
     os.makedirs(run_dir, exist_ok=True)
     chash = config_hash(cfg)
     u0 = build_initial_field(cfg, profiles)
-    rec0 = record(u0, cfg.equation, phi_r=tuple(cfg.evolve.phi_r_list),
-                  epsilon_reg=cfg.evolve.epsilon_reg)
+    rec0 = record(u0, cfg.equation, phi_r=tuple(cfg.evolve.phi_r_list))
     verdict, glassey_delta, warnings = None, None, []
     try:
         verdict, glassey_delta = _threshold(cfg, rec0)
@@ -271,7 +269,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
     # no phi_r: the verdict reads only mass, energy and the gradient norm
-    rec0 = record(build_initial_field(cfg), cfg.equation, epsilon_reg=cfg.evolve.epsilon_reg)
+    rec0 = record(build_initial_field(cfg), cfg.equation)
     verdict, _ = _threshold(cfg, rec0)
     os.makedirs(cfg.output.directory, exist_ok=True)
     payload = {
@@ -401,6 +399,7 @@ def _hash_consistency(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 
 def cmd_check(cfg: ExperimentConfig) -> int:
+    from .checks import run_invariant_suite  # here: no other command compiles it
     ok = run_invariant_suite(seed=cfg.output.seed)
     hash_ok, detail = _hash_consistency(cfg)
     print(f"{'PASS' if hash_ok else 'FAIL'} hash-consistency: {detail}")

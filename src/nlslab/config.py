@@ -2,7 +2,7 @@
 
 Each section's dataclass is the only description of its keys: a field is
 read from the file key of the same name, converted by its type annotation,
-and falls back to its default.  Three keys sit in a section other than the
+and falls back to its default.  Two keys sit in a section other than the
 dataclass that owns their value (_MOVED_KEYS).  Sweeps override a value
 through the same lookup, conversion and validation.  Configs are hashed
 over a canonical serialization so identical experiments are
@@ -121,7 +121,6 @@ _FIELDS = {s: {f.name: f for f in dataclasses.fields(cls)}
 _MOVED_KEYS = {
     ("observables", "stride"): ("evolve", "record_stride"),
     ("observables", "r_list"): ("evolve", "phi_r_list"),
-    ("equation", "epsilon_reg"): ("evolve", "epsilon_reg"),
 }
 
 # (section, lowercased file key) -> (section, field); configparser
@@ -293,9 +292,10 @@ def build_initial_field(cfg: ExperimentConfig, profiles=None) -> Field:
     unless profiles, a dict that keeps Q by what determines it, holds it."""
     ini, grid = cfg.initial, build_grid(cfg)
     if ini.kind == "gaussian":
-        two_var = 2.0 * np.float64(ini.width) ** 2  # inf, not OverflowError
-        r2 = grid.sum_over_axes(lambda ax: (grid.coords(ax) - ini.center) ** 2)
-        values = ini.amplitude * np.exp(-r2 / two_var)
+        with np.errstate(over="ignore", divide="ignore"):  # width^2 may be inf or 0
+            two_var = 2.0 * np.float64(ini.width) ** 2  # inf, not OverflowError
+            r2 = grid.sum_over_axes(lambda ax: (grid.coords(ax) - ini.center) ** 2)
+            values = ini.amplitude * np.exp(-r2 / two_var)
         if ini.phase_k != 0.0:
             values = values * np.exp(1j * ini.phase_k * grid.coords(0))
         return Field(grid, values.astype(np.complex128))

@@ -115,6 +115,7 @@ class EquationSpec:
     sigma: float = declared(0.5, doc="potential exponent, 0 < sigma < min(2, d)")
     alpha: float = declared(2.0, above(0.0), "nonlinearity power")
     sign: str = declared("defocusing", one_of("focusing", "defocusing"))
+    epsilon_reg: float = declared(0.0, at_least(0.0), "floor of |x| in the potential")
 
     def __post_init__(self):
         check_domains(self)

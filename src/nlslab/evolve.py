@@ -105,7 +105,6 @@ class EvolveConfig:
     phi_r_list: tuple[float, ...] = declared(
         (), each(at_least(sys.float_info.min)),
         'localized-virial scales, e.g. "8 16 32"')
-    epsilon_reg: float = declared(0.0, at_least(0.0), "floor of |x| in the potential")
     max_steps: int = declared(10_000_000, at_least(1), "steps allowed to reach t_end")
 
     def __post_init__(self):
@@ -140,12 +139,11 @@ class SplitStepper:
     Cartesian grid, and the one of the owed half on a radial grid.
     """
 
-    def __init__(self, grid: Grid, spec: EquationSpec, epsilon_reg=0.0,
-                 merge_halves=False):
+    def __init__(self, grid: Grid, spec: EquationSpec, merge_halves=False):
         self.grid = grid
         self.spec = spec
         # V = c max(|x|, epsilon_reg)^(-sigma), shared with observables.record
-        self.potential = spec.c * grid.radius_power(-spec.sigma, epsilon_reg)
+        self.potential = spec.c * grid.radius_power(-spec.sigma, spec.epsilon_reg)
         self._merge = merge_halves
         self._phase_halves = not grid.free_flow_composes  # B(dt/2) A(dt) B(dt/2)
         self._owed = None  # the time of the half that step's output still owes
@@ -315,8 +313,8 @@ def glassey_upper_bound(v0: float, vdot0: float, delta: float) -> float:
 @dataclass
 class Member:
     """One trajectory of an `evolve` stack.  record0 is u0's record under the
-    run's phi_r_list and epsilon_reg, glassey_delta the convexity margin of
-    its Glassey bound; None lets evolve take u0's record, or the margin of
+    run's spec and phi_r_list, glassey_delta the convexity margin of its
+    Glassey bound; None lets evolve take u0's record, or the margin of
     negative energy."""
 
     u0: Field
@@ -353,8 +351,7 @@ class TrajectoryOutcome:
 
     def _add_record(self, f, rec=None):
         self.records.append(rec if rec is not None else observables.record(
-            f, self._spec, phi_r=tuple(self._cfg.phi_r_list),
-            epsilon_reg=self._cfg.epsilon_reg))
+            f, self._spec, phi_r=tuple(self._cfg.phi_r_list)))
         self.max_boundary_mass_fraction = max(self.max_boundary_mass_fraction,
                                               boundary_shell_mass_fraction(f))
 
@@ -443,7 +440,7 @@ def evolve(
     fixed = cfg.adaptivity == "fixed"
     if not fixed and len(members) > 1:
         raise ValueError("adaptive dt advances one field at a time")
-    stepper = SplitStepper(grid, spec, cfg.epsilon_reg, merge_halves=True)
+    stepper = SplitStepper(grid, spec, merge_halves=True)
     runs = [TrajectoryOutcome(m, spec, cfg) for m in members]
     # row i of u is runs[i]'s field; a stopped member's row is stepped on
     # but never read again
@@ -516,7 +513,7 @@ def evolve(
 
 
 def evolve_linear(u0: Field, spec: EquationSpec, duration: float, dt: float) -> Field:
-    """Propagate under the linear flow (potential kept, nonlinearity off).
+    """Propagate under the linear flow (spec's potential, nonlinearity off).
 
     duration may be negative (backward propagation); both sub-flows are
     exactly invertible.  With c = 0 on a Cartesian grid this is the exact

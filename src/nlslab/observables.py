@@ -74,7 +74,7 @@ class ObservableRecord:
                 yield f.name, value
 
 
-def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> ObservableRecord:
+def record(u: Field, spec: EquationSpec, phi_r=()) -> ObservableRecord:
     """Evaluate every monitored functional on one field.
 
     Raises InvalidFieldError if any entry comes out non-finite (e.g. an
@@ -89,7 +89,7 @@ def record(u: Field, spec: EquationSpec, phi_r=(), epsilon_reg=0.0) -> Observabl
         dens **= 2
         dens_sq = dens * dens
         m = g.integrate(dens)
-        r_pow = g.radius_power(-spec.sigma, epsilon_reg)  # shared with the stepper
+        r_pow = g.radius_power(-spec.sigma, spec.epsilon_reg)  # shared with the stepper
         pot = 0.5 * spec.c * g.integrate(r_pow * dens)
         # alpha = 2 reuses dens * dens: libm pow is slow on subnormal tails
         lp_dens = dens_sq if spec.alpha == 2.0 else dens ** (0.5 * spec.alpha + 1.0)
@@ -301,9 +301,9 @@ def scattering_cauchy_diagnostic(checkpoints, spec: EquationSpec, dt):
     sequence and the increments decrease toward zero (until boundary
     effects dominate).  The increment between consecutive checkpoints
     a, b is ||P(t_a - t_b) u_b - u_a||_E: one pullback over their
-    interval, measured in the linear energy norm
-    ||w||_E^2 = M(w) + ||grad w||^2 + c int |x|^(-sigma) |w|^2, which the
-    linear flow conserves, so it equals the distance of the two
+    interval under spec's (the forward run's) potential V, measured in the
+    linear energy norm ||w||_E^2 = M(w) + ||grad w||^2 + int V |w|^2, which
+    the linear flow conserves, so it equals the distance of the two
     pullbacks at t = 0.  For c > 0 and sigma < 2 the norm is equivalent
     to H^1 (Hardy), so it decides the same Cauchy property.
     """
@@ -317,7 +317,7 @@ def scattering_cauchy_diagnostic(checkpoints, spec: EquationSpec, dt):
     checkpoints = sorted(checkpoints, key=lambda f: f.time)
     if len(checkpoints) < 2:
         raise ValueError("need at least two checkpoints")
-    potential = spec.c * checkpoints[0].grid.radius_power(-spec.sigma, 0.0)
+    potential = spec.c * checkpoints[0].grid.radius_power(-spec.sigma, spec.epsilon_reg)
     increments = []
     for a, b in zip(checkpoints[:-1], checkpoints[1:]):
         pulled = evolve_linear(b, spec, a.time - b.time, dt)

@@ -193,6 +193,7 @@ def test_ground_state_sidecar_without_monotone_residual(tmp_path):
     assert load_ground_state(base, 2.0, grid, "ff00") is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is expected
 @pytest.mark.parametrize("scale", [0.0, 1e110], ids=["zero", "norms-overflow"])
 def test_ground_state_profile_without_a_sharp_constant_is_rejected(tmp_path, scale):
     # a zero profile has no gradient; scaled by 1e110, its mass is finite

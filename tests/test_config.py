@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -147,6 +148,20 @@ def test_build_grid_and_gaussian():
     assert abs(u0.values[128]) > 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("width, value", [("1e200", 1.0), ("1e-200", 0.0)],
+                         ids=["width-squared-overflows", "width-squared-underflows"])
+def test_gaussian_of_an_extreme_width_runs_without_a_warning(tmp_path, monkeypatch,
+                                                            width, value):
+    # width^2 is inf (a flat field) or 0 (a zero one), as intended
+    text = MINIMAL + f"[initial]\nwidth = {width}\n"
+    assert np.all(build_initial_field(parse_config(text)).values == value)
+    monkeypatch.chdir(tmp_path)
+    with open("exp.cfg", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert main(["evolve", "exp.cfg"]) == 0
+
+
 def test_build_groundstate_scaled():
     text = MINIMAL + "\n[initial]\nkind = groundstate-scaled\nscale = 0.1\n"
     cfg = parse_config(text)
@@ -222,7 +237,7 @@ def test_moved_keys_set_evolve_fields():
     cfg = parse_config(text + "[observables]\nstride = 7\nr_list = 4 8\n")
     assert cfg.evolve.record_stride == 7
     assert cfg.evolve.phi_r_list == (4.0, 8.0)
-    assert cfg.evolve.epsilon_reg == 0.25
+    assert cfg.equation.epsilon_reg == 0.25
 
 
 def test_override_matches_parse():

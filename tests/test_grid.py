@@ -303,7 +303,7 @@ def test_potential_finite_and_monotone():
 
 def test_potential_epsilon_floor():
     g = Grid(1, "cartesian", n=64, L=4.0)
-    v = SplitStepper(g, EquationSpec(d=1, c=1.0, sigma=0.5), epsilon_reg=1.0).potential
+    v = SplitStepper(g, EquationSpec(d=1, c=1.0, sigma=0.5, epsilon_reg=1.0)).potential
     assert np.max(v) <= 1.0 + 1e-12
 
 

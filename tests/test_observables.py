@@ -290,7 +290,7 @@ def test_scattering_diagnostic_decreasing_increments():
 def _energy_norm(f, spec):
     g = f.grid
     return math.sqrt(mass(f) + gradient_norm_sq(f)
-                     + weighted_norm(f, spec.c * g.radius_power(-spec.sigma, 0.0)))
+                     + weighted_norm(f, spec.c * g.radius_power(-spec.sigma, spec.epsilon_reg)))
 
 
 def test_scattering_increments_equal_distances_of_full_pullbacks():
@@ -328,6 +328,35 @@ def test_scattering_pulls_each_checkpoint_back_one_interval(monkeypatch):
     times = sorted(f.time for f in cps)
     assert len(durations) == len(cps) - 1
     assert sum(abs(t) for t in durations) == pytest.approx(times[-1] - times[0])
+
+
+@pytest.fixture(scope="module")
+def floored_near_linear_run():
+    # V = c max(r, 2)^(-sigma): the floor acts on the whole Gaussian core; an
+    # amplitude of 1e-6 leaves a nonlinear phase of order 1e-12 over T = 0.5
+    spec = EquationSpec(d=3, c=1.0, sigma=1.0, alpha=2.0, sign="defocusing",
+                        epsilon_reg=2.0)
+    g = Grid(3, "radial", n_r=512, r_max=20.0)
+    u0 = Field(g, (1e-6 * np.exp(-g.r**2 / 2.0)).astype(complex))
+    checkpoints = []
+    cfg = EvolveConfig(dt0=1e-3, t_end=0.5, checkpoint_stride=100)
+    out = evolve(u0, spec, cfg, checkpoint_cb=checkpoints.append)
+    return spec, u0, out.final_field, checkpoints
+
+
+def test_linear_pullback_of_a_floored_run_returns_to_u0(floored_near_linear_run):
+    # the pullback steps under the forward run's potential, floor included
+    spec, u0, final, _ = floored_near_linear_run
+    back = evolve_linear(final, spec, -final.time, 1e-3)
+    diff = Field(u0.grid, back.values - u0.values)
+    assert math.sqrt(mass(diff) / mass(u0)) <= 1e-12
+
+
+def test_scattering_increments_of_a_floored_run_sit_at_roundoff(floored_near_linear_run):
+    spec, _, _, checkpoints = floored_near_linear_run
+    assert len(checkpoints) == 5
+    incs = scattering_cauchy_diagnostic(checkpoints, spec, dt=1e-3)
+    assert max(incs) < 1e-17
 
 
 def test_scattering_diagnostic_regime_guard():
