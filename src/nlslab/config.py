@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 import typing
 from dataclasses import dataclass
 
@@ -217,12 +218,19 @@ def _validate(cfg: ExperimentConfig):
             build(cfg)
         except GridError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
-    if cfg.grid.mode == "radial" and cfg.initial.kind == "gaussian":
-        if cfg.initial.center != 0.0 or cfg.initial.phase_k != 0.0:
+    ini = cfg.initial
+    if cfg.grid.mode == "radial" and ini.kind == "gaussian":
+        if ini.center != 0.0 or ini.phase_k != 0.0:
             raise ConfigError(
                 "radial mode requires centered, phase-free gaussian data"
             )
-    if cfg.initial.kind == "checkpoint" and not cfg.initial.path:
+    elif ini.kind == "gaussian":
+        # |x| of the node -L + dx/2, the largest that phase_k x meets
+        edge = cfg.grid.L - cfg.grid.L / cfg.grid.n
+        if math.isinf(ini.phase_k * edge):
+            raise ConfigError(f"[initial] phase_k = {ini.phase_k!r} times the largest |x| "
+                              f"= {edge!r} leaves the float range")
+    if ini.kind == "checkpoint" and not ini.path:
         raise ConfigError("[initial] kind = checkpoint requires path")
 
 

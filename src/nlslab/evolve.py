@@ -8,22 +8,22 @@ exponential.  A Cartesian step is A(dt/2) B(dt) A(dt/2); a radial step is
 B(dt/2) A(dt) B(dt/2), one Crank-Nicolson solve.  Both sub-flows are
 unitary, so discrete mass is conserved to roundoff.
 
-`evolve` merges the trailing half of one step with the leading half of
-the next, and settles the owed half where it reads the field (a record,
-a checkpoint, the end); `evolve_linear` settles at the end.  The Fourier
-multiplier composes, A(a) A(b) = A(a + b), so a Cartesian step makes one
-FFT round trip instead of two.  Settling takes the true field's spectrum
-on the way, and the next step starts from it, so a step that is read
-costs one forward and two inverse transforms instead of two and two.
-Crank-Nicolson halves do not compose, but phase halves do: B keeps |u|,
-and with it the argument V + s|u|^alpha, so B(a) B(b) = B(a + b) to
-roundoff, and a radial step makes one solve and one rotation.  The
-finiteness check reads every step's phase argument, which is finite on
-a row exactly where the shifted field is, over one float per node
-instead of two.  A radial step takes the owed rotation's argument where
-it ends and makes the field non-finite wherever that argument is, so an
-overflow of |u|^alpha stops a merged run at the step where the per-step
-loop stops.
+A step leaves its trailing half owed and applies it together with the
+leading half of the next step; the caller settles the owed half where it
+reads the field: `evolve` at a record, a checkpoint and the end,
+`evolve_linear` at the end.  The Fourier multiplier composes,
+A(a) A(b) = A(a + b), so a Cartesian step makes one FFT round trip.
+Settling takes the true field's spectrum on the way, and the next step
+starts from it, so a step that is read costs one forward and two inverse
+transforms.  Crank-Nicolson halves do not compose, but phase halves do:
+B keeps |u|, and with it the argument V + s|u|^alpha, so
+B(a) B(b) = B(a + b) to roundoff, and a radial step makes one solve and
+one rotation.  The finiteness check reads every step's phase argument,
+which is finite on a row exactly where the shifted field is, over one
+float per node instead of two.  A radial step takes the owed rotation's
+argument where it ends and makes the field non-finite wherever that
+argument is, so an overflow of |u|^alpha stops a run at the step whose
+true field it makes non-finite.
 
 An adaptive dt follows max|u| of the true field.  An owed phase half
 keeps |u|, so a radial run reads max|u| unsettled.  A Cartesian run reads
@@ -114,37 +114,35 @@ class EvolveConfig:
 class SplitStepper:
     """Cached multipliers / factored operators for one (grid, spec) pair.
 
-    step(u, dt) is one Strang step and returns the field at t + dt; u may
-    be one field's values or a (K, *shape) stack of them.  With
-    merge_halves, step leaves its trailing half owed and returns the field
-    short of it; the next step applies the owed half together with its own
-    leading half, whatever its dt: as one A(owed + dt/2) on a grid whose
-    free flow composes, else as one B(owed + dt/2).  settle(u) writes the
-    true field over u and returns it, so a caller that merges settles
-    wherever it reads the field.  sup_bounds(u) bounds max|u| of the true
-    field without settling.  An owed free half is settled from a kept
-    spectrum, settle's of the true field or sup_bounds' of the shifted
-    one, from which the next step (or settle) starts: a read step costs
-    one forward and two inverse transforms, against two and two unmerged,
-    and a step that is only bounded one and one.  An owed phase half keeps
-    its rotation's argument.  Until the next step the stepper holds one
+    step(u, dt) is one Strang step that leaves its trailing half owed: it
+    returns the field short of that half, and the next step applies the
+    owed half together with its own leading half, whatever its dt: as one
+    A(owed + dt/2) on a grid whose free flow composes, else as one
+    B(owed + dt/2).  u may be one field's values or a (K, *shape) stack of
+    them.  settle(u) writes the true field over u and returns it, so a
+    caller settles wherever it reads the field.  sup_bounds(u) bounds
+    max|u| of the true field without settling.  An owed free half is
+    settled from a kept spectrum, settle's of the true field or
+    sup_bounds' of the shifted one, from which the next step (or settle)
+    starts: a read step costs one forward and two inverse transforms, and
+    a step that is only bounded one and one.  An owed phase half keeps its
+    rotation's argument.  Until the next step the stepper holds one
     field's worth more memory, and step must be given the u that it
     returned, settle returned or sup_bounds was given.
 
-    A merging nonlinear step leaves in finite_rows, per row of its output,
-    whether the phase argument it formed is finite on every node, which is
-    whether that row is: an inf or NaN in u, or an overflow of |u|^alpha,
-    makes the argument non-finite, and a finite argument is a unit
-    rotation.  The argument read is the one scaled by the step's dt on a
-    Cartesian grid, and the one of the owed half on a radial grid.
+    A nonlinear step leaves in finite_rows, per row of its output, whether
+    the phase argument it formed is finite on every node, which is whether
+    that row is: an inf or NaN in u, or an overflow of |u|^alpha, makes
+    the argument non-finite, and a finite argument is a unit rotation.
+    The argument read is the one scaled by the step's dt on a Cartesian
+    grid, and the one of the owed half on a radial grid.
     """
 
-    def __init__(self, grid: Grid, spec: EquationSpec, merge_halves=False):
+    def __init__(self, grid: Grid, spec: EquationSpec):
         self.grid = grid
         self.spec = spec
         # V = c max(|x|, epsilon_reg)^(-sigma), shared with observables.record
         self.potential = spec.c * grid.radius_power(-spec.sigma, spec.epsilon_reg)
-        self._merge = merge_halves
         self._phase_halves = not grid.free_flow_composes  # B(dt/2) A(dt) B(dt/2)
         self._owed = None  # the time of the half that step's output still owes
         self._spectrum = None  # the spectrum of the u that step is given next
@@ -167,9 +165,9 @@ class SplitStepper:
 
     def _free(self, tau):
         """The free-flow map over tau, u -> A(tau) u."""
-        # keyed by tau, which adaptive dt halving changes; a merging
-        # Cartesian run holds dt/2, and dt once it merges across a step it
-        # does not read; a radial run holds dt
+        # keyed by tau, which adaptive dt halving changes; a Cartesian run
+        # holds dt/2, and dt once it merges across a step it does not read;
+        # a radial run holds dt
         op = self._free_ops.get(tau)
         if op is None:
             if len(self._free_ops) == 2:
@@ -223,12 +221,10 @@ class SplitStepper:
         # u is the fresh output of a linear step and is rotated in place
         arg = self._phase_arg(u, nonlinear)
         u *= self._rotation(dt, arg)
-        if self._merge:
-            if arg is not self.potential:
-                self._note_finite(arg)  # the rotation left -dt arg in arg's memory
-            self._owed = half
-            return u
-        return self._free(half)(u)
+        if arg is not self.potential:
+            self._note_finite(arg)  # the rotation left -dt arg in arg's memory
+        self._owed = half
+        return u
 
     def _step_phase_halves(self, u, dt, half, nonlinear):
         arg = self._arg
@@ -239,9 +235,6 @@ class SplitStepper:
         u = u * self._rotation(tau, arg)  # a new array: u may be the caller's
         u = self._free(dt)(u)
         arg = self._phase_arg(u, nonlinear)
-        if not self._merge:
-            u *= self._rotation(half, arg)
-            return u
         if arg is not self.potential:
             # the owed rotation would turn these nodes non-finite a step late
             finite = self._note_finite(arg)
@@ -440,7 +433,7 @@ def evolve(
     fixed = cfg.adaptivity == "fixed"
     if not fixed and len(members) > 1:
         raise ValueError("adaptive dt advances one field at a time")
-    stepper = SplitStepper(grid, spec, merge_halves=True)
+    stepper = SplitStepper(grid, spec)
     runs = [TrajectoryOutcome(m, spec, cfg) for m in members]
     # row i of u is runs[i]'s field; a stopped member's row is stepped on
     # but never read again
@@ -525,7 +518,7 @@ def evolve_linear(u0: Field, spec: EquationSpec, duration: float, dt: float) -> 
         raise ValueError("dt must be positive")
     if duration == 0.0:
         return u0.copy()
-    stepper = SplitStepper(u0.grid, spec, merge_halves=True)
+    stepper = SplitStepper(u0.grid, spec)
     n_steps = max(1, int(round(abs(duration) / dt)))
     h = duration / n_steps
     u = u0.values

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nlslab.checks import random_band_limited_field, random_radial_field
+from nlslab.checks import random_band_limited_field
 from nlslab.cli import main as cli_main
 from nlslab.equation import EquationSpec
 from nlslab.evolve import EvolveConfig, evolve, glassey_upper_bound
@@ -40,6 +40,8 @@ from nlslab.weights import (
     verify_bridge,
     zeta_prime,
 )
+
+from helpers import random_radial_field
 
 GS_CASES = [(1, 2.0), (1, 4.0), (1, 6.0), (2, 2.0), (3, 2.0)]
 

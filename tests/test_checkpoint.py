@@ -13,9 +13,11 @@ from nlslab.checkpoint import (
     save_ground_state,
     write_field,
 )
-from nlslab.checks import random_band_limited_field, random_radial_field
+from nlslab.checks import random_band_limited_field
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import solve_ground_state
+
+from helpers import random_radial_field
 
 
 def test_roundtrip_cartesian(tmp_path):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,8 @@ def test_config_invalid_exit_code(tmp_path):
         ("amplitude = 1.0", "amplitude = nan"),
         ("amplitude = 1.0", "amplitude = 1.0\ncenter = nan"),
         ("amplitude = 1.0", "amplitude = 1.0\nphase_k = inf"),
+        # phase_k x overflows at the node farthest from 0
+        ("amplitude = 1.0", "amplitude = 1.0\nphase_k = 1e308"),
         ("kind = gaussian", "kind = groundstate-scaled\nscale = nan"),
         ("t_end = 0.2", "t_end = 0.2\nadaptivity = cfl-nonlinear\ncfl_constant = -1"),
         ("t_end = 0.2", "t_end = 0.2\ncfl_constant = nan"),
@@ -153,8 +156,8 @@ def test_config_invalid_exit_code(tmp_path):
          "unknown-key", "groundstate-n-not-power-of-two", "sweep-dt0-negative",
          "sweep-n-not-power-of-two", "alpha-nan", "c-nan", "r_list-negative",
          "r_list-zero", "r_list-subnormal", "epsilon_reg-negative", "epsilon_reg-nan", "width-zero",
-         "width-negative", "amplitude-nan", "center-nan", "phase_k-inf", "scale-nan",
-         "cfl_constant-negative", "cfl_constant-nan", "blowup_grad_factor-nan",
+         "width-negative", "amplitude-nan", "center-nan", "phase_k-inf", "phase_k-overflow",
+         "scale-nan", "cfl_constant-negative", "cfl_constant-nan", "blowup_grad_factor-nan",
          "blowup_dt_floor-nan", "blowup_dt_floor-negative", "tolerance-nan",
          "groundstate-max_iter-zero", "groundstate-tol-nan", "groundstate-tol-negative",
          "formats-xml", "sweep-workers-zero", "sweep-workers-negative",
@@ -224,7 +227,10 @@ def test_bad_config_values_exit_code(tmp_path, capsys, old, new):
     new = new.replace("{tmp}", str(tmp_path))
     text = BASE.format(outdir=outdir).replace(old, new, 1)
     command = "sweep" if "[sweep]" in new else "evolve"
-    assert main([command, write_cfg(tmp_path, text)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, write_cfg(tmp_path, text)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err.startswith("config-invalid: ")
     # a bad sweep value stops the sweep before its first member runs
     assert not os.path.exists(os.path.join(outdir, "run_000"))

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -159,6 +160,26 @@ def test_gaussian_of_an_extreme_width_runs_without_a_warning(tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     with open("exp.cfg", "w", encoding="utf-8") as fh:
         fh.write(text)
+    assert main(["evolve", "exp.cfg"]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phase_k_is_rejected_exactly_where_its_phase_overflows(tmp_path, monkeypatch):
+    # phase_k x at the node -L + dx/2 farthest from 0: the largest phase_k
+    # it leaves finite builds a finite field, the next float is rejected
+    edge = 10.0 - 10.0 / 256
+    top = sys.float_info.max / edge
+    while math.isinf(top * edge):
+        top = math.nextafter(top, 0.0)
+    while math.isfinite(math.nextafter(top, math.inf) * edge):
+        top = math.nextafter(top, math.inf)
+    u0 = build_initial_field(parse_config(MINIMAL + f"[initial]\nphase_k = {top!r}\n"))
+    assert np.all(np.isfinite(u0.values))
+    with pytest.raises(ConfigError, match=r"^\[initial\] phase_k = "):
+        parse_config(MINIMAL + f"[initial]\nphase_k = {math.nextafter(top, math.inf)!r}\n")
+    monkeypatch.chdir(tmp_path)
+    with open("exp.cfg", "w", encoding="utf-8") as fh:
+        fh.write(MINIMAL + "[initial]\nphase_k = 1e300\n")
     assert main(["evolve", "exp.cfg"]) == 0
 
 

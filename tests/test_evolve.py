@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from nlslab.checks import random_band_limited_field, random_radial_field
+from nlslab.checks import random_band_limited_field
 from nlslab.equation import EquationSpec
 from nlslab.evolve import (
     EvolveConfig,
@@ -24,6 +24,8 @@ from nlslab.grid import (
 )
 from nlslab import observables
 from nlslab.observables import scattering_cauchy_diagnostic
+
+from helpers import random_radial_field, strang_step
 
 
 def free_spec(d=1, sign="defocusing"):
@@ -50,7 +52,7 @@ def test_soliton_modulus_stationary():
     u = sech.astype(complex)
     for _ in range(5000):
         u = stepper.step(u, 1e-3)
-    assert np.max(np.abs(np.abs(u) - sech)) <= 1e-4
+    assert np.max(np.abs(np.abs(stepper.settle(u)) - sech)) <= 1e-4
 
 
 def test_mass_conserved_each_step():
@@ -60,28 +62,27 @@ def test_mass_conserved_each_step():
     m0 = mass(f)
     stepper = SplitStepper(g, spec)
     for _ in range(1000):
-        f = Field(g, stepper.step(f.values, 1e-3))
+        f = Field(g, stepper.settle(stepper.step(f.values, 1e-3)))
     assert abs(mass(f) / m0 - 1.0) <= 1e-12
 
 
 def test_time_reversibility():
-    # five steps of dt, then five of -dt, return to f0 on either grid kind,
-    # in closed steps or in merged ones settled at both turns
+    # five steps of dt, then five of -dt, settled at both turns, return to
+    # f0 on either grid kind
     spec = EquationSpec(d=1, c=0.5, sigma=0.5, alpha=3.0, sign="focusing")
     fields = [random_band_limited_field(Grid(1, "cartesian", n=256, L=10.0), 3),
               random_radial_field(Grid(1, "radial", n_r=256, r_max=10.0), 3)]
     for f0 in fields:
         g = f0.grid
-        for merge in (False, True):
-            stepper = SplitStepper(g, spec, merge_halves=merge)
-            u = f0.values
-            for dt in (2e-3, -2e-3):
-                for _ in range(5):
-                    u = stepper.step(u, dt)
-                u = stepper.settle(u)
-            err = np.sqrt(g.integrate(np.abs(u - f0.values) ** 2)
-                          / g.integrate(np.abs(f0.values) ** 2))
-            assert err <= 1e-10
+        stepper = SplitStepper(g, spec)
+        u = f0.values
+        for dt in (2e-3, -2e-3):
+            for _ in range(5):
+                u = stepper.step(u, dt)
+            u = stepper.settle(u)
+        err = np.sqrt(g.integrate(np.abs(u - f0.values) ** 2)
+                      / g.integrate(np.abs(f0.values) ** 2))
+        assert err <= 1e-10
 
 
 def test_linear_energy_drift_second_order():
@@ -159,15 +160,17 @@ def test_cayley_half_step_matches_two_sided_solve():
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_operator_cache_keyed_by_step(nonlinear):
-    # an adaptive run halves dt and returns: one stepper must give exactly
-    # what fresh steppers give at each step size
+    # an adaptive run halves dt and returns: the cached operators must give
+    # exactly what operators built afresh for every step give
     spec, g, u0 = c9_problem()
-    shared = SplitStepper(g, spec)
-    u_shared = u_fresh = u0.values
-    for dt in (4e-3, 2e-3, 4e-3):
-        u_shared = shared.step(u_shared, dt, nonlinear=nonlinear)
-        u_fresh = SplitStepper(g, spec).step(u_fresh, dt, nonlinear=nonlinear)
-        assert np.array_equal(u_shared, u_fresh)
+    cached, fresh = SplitStepper(g, spec), SplitStepper(g, spec)
+    fresh._free = g.free_propagator
+    u_cached = u_fresh = u0.values
+    for dt in (4e-3, 2e-3, 4e-3, 4e-3):
+        u_cached = cached.step(u_cached, dt, nonlinear=nonlinear)
+        u_fresh = fresh.step(u_fresh, dt, nonlinear=nonlinear)
+        assert np.array_equal(u_cached, u_fresh)
+    assert np.array_equal(cached.settle(u_cached), fresh.settle(u_fresh))
 
 
 def test_linear_pullback_cancels_forward_flow_c9():
@@ -185,7 +188,7 @@ def test_radial_nonlinear_mass_drift():
     u = u0.values
     for _ in range(1000):
         u = stepper.step(u, 4e-3)
-    assert abs(mass(Field(g, u)) / mass(u0) - 1.0) <= 1e-12
+    assert abs(mass(Field(g, stepper.settle(u))) / mass(u0) - 1.0) <= 1e-12
 
 
 def test_zero_initial_data():
@@ -379,12 +382,11 @@ def test_evolve_rejects_a_non_finite_initial_field():
 
 
 def per_step_run(u0, spec, dt, n_steps, record_stride, checkpoint_stride):
-    """Reference for evolve: Strang steps one by one, each closed."""
-    stepper = SplitStepper(u0.grid, spec)
+    """Reference for evolve: textbook Strang steps one by one."""
     u, records, checkpoints = u0.values, {0: u0.values}, {}
     with np.errstate(all="ignore"):
         for step in range(1, n_steps + 1):
-            u = stepper.step(u, dt)
+            u = strang_step(u0.grid, spec, u, dt)
             if not np.all(np.isfinite(u)):
                 return records, checkpoints, step
             if step % record_stride == 0 or step == n_steps:
@@ -396,8 +398,7 @@ def per_step_run(u0, spec, dt, n_steps, record_stride, checkpoint_stride):
 
 def adaptive_per_step_run(u0, spec, cfg):
     """Reference for an adaptive evolve that neither blows up nor meets the
-    dt floor: Strang steps one by one, each closed, under evolve's CFL rule."""
-    stepper = SplitStepper(u0.grid, spec)
+    dt floor: textbook Strang steps one by one under evolve's CFL rule."""
     u, t, times, fields = u0.values, 0.0, [0.0], [u0.values]
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = cfg.dt0
@@ -405,7 +406,7 @@ def adaptive_per_step_run(u0, spec, cfg):
         if raw < dt:
             dt = cfg.dt0 * 2.0 ** (-np.ceil(np.log2(cfg.dt0 / raw)))
         dt = min(dt, cfg.t_end - t)
-        u = stepper.step(u, dt)
+        u = strang_step(u0.grid, spec, u, dt)
         t += dt
         times.append(t)
         fields.append(u)
@@ -451,12 +452,12 @@ def test_merged_half_steps_match_per_step_loop(problem, dt, n_steps):
 def test_merged_radial_steps_of_both_flows_match_per_step_loop():
     # a phase half owed by a nonlinear step is settled before a linear step
     spec, g, u0 = c9_problem()
-    merged, per_step = SplitStepper(g, spec, merge_halves=True), SplitStepper(g, spec)
+    stepper = SplitStepper(g, spec)
     u, ref = u0.values, u0.values
     for nonlinear in (True, True, False, False, True):
-        u = merged.step(u, 4e-3, nonlinear=nonlinear)
-        ref = per_step.step(ref, 4e-3, nonlinear=nonlinear)
-    assert rel_err(merged.settle(u), ref) <= 1e-12
+        u = stepper.step(u, 4e-3, nonlinear=nonlinear)
+        ref = strang_step(g, spec, ref, 4e-3, nonlinear=nonlinear)
+    assert rel_err(stepper.settle(u), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("g", [Grid(1, "cartesian", n=256, L=20.0),
@@ -491,7 +492,7 @@ def test_finite_rows_are_the_rows_a_rescan_finds_finite(g):
     spec = EquationSpec(d=1, c=0.0, sigma=0.5, alpha=1e5, sign="defocusing")
     z = 1.0 - 2.0j
     chirped = 1.25 * np.exp(-g.coords(0)**2 / (2.0 * z)) / np.sqrt(z)
-    stepper = SplitStepper(g, spec, merge_halves=True)
+    stepper = SplitStepper(g, spec)
     u, seen = np.stack([chirped, 0.5 * chirped]), []
     with np.errstate(all="ignore"):
         for _ in range(12):
@@ -639,7 +640,7 @@ _BOUND_GRIDS = {1: Grid(1, "cartesian", n=128, L=8.0), 2: Grid(2, "cartesian", n
 def test_sup_bounds_contain_the_settled_maximum(d, seed, owed, amplitude):
     g = _BOUND_GRIDS[d]
     spec = EquationSpec(d=d, c=1.0, sigma=0.5, alpha=2.0, sign="focusing")
-    stepper = SplitStepper(g, spec, merge_halves=True)
+    stepper = SplitStepper(g, spec)
     u = stepper.step(random_band_limited_field(g, seed, amplitude).values[None], 2.0 * owed)
     exact = float(np.max(np.abs(g.free_propagator(owed)(u))))
     lo, hi = stepper.sup_bounds(u)
@@ -715,6 +716,31 @@ def test_certified_unread_adaptive_step_makes_one_transform_each_way(monkeypatch
     assert events == "TFI" + "FTI" * 19 + "SFI"
 
 
+def test_unread_radial_step_makes_one_solve_and_one_rotation(monkeypatch):
+    # the radial counterpart of the test above: an unread nonlinear step
+    # makes one Crank-Nicolson solve and one rotation (one cos/sin pair),
+    # and a settle one rotation and no solve
+    spec, g, u0 = c9_problem()
+    stepper = SplitStepper(g, spec)
+    log = []
+    free_propagator, cos, sin = g.free_propagator, np.cos, np.sin
+
+    def logged_free_propagator(tau):
+        solve = free_propagator(tau)
+        return lambda u: log.append("solve") or solve(u)
+
+    monkeypatch.setattr(g, "free_propagator", logged_free_propagator)
+    monkeypatch.setattr(np, "cos", lambda *args, **kw: log.append("cos") or cos(*args, **kw))
+    monkeypatch.setattr(np, "sin", lambda *args, **kw: log.append("sin") or sin(*args, **kw))
+    u = u0.values
+    for _ in range(4):
+        u = stepper.step(u, 4e-3)
+    assert log == ["cos", "sin", "solve"] * 4
+    log.clear()
+    stepper.settle(u)
+    assert log == ["cos", "sin"]
+
+
 def test_adaptive_step_whose_bounds_straddle_an_edge_settles_from_the_kept_spectrum(
         monkeypatch):
     # cfl_constant puts the edge between dt0 and dt0/2 exactly at max|u| of
@@ -724,7 +750,7 @@ def test_adaptive_step_whose_bounds_straddle_an_edge_settles_from_the_kept_spect
     g = Grid(1, "cartesian", n=128, L=8.0)
     u0 = Field(g, (3.8 * np.exp(-g.axis**2 / 2.0)).astype(complex))
     dt0 = 1e-2
-    probe = SplitStepper(g, spec, merge_halves=True)
+    probe = SplitStepper(g, spec)
     edge = float(np.max(np.abs(probe.settle(probe.step(u0.values[None], dt0 / 2)))))
     assert edge < float(np.max(np.abs(u0.values)))
     log = _logged_transforms(monkeypatch, g)

@@ -101,8 +101,7 @@ def test_evolve_linear_flushes_its_steps_and_restores_the_mode_after(monkeypatch
 def test_scattering_data_holds_no_subnormal_after_five_flushed_steps():
     spec, u0 = scatter_data()
     assert subnormals(u0.values) > 0
-    ieee, flushed = SplitStepper(u0.grid, spec, merge_halves=True), \
-        SplitStepper(u0.grid, spec, merge_halves=True)
+    ieee, flushed = SplitStepper(u0.grid, spec), SplitStepper(u0.grid, spec)
     u, v = u0.values, u0.values
     for _ in range(5):
         u = ieee.step(u, 4e-3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nlslab.grid
-from nlslab.checks import random_band_limited_field, random_radial_field
+from nlslab.checks import random_band_limited_field
 from nlslab.equation import EquationSpec
 from nlslab.evolve import SplitStepper
 from nlslab.grid import (
@@ -22,6 +22,8 @@ from nlslab.grid import (
     weighted_norm,
 )
 from nlslab.weights import eval_localized_weight
+
+from helpers import random_radial_field
 
 
 def test_cell_centered_1d_nodes():
@@ -420,7 +422,7 @@ for seed in range(6):
     for dt in (1e-2, 1e-3):
         u0 = random_band_limited_field(g, seed).values
         for u in (u0, np.stack([u0, 0.5 * u0])):
-            stepper = SplitStepper(g, spec, merge_halves=True)
+            stepper = SplitStepper(g, spec)
             u = stepper.step(u, dt)
             print(*(bound.hex() for bound in stepper.sup_bounds(u)))
 """

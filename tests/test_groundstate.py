@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlslab import groundstate
-from nlslab.checks import random_band_limited_field, random_radial_field
+from nlslab.checks import random_band_limited_field
 from nlslab.grid import Field, Grid
 from nlslab.groundstate import (
     GroundStateError,
@@ -15,6 +15,8 @@ from nlslab.groundstate import (
     sharp_gn_constant,
     solve_ground_state,
 )
+
+from helpers import random_radial_field
 
 SECH_MASS = 4.0            # ||sqrt(2) sech||_2^2
 SECH_KINETIC = 4.0 / 3.0
