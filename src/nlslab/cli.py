@@ -297,6 +297,13 @@ def _sweep_member(cfg: ExperimentConfig, value, index) -> ExperimentConfig:
     return override(member, "output.directory", run_dir)
 
 
+def _sweep_members(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """The validated configs of cfg's sweep members, none where it sweeps
+    nothing."""
+    sw = cfg.sweep
+    return [_sweep_member(cfg, v, i) for i, v in enumerate(sw.values)] if sw.parameter else []
+
+
 def _sweep_stacks(members, workers):
     """min(workers, K) contiguous stacks of members that share what the
     stepping loop reads (a fixed dt, equal [equation], [grid] and [evolve])
@@ -316,7 +323,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if not sw.parameter or not sw.values:
         raise ConfigError("[sweep] needs parameter and values")
     # every member is validated before the first run starts
-    members = [_sweep_member(cfg, v, i) for i, v in enumerate(sw.values)]
+    members = _sweep_members(cfg)
     os.makedirs(cfg.output.directory, exist_ok=True)
     # groundstate-scaled members share Q: one solve per key, before dispatch
     profiles = {}
@@ -357,18 +364,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _hash_consistency(cfg: ExperimentConfig) -> tuple[bool, str]:
+def _hash_consistency(cfg: ExperimentConfig, members) -> tuple[bool, str]:
     """Every artifact under the run directory must embed the hash of the
     config that wrote it: a sweep's run_XXX that of its member config
-    (_sweep_member), a ground-state artifact that config's solver hash."""
+    (members, from _sweep_members), a ground-state artifact that config's
+    solver hash."""
     directory = cfg.output.directory
     if not os.path.isdir(directory):
         return True, "no run directory yet"
     owners = {directory: cfg}
-    if cfg.sweep.parameter:
-        for i, value in enumerate(cfg.sweep.values):
-            member = _sweep_member(cfg, value, i)
-            owners[member.output.directory] = member
+    owners.update((member.output.directory, member) for member in members)
     seen = 0
     for top, owner in owners.items():
         want = {"config_hash": config_hash(owner),
@@ -400,8 +405,9 @@ def _hash_consistency(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def cmd_check(cfg: ExperimentConfig) -> int:
     from .checks import run_invariant_suite  # here: no other command compiles it
+    members = _sweep_members(cfg)  # a member out of its domain exits 2, as in cmd_sweep
     ok = run_invariant_suite(seed=cfg.output.seed)
-    hash_ok, detail = _hash_consistency(cfg)
+    hash_ok, detail = _hash_consistency(cfg, members)
     print(f"{'PASS' if hash_ok else 'FAIL'} hash-consistency: {detail}")
     return EXIT_OK if (ok and hash_ok) else EXIT_NUMERICAL
 

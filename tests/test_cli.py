@@ -861,6 +861,17 @@ def _sweep_cfg(tmp_path, outdir, parameter, values):
     return write_cfg(tmp_path, text)
 
 
+def test_check_validates_every_sweep_member(tmp_path, capsys):
+    # the second member's phase_k x overflows at the box edge: check exits 2
+    # on it, as sweep does, before its invariant suite runs
+    path = _sweep_cfg(tmp_path, os.path.join(tmp_path, "out"), "initial.phase_k", "1.0 1e308")
+    for command in ("sweep", "check"):
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config-invalid: [sweep] initial.phase_k = 1e+308")
+        assert "PASS" not in out
+
+
 def test_sweep_table_text(tmp_path):
     outdir = os.path.join(tmp_path, "sweep_table")
     path = _sweep_cfg(tmp_path, outdir, "initial.amplitude", "0.5 1")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,7 @@ from nlslab.grid import (
     h1_norm,
     mass,
 )
+import nlslab
 from nlslab import observables
 from nlslab.observables import scattering_cauchy_diagnostic
 
@@ -718,27 +723,26 @@ def test_certified_unread_adaptive_step_makes_one_transform_each_way(monkeypatch
 
 def test_unread_radial_step_makes_one_solve_and_one_rotation(monkeypatch):
     # the radial counterpart of the test above: an unread nonlinear step
-    # makes one Crank-Nicolson solve and one rotation (one cos/sin pair),
-    # and a settle one rotation and no solve
+    # makes one Crank-Nicolson solve and one rotation (one tan), and a
+    # settle one rotation and no solve
     spec, g, u0 = c9_problem()
     stepper = SplitStepper(g, spec)
     log = []
-    free_propagator, cos, sin = g.free_propagator, np.cos, np.sin
+    free_propagator, tan = g.free_propagator, np.tan
 
     def logged_free_propagator(tau):
         solve = free_propagator(tau)
         return lambda u: log.append("solve") or solve(u)
 
     monkeypatch.setattr(g, "free_propagator", logged_free_propagator)
-    monkeypatch.setattr(np, "cos", lambda *args, **kw: log.append("cos") or cos(*args, **kw))
-    monkeypatch.setattr(np, "sin", lambda *args, **kw: log.append("sin") or sin(*args, **kw))
+    monkeypatch.setattr(np, "tan", lambda *args, **kw: log.append("tan") or tan(*args, **kw))
     u = u0.values
     for _ in range(4):
         u = stepper.step(u, 4e-3)
-    assert log == ["cos", "sin", "solve"] * 4
+    assert log == ["tan", "solve"] * 4
     log.clear()
     stepper.settle(u)
-    assert log == ["cos", "sin"]
+    assert log == ["tan"]
 
 
 def test_adaptive_step_whose_bounds_straddle_an_edge_settles_from_the_kept_spectrum(
@@ -810,8 +814,10 @@ def test_member_invalid_at_a_record_leaves_the_rest_as_solo_runs():
                          ids=["cartesian2d", "radial3d"])
 def test_rotation_keeps_the_bits_of_cos_minus_i_sin(grid, sign, alpha):
     # the stepper folds the sign into the potential add and rotates by -tau;
-    # the rotation keeps the bytes of cos(tau arg) - 1j sin(tau arg), with
-    # arg = s|u|^alpha + V formed as a sign times the power, plus V
+    # the rotation keeps the bytes of cos(tau arg) - i sin(tau arg) written
+    # out in Cayley form, (h - 1) + i t h with t = tan(-tau arg / 2) and
+    # h = 2 / (1 + t^2), and arg = s|u|^alpha + V formed as a sign times
+    # the power, plus V
     spec = EquationSpec(d=grid.d, c=1.0, sigma=0.5, alpha=alpha, sign=sign)
     field = random_band_limited_field if grid.mode == "cartesian" else random_radial_field
     u = 2.0 * field(grid, 7).values
@@ -821,9 +827,59 @@ def test_rotation_keeps_the_bits_of_cos_minus_i_sin(grid, sign, alpha):
     arg *= spec.nonlinearity_sign
     arg += stepper.potential
     for tau in (1e-3, -2.5e-4, 0.7):
-        want = np.cos(tau * arg) - 1j * np.sin(tau * arg)
+        t = np.tan((-0.5 * tau) * arg)
+        h = 2.0 / (1.0 + t * t)
+        want = np.empty(arg.shape, complex)
+        want.real, want.imag = h - 1.0, t * h
         kept = stepper._phase_arg(u, True)
         assert kept.tobytes() == arg.tobytes()
         assert stepper._rotation(tau, kept, keep=True).tobytes() == want.tobytes()
         assert kept.tobytes() == arg.tobytes()
         assert stepper._rotation(tau, kept).tobytes() == want.tobytes()
+
+
+def test_rotation_matches_cos_minus_i_sin_to_roundoff():
+    # the Cayley form against the textbook rotation, for tau arg from 1e-8
+    # to 1e4 in both signs: within 1e-15 of cos - i sin, of modulus 1 to
+    # 1e-15, conjugated byte for byte by -tau, and finite exactly where arg is
+    g = Grid(1, "cartesian", n=64, L=8.0)
+    stepper = SplitStepper(g, EquationSpec(d=1, c=1.0, sigma=0.5, alpha=2.0,
+                                           sign="defocusing"))
+    magnitudes = np.geomspace(1e-5, 1e7, 20_001)
+    arg = np.concatenate([magnitudes, -magnitudes])
+    for tau in (1e-3, -1e-3):
+        for a in (arg, stepper.potential):
+            rotation = stepper._rotation(tau, a, keep=True)
+            assert np.max(np.abs(rotation - (np.cos(tau * a) - 1j * np.sin(tau * a)))) <= 1e-15
+            assert np.max(np.abs(np.abs(rotation) - 1.0)) <= 1e-15
+            inverse = stepper._rotation(-tau, a, keep=True)
+            assert inverse.tobytes() == np.conj(rotation).tobytes()
+    edges = np.array([1e308, -1e308, np.finfo(float).max, np.inf, -np.inf, np.nan, 0.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        for tau in (1e-3, -0.7, 1.0):
+            rotation = stepper._rotation(tau, edges, keep=True)
+            assert (np.isfinite(rotation) == np.isfinite(edges)).all()
+
+
+def test_rotation_matches_cos_minus_i_sin_on_numpys_baseline_tan():
+    # numpy dispatches float64 tan to AVX-512 where the CPU has it, and the
+    # baseline path's bits may differ in the last place: the case above runs
+    # again in a fresh interpreter with those targets disabled
+    from numpy.lib.introspect import opt_func_info
+
+    (tan,) = opt_func_info(func_name="^tan$", signature="float64")["tan"].values()
+    targets = [t for t in tan["available"].split() if t == "X86_V4" or t.startswith("AVX512")]
+    if tan["current"] not in targets:
+        pytest.skip("numpy dispatches float64 tan to no AVX-512 target here")
+    code = ("import sys, pytest\n"
+            "from numpy.lib.introspect import opt_func_info\n"
+            "(tan,) = opt_func_info(func_name='^tan$', signature='float64')['tan'].values()\n"
+            "print(tan['current'])\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]))")
+    node = f"{__file__}::test_rotation_matches_cos_minus_i_sin_to_roundoff"
+    src = os.path.dirname(os.path.dirname(nlslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    run = subprocess.run([sys.executable, "-c", code, node], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.split()[0] not in targets
