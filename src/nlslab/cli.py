@@ -364,7 +364,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _hash_consistency(cfg: ExperimentConfig, members) -> tuple[bool, str]:
+def _hash_consistency(cfg: ExperimentConfig,
+                      members: list[ExperimentConfig]) -> tuple[bool, str]:
     """Every artifact under the run directory must embed the hash of the
     config that wrote it: a sweep's run_XXX that of its member config
     (members, from _sweep_members), a ground-state artifact that config's
