@@ -3,18 +3,19 @@
 ?gttrf factors A = L U with partial pivoting.  Where it swapped no row,
 U = D V with V unit upper bidiagonal, and A^(-1) b = V^(-1) D^(-1) L^(-1) b
 is a unit-lower ?tbsv sweep, one product with the reciprocal pivots 1/d,
-and a unit-upper ?tbsv sweep: no division sits in a recurrence, as it
-does in ?gttrs's back-substitution.  The radial solves need no swap:
-with W the shell weights and A the symmetric flux stencil, W (I - z Lap)
-= W - z A has a positive-definite Hermitian part for Re z >= 0 (the
-Crank-Nicolson z = i tau/2, the elliptic z = 1), and elimination without
-row swaps is stable for such matrices (Golub and Van Loan, Linear Algebra
-Appl. 28 (1979) 85-97).  Whether ?gttrf swapped is read from its pivots,
-not assumed, and a factorization that swapped rows is solved by ?gttrs.
+and a unit-upper ?tbsv sweep: no division sits in a recurrence.  The
+radial solves need no swap: with W the shell weights and A the symmetric
+flux stencil, W (I - z Lap) = W - z A has a positive-definite Hermitian
+part for Re z >= 0 (the Crank-Nicolson z = i tau/2, the elliptic z = 1),
+and elimination without row swaps is stable for such matrices (Golub and
+Van Loan, Linear Algebra Appl. 28 (1979) 85-97).  Whether ?gttrf swapped
+is read from its pivots, not assumed, and a factorization that swapped
+rows raises LinAlgError.  None of d = 1-3, n_r 8-32 768, r_max 1e-3-1e6
+and |tau| 1e-12-1e15 swaps.
 
 One solver serves two symbol tables, each called through ctypes.  The
 first is the OpenBLAS that numpy's wheel ships and has already loaded
-(numpy.libs/libscipy_openblas64_*.so, whose symbols scipy_{d,z}gttr{f,s}_64_
+(numpy.libs/libscipy_openblas64_*.so, whose symbols scipy_{d,z}gttrf_64_
 and scipy_{d,z}tbsv_64_ take 64-bit integers), so a solve needs no scipy
 import.  Where that library or a symbol is missing, the second is scipy's
 Cython LAPACK and BLAS API (scipy.linalg.cython_lapack and cython_blas,
@@ -35,22 +36,22 @@ import numpy as np
 
 __all__ = ["factor_tridiagonal"]
 
-# Every routine returns void.  gttrf(n, dl, d, du, du2, ipiv, info) takes
-# seven pointers.  gttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info)
-# and tbsv(uplo, trans, diag, n, k, a, lda, x, incx) are undeclared: the
-# solver hands them ctypes objects only, and a declared conversion of 12
-# arguments costs about 1 us per call.  The OpenBLAS symbols then take the
-# hidden length of each character argument; the Cython pointers take none,
-# and a C call, whose caller pops the arguments, ignores the extra ones.
+# Both routines return void.  gttrf(n, dl, d, du, du2, ipiv, info) takes
+# seven pointers.  tbsv(uplo, trans, diag, n, k, a, lda, x, incx) is
+# undeclared: the solver hands it ctypes objects only, and a declared
+# conversion of 12 arguments costs about 1 us per call.  The OpenBLAS
+# symbol then takes the hidden length of each character argument; the
+# Cython pointer takes none, and a C call, whose caller pops the arguments,
+# ignores the extra ones.
 _GTTRF = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 7)
 _UNDECLARED = ctypes.CFUNCTYPE(None)
 
 
 def _table(int_, source):
-    """{"d": (int_, gttrf, gttrs, tbsv), "z": (...)}, where source(prefix,
-    name) is a (symbol, library) pair or an address."""
-    return {p: (int_, _GTTRF(source(p, "gttrf")), _UNDECLARED(source(p, "gttrs")),
-                _UNDECLARED(source(p, "tbsv"))) for p in "dz"}
+    """{"d": (int_, gttrf, tbsv), "z": (...)}, where source(prefix, name) is
+    a (symbol, library) pair or an address."""
+    return {p: (int_, _GTTRF(source(p, "gttrf")), _UNDECLARED(source(p, "tbsv")))
+            for p in "dz"}
 
 
 @functools.cache
@@ -97,12 +98,11 @@ def factor_tridiagonal(lower, diag, upper):
     side of len(diag) or a (K, len(diag)) stack of them.
 
     The routines are numpy's OpenBLAS's, or scipy's where that is missing
-    (see above).  Where the factorization swapped no row, as on every
-    shifted radial Laplacian tried, each right-hand side is two
-    unit-bidiagonal ?tbsv sweeps with a product by the reciprocal pivots
-    between them; otherwise it is one ?gttrs back-substitution.  The bands
-    are real or complex; a real matrix solves real right-hand sides only.
-    LinAlgError if A is singular.
+    (see above).  Each right-hand side is two unit-bidiagonal ?tbsv sweeps
+    with a product by the reciprocal pivots between them.  The bands are
+    real or complex; a real matrix solves real right-hand sides only.
+    LinAlgError if A is singular or ?gttrf swapped rows, which no shifted
+    radial Laplacian I - z Lap with Re z >= 0 has been seen to make.
     """
     complex_ = any(np.iscomplexobj(band) for band in (lower, diag, upper))
     dtype = np.dtype(np.complex128 if complex_ else np.float64)
@@ -132,30 +132,20 @@ def _checked_copy(b, n, dtype):
     return x
 
 
-def _solver(int_, gttrf, gttrs, tbsv, dl, d, du):
+def _solver(int_, gttrf, tbsv, dl, d, du):
     n, dtype = d.size, d.dtype
-    # gttrf overwrites the bands with the factors; each reference keeps its array alive
-    factors = (dl, d, du, np.empty(max(n - 2, 1), dtype), np.empty(n, int_))
-    refs = tuple(_ref(a) for a in factors)
+    du2, ipiv = np.empty(max(n - 2, 1), dtype), np.empty(n, int_)
     size, info = int_(n), int_()
-    gttrf(ctypes.byref(size), *refs, ctypes.byref(info))
+    # gttrf overwrites the bands with the factors; each reference keeps its array alive
+    gttrf(ctypes.byref(size), *map(_ref, (dl, d, du, du2, ipiv)), ctypes.byref(info))
     _check(info.value, "gttrf")
-    n_ref = ctypes.byref(size)  # N, and LDB of every right-hand side
-    one_ref = ctypes.byref(int_(1))  # K, INCX, and NRHS of a single right-hand side
+    if _swapped(ipiv):
+        raise np.linalg.LinAlgError("gttrf swapped rows; the unit sweeps solve only "
+                                    "a factorization without row swaps")
+    n_ref = ctypes.byref(size)  # N
+    one_ref = ctypes.byref(int_(1))  # K and INCX
     no, up, low = (ctypes.create_string_buffer(c) for c in (b"N", b"U", b"L"))
     length = ctypes.c_size_t(1)  # OpenBLAS's hidden length of each character argument
-
-    if _swapped(factors[4]):
-        def solve(b):
-            x = _checked_copy(b, n, dtype)
-            status = int_()  # one per call, so that threads may share the solver
-            # a C-ordered (K, n) stack is the column-major n x K matrix B of LAPACK
-            nrhs = one_ref if x.size == n else ctypes.byref(int_(x.size // n))
-            gttrs(no, n_ref, nrhs, *refs, _ref(x), n_ref, ctypes.byref(status), length)
-            _check(status.value, "gttrs")
-            return x
-
-        return solve
 
     # the solver keeps no array of gttrf's: read column-major, the C-ordered
     # (n, 2) band is the LDA = 2 storage of both unit factors, since a unit

@@ -256,7 +256,9 @@ class SplitStepper:
             u = self.settle(u)
             arg = self._phase_arg(u, nonlinear)
         tau = half if self._owed is None else self._owed + half
-        u = u * self._rotation(tau, arg)  # a new array: u may be the caller's
+        # a new array, as u may be the caller's; numpy never elides an explicit
+        # ufunc call into rot * u, so u comes first at every size
+        u = np.multiply(u, self._rotation(tau, arg))
         u = self._free(dt)(u)
         arg = self._phase_arg(u, nonlinear)
         if arg is not self.potential:

@@ -469,7 +469,7 @@ class Field:
     __slots__ = ("grid", "values", "time")
 
     def __init__(self, grid, values, time=0.0):
-        values = np.asarray(values, dtype=np.complex128)
+        values = np.ascontiguousarray(values, dtype=np.complex128)
         if values.shape != grid.shape:
             raise InvalidFieldError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"

@@ -1072,6 +1072,20 @@ def test_stacked_sweep_members_equal_their_solo_runs(tmp_path, evolve_calls, d, 
     assert sum(k.startswith("run_000/checkpoint_") for k in swept) == 2 * 13
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_radial_stack_past_numpys_temporary_elision_writes_solo_bytes(tmp_path, evolve_calls,
+                                                                     workers):
+    # one stack of 4 x 4 096 complex nodes is 256 KiB, numpy's threshold for
+    # computing a product with a temporary in place; two workers step 2 + 2
+    outdir = os.path.join(tmp_path, "sweep")
+    text = _stack_sweep_text(outdir, 3, workers).replace("n_r = 256", "n_r = 4096").replace(
+        "values = 0.5 1.0 1.5", "values = 0.5 1.0 1.5 2.0")
+    path = write_cfg(tmp_path, text)
+    assert main(["sweep", path]) == 0
+    _assert_members_equal_solo_runs(path, outdir)
+    assert evolve_calls == ([4] if workers == 1 else []) + [1] * 4
+
+
 def test_sweep_over_initial_data_runs_as_one_stack(tmp_path, evolve_calls):
     outdir = os.path.join(tmp_path, "sweep")
     assert main(["sweep", write_cfg(tmp_path, _stack_sweep_text(outdir, 1, 1))]) == 0

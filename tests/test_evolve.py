@@ -528,6 +528,19 @@ def test_radial_member_overflowing_in_a_stack_stops_at_its_solo_step():
         assert member.final_field.values.tobytes() == solo.final_field.values.tobytes()
 
 
+def test_radial_stack_past_numpys_temporary_elision_equals_its_solo_runs():
+    # 6 x 3 072 complex nodes pass numpy's 256 KiB elision threshold, past
+    # which u * rot of a temporary rot would be computed in place as rot * u
+    spec, g, u0 = c9_problem()
+    fields = [Field(g, k * u0.values) for k in range(1, 7)]
+    assert sum(f.values.nbytes for f in fields) >= 256 * 1024
+    cfg = EvolveConfig(dt0=4e-3, t_end=0.04, record_stride=5)
+    for f, member in zip(fields, evolve([Member(f) for f in fields], spec, cfg)):
+        solo = evolve(f, spec, cfg)
+        assert member.records == solo.records
+        assert member.final_field.values.tobytes() == solo.final_field.values.tobytes()
+
+
 def test_cartesian_linear_flow_forward_then_back():
     spec = EquationSpec(d=2, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
     g = Grid(2, "cartesian", n=64, L=8.0)

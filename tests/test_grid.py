@@ -283,6 +283,24 @@ def test_invalid_field_detection():
         Field(g, np.ones(12, dtype=complex))
 
 
+def test_field_of_any_memory_layout_holds_c_ordered_values():
+    # is_finite views the values as float64 pairs, which needs a contiguous last axis
+    from nlslab.observables import record
+
+    g = Grid(2, "cartesian", n=16, L=4.0)
+    spec = EquationSpec(d=2, c=1.0, sigma=0.5, alpha=2.0, sign="defocusing")
+    values = random_band_limited_field(g, 3).values
+    wide = np.zeros((16, 32), dtype=complex)
+    wide[:, ::2] = values
+    want = Field(g, values.copy())
+    for layout in (np.asfortranarray(values), wide[:, ::2]):
+        f = Field(g, layout)
+        assert mass(f) == mass(want) and record(f, spec) == record(want, spec)
+        assert f.values.flags.c_contiguous
+    stack = np.stack([values, 2.0 * values])
+    assert Field(g, stack[1]).values.base is stack  # a C-ordered row is not copied
+
+
 def test_radial_gradient_matches_laplacian_quadratic_form():
     # <-Lap u, u> must equal the face-difference gradient norm exactly
     g = Grid(3, "radial", n_r=512, r_max=10.0)
